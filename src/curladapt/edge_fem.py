@@ -122,12 +122,44 @@ class DofMap:
         self.element_signs = mesh.tri_edge_signs
 
 
+def discrete_gradient(dofmap):
+    """Discrete gradient G from interior vertices to free edges.
+
+    Column j belongs to the j-th interior vertex in vertex-id order; row
+    i to free dof i.  The free edge from vertex lo to vertex hi (edges are
+    oriented low to high) has +1 in the column of hi and -1 in the column
+    of lo, so ``G @ v`` holds the edge moments of the gradient of the
+    continuous piecewise-linear function with interior nodal values v and
+    zero boundary values.  Boundary vertices have no column.
+    """
+    mesh = dofmap.mesh
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.edges[mesh.is_boundary_edge]] = False
+    n_interior = int(interior.sum())
+    vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    vertex_dof[interior] = np.arange(n_interior)
+    free = dofmap.edge_dof >= 0
+    rows = np.tile(dofmap.edge_dof[free], 2)
+    cols = vertex_dof[mesh.edges[free]].T.ravel()  # all lo, then all hi
+    vals = np.repeat([-1.0, 1.0], free.sum())
+    keep = cols >= 0
+    return linalg.from_triplet_arrays(dofmap.n_free, n_interior,
+                                      rows[keep], cols[keep], vals[keep])
+
+
 @dataclass(frozen=True)
 class DiscreteSolution:
-    """Edge-element field: coefficient per free edge against a DofMap."""
+    """Edge-element field: coefficient per free edge against a DofMap.
+
+    A solution returned by :func:`solve` also carries the CG iteration
+    count and the relative true residual it reached; both are None for
+    fields built otherwise.
+    """
     mesh: object
     dofmap: DofMap
     coefficients: np.ndarray
+    iterations: int = None
+    residual: float = None
 
     def edge_values(self):
         """Coefficients indexed by edge id, zero on boundary edges."""
@@ -234,10 +266,16 @@ def assemble_system(mesh, coefficients, f, quad=None):
 
 
 def solve(mesh, coefficients, f, rel_tol=1e-12, max_iter=None, quad=None):
-    """Solve the discrete problem and return a :class:`DiscreteSolution`."""
+    """Solve the discrete problem and return a :class:`DiscreteSolution`.
+
+    CG is preconditioned with Jacobi plus a diagonal solve on the
+    gradients of interior nodal functions (:func:`discrete_gradient`),
+    which keeps it converging when eps is large against kappa.
+    """
     matrix, b, dofmap = assemble_system(mesh, coefficients, f, quad=quad)
-    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, max_iter=max_iter)
-    return DiscreteSolution(mesh, dofmap, result.x)
+    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, max_iter=max_iter,
+                             gradient=discrete_gradient(dofmap))
+    return DiscreteSolution(mesh, dofmap, result.x, result.iterations, result.residual)
 
 
 def _barycentric(mesh, tri_id, point):

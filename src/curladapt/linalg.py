@@ -1,10 +1,17 @@
-"""Sparse matrices and a Jacobi-preconditioned conjugate gradient solver.
+"""Sparse matrices and a preconditioned conjugate gradient solver.
 
 Matrices are kept in compressed sparse-row form.  Construction from
 triplets canonicalises the entry order (row, column, then value) before
 summing duplicates, so the result is bit-identical for any permutation of
 the input list.  Matrix-vector products are delegated to scipy's CSR
 kernel.
+
+:func:`cg_solve` preconditions with the diagonal of the matrix (Jacobi).
+Given a discrete gradient G, it adds a diagonal solve on the gradient
+space, ``B r = r / diag(A) + G ((G^T r) / diag(G^T A G))``: the
+gradient-space half of Hiptmair's hybrid smoother for H(curl) (SIAM J.
+Numer. Anal. 36, 1999).  Gradients are the near-kernel of the curl-curl
+operator when kappa is small against eps, where Jacobi alone stalls.
 """
 
 from typing import NamedTuple
@@ -118,14 +125,24 @@ class CgNonConvergence(RuntimeError):
         self.residual = residual
 
 
-def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None):
-    """Conjugate gradients with Jacobi (diagonal) preconditioning.
+def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
+    """Preconditioned conjugate gradients for symmetric positive definite A.
 
-    Solves A x = b for symmetric positive definite A.  Iterates until the
-    recurrence residual satisfies ``||r|| <= rel_tol * ||b||``, then checks
-    the true residual ``||b - A x||``; if rounding has detached the two the
-    solve restarts from the computed iterate (at most twice) before
-    raising :class:`CgNonConvergence`.
+    Without ``gradient`` the preconditioner is Jacobi, ``B r = r /
+    diag(A)``.  ``gradient`` is an (n, m) :class:`SparseMatrix` G whose
+    columns span a subspace of near-kernel directions (the discrete
+    gradients of an edge-element space); the preconditioner then becomes
+    ``B r = r / diag(A) + G ((G^T r) / diag(G^T A G))``, which is also
+    symmetric positive definite.
+
+    Iterates until the recurrence residual satisfies ``||r|| <= rel_tol *
+    ||b||``, then checks the true residual ``||b - A x||`` in float64; if
+    rounding has detached the two, the solve restarts from the computed
+    iterate (at most twice) before raising :class:`CgNonConvergence`.  A
+    restart takes its residual ``b - A x`` in extended precision
+    (``np.longdouble``), so that the float64 rounding of that product does
+    not cap what the restart can reach; the acceptance check itself stays
+    in float64.
 
     Returns ``(x, iterations, residual)`` with the relative true residual.
     """
@@ -133,6 +150,8 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None):
     n = matrix.shape[0]
     if matrix.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix must be square and match the right-hand side")
+    if gradient is not None and gradient.shape[0] != n:
+        raise ValueError("gradient must have one row per unknown")
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     if max_iter is None:
@@ -146,11 +165,24 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None):
         raise ValueError("matrix has a zero or negative diagonal entry")
 
     a = matrix._as_scipy()
+    if gradient is None:
+        def precondition(r):
+            return r / diag
+    else:
+        g = gradient._as_scipy()
+        gt = g.T.tocsr()
+        diag_g = np.asarray(g.multiply(a @ g).sum(axis=0)).ravel()
+        if (diag_g <= 0).any():
+            raise ValueError("gradient has an empty column or A is not definite on it")
+
+        def precondition(r):
+            return r / diag + g @ ((gt @ r) / diag_g)
+
     x = np.zeros(n)
     r = b.copy()
     iterations = 0
     for _restart in range(3):
-        z = r / diag
+        z = precondition(r)
         p = z.copy()
         rz = r @ z
         while iterations < max_iter and np.linalg.norm(r) > rel_tol * norm_b:
@@ -161,7 +193,7 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None):
             alpha = rz / pap
             x += alpha * p
             r -= alpha * ap
-            z = r / diag
+            z = precondition(r)
             rz_next = r @ z
             p = z + (rz_next / rz) * p
             rz = rz_next
@@ -172,6 +204,8 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None):
             return CgResult(x, iterations, achieved)
         if iterations >= max_iter:
             break
+        # near the rounding floor the float64 b - A x is too inexact to restart from
+        r = (b - a.astype(np.longdouble) @ x).astype(float)
     raise CgNonConvergence(
         f"CG did not reach relative residual {rel_tol:g} in {iterations} "
         f"iterations (achieved {achieved:.3e})", x, iterations, achieved)

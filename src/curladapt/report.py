@@ -180,7 +180,8 @@ def run_table(config):
     solver_tol = config.solver_tol or default_solver_tol(problem)
     mesh = build_structured_unit_square(config.initial_n)
     if problem.classifier is not None:
-        check_interface_alignment(mesh, problem.interface_abscissa)
+        if problem.interface_abscissa is not None:
+            check_interface_alignment(mesh, problem.interface_abscissa)
         mesh = tag_regions(mesh, problem.classifier)
 
     rows = []

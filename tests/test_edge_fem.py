@@ -3,12 +3,15 @@ import pytest
 
 from curladapt import edge_fem
 from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
-                                curl_uh, element_curls, element_matrices,
-                                energy_error, eval_uh, galerkin_residual,
-                                load_solution, save_solution, solve,
-                                whitney_eval)
-from curladapt.mesh import build_structured_unit_square
-from curladapt.problems import CoefficientField, paper_problem
+                                curl_uh, discrete_gradient, element_curls,
+                                element_matrices, energy_error, eval_uh,
+                                galerkin_residual, load_solution, save_solution,
+                                solve, whitney_eval)
+from curladapt.linalg import CgNonConvergence, cg_solve, spmv
+from curladapt.mesh import (bisect_refine, build_structured_unit_square,
+                            red_refine, tag_regions)
+from curladapt.problems import (CoefficientField, interface_problem,
+                                paper_problem)
 from curladapt.quadrature import edge_rule, triangle_rule
 
 REFERENCE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -362,3 +365,71 @@ def test_element_curls_matches_scalar_api():
     curls = element_curls(sol)
     for t in (0, 5, 11):
         assert curls[t] == pytest.approx(curl_uh(sol, t), abs=1e-14)
+
+
+# -- discrete gradient and the preconditioned solve ------------------------
+
+
+def gradient_test_mesh(bisected):
+    mesh = tag_regions(build_structured_unit_square(4),
+                       interface_problem(2.0, 1.0, 1.0).classifier)
+    return bisect_refine(mesh, {0, 5, 17}) if bisected else mesh
+
+
+@pytest.mark.parametrize("bisected", [False, True], ids=["tagged", "bisected"])
+def test_discrete_gradient_maps_nodal_values_to_curl_free_fields(bisected):
+    mesh = gradient_test_mesh(bisected)
+    dofmap = DofMap(mesh)
+    gradient = discrete_gradient(dofmap)
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.edges[mesh.is_boundary_edge]] = False
+    # one column per interior vertex, none for boundary vertices
+    assert gradient.shape == (dofmap.n_free, interior.sum())
+
+    rng = np.random.default_rng(7)
+    v = np.zeros(mesh.num_vertices)
+    v[interior] = rng.standard_normal(interior.sum())
+    coefficients = spmv(gradient, v[interior])
+    free = dofmap.edge_dof >= 0
+    lo, hi = mesh.edges[free].T
+    assert np.array_equal(coefficients[dofmap.edge_dof[free]], v[hi] - v[lo])
+    curls = element_curls(DiscreteSolution(mesh, dofmap, coefficients))
+    assert np.abs(curls).max() <= 1e-13
+
+
+def test_discrete_gradient_without_interior_vertices():
+    mesh = build_structured_unit_square(1)  # one free edge, the diagonal
+    assert discrete_gradient(DofMap(mesh)).shape == (1, 0)
+    problem = paper_problem(1.0, 1.0)
+    sol = solve(mesh, problem.coefficients, problem.f)
+    assert sol.residual <= 1e-12
+
+
+def uniform_3008_dof_mesh(problem):
+    mesh = build_structured_unit_square(4)
+    for _ in range(3):
+        mesh = red_refine(mesh)
+    return tag_regions(mesh, problem.classifier) if problem.classifier else mesh
+
+
+@pytest.mark.parametrize("problem, rel_tol, max_ratio", [
+    (interface_problem(1e4, 1.0, 1.0), 1e-6, 0.1),  # measured 273 vs 6043
+    (paper_problem(1e-5, 1e5), 1e-12, 2.0),         # measured 32 vs 21
+], ids=["contrast-1e4", "mass-dominated"])
+def test_gradient_correction_iterations_against_jacobi(problem, rel_tol, max_ratio):
+    mesh = uniform_3008_dof_mesh(problem)
+    sol = solve(mesh, problem.coefficients, problem.f, rel_tol=rel_tol)
+    assert sol.dofmap.n_free == 3008
+    matrix, b, _ = assemble_system(mesh, problem.coefficients, problem.f)
+    jacobi = cg_solve(matrix, b, rel_tol=rel_tol)
+    assert sol.iterations <= max_ratio * jacobi.iterations
+    assert sol.residual <= rel_tol
+    true_residual = np.linalg.norm(b - spmv(matrix, sol.coefficients)) / np.linalg.norm(b)
+    assert sol.residual == pytest.approx(true_residual, rel=1e-12)
+
+
+def test_residual_contract_unchanged_at_contrast_1e6():
+    problem = interface_problem(1e6, 1.0, 1e-2)
+    mesh = uniform_3008_dof_mesh(problem)
+    with pytest.raises(CgNonConvergence):
+        solve(mesh, problem.coefficients, problem.f, rel_tol=1e-6)

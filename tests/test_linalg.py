@@ -162,3 +162,26 @@ def test_transpose_structural_symmetry():
     assert np.array_equal(m.indptr, t.indptr)
     assert np.array_equal(m.indices, t.indices)
     assert np.array_equal(m.data, t.data)
+
+
+def test_cg_gradient_correction_on_generic_spd():
+    m = poisson_5point(8)
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal(64)
+    # any full-rank set of columns keeps the preconditioner SPD
+    cols = rng.permutation(64)[:20]
+    gradient = from_triplet_arrays(64, 20, np.concatenate([cols, (cols + 1) % 64]),
+                                   np.tile(np.arange(20), 2),
+                                   np.repeat([1.0, -1.0], 20))
+    x, iterations, residual = cg_solve(m, b, rel_tol=1e-12, gradient=gradient)
+    oracle = np.linalg.solve(m.toarray(), b)
+    assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-10
+    assert residual <= 1e-12
+
+
+def test_cg_rejects_mismatched_gradient():
+    m = poisson_5point(2)
+    with pytest.raises(ValueError):
+        cg_solve(m, np.ones(4), gradient=from_triplets(3, 1, [(0, 0, 1.0)]))
+    with pytest.raises(ValueError):  # empty column: nothing to correct with
+        cg_solve(m, np.ones(4), gradient=from_triplets(4, 2, [(0, 0, 1.0)]))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from curladapt.problems import interface_problem
 from curladapt.report import (ConvergenceTable, RunConfig, TableRow, emit,
                               parse_table_csv, run_robustness_sweep, run_table,
                               table_to_csv, table_to_markdown)
@@ -141,3 +144,13 @@ def test_sweep_csv_output(tmp_path):
 def test_sweep_rejects_bad_ratio():
     with pytest.raises(ValueError):
         run_robustness_sweep([0.5], [1.0], levels=1)
+
+
+def test_run_table_classifier_without_interface_abscissa(monkeypatch):
+    # a two-region problem whose interface is not a straight line x1 = split
+    # has nothing to align; run_table must treat it as adaptive_solve does
+    problem = replace(interface_problem(10.0, 1.0, 1.0), interface_abscissa=None)
+    monkeypatch.setattr(RunConfig, "make_problem", lambda self: problem)
+    table = run_table(RunConfig(problem="interface", eps1=10.0, eps2=1.0,
+                                kappa=1.0, levels=2))
+    assert [r.elements for r in table.rows] == [32, 128]
