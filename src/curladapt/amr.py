@@ -45,7 +45,7 @@ def doerfler_mark(indicators, theta):
 
 
 def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
-                   initial_n=4, solver_tol=None, quad_degree=6):
+                   initial_n=4, solver_tol=None):
     """Run the adaptive loop until the free dof count reaches ``max_dofs``.
 
     Every iteration solves on the current mesh, records the global
@@ -69,11 +69,11 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
     while True:
         solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
                                   rel_tol=solver_tol)
-        breakdown = indicator(solution, problem, kind, quad_degree=quad_degree)
+        breakdown = indicator(solution, problem, kind)
         eta = breakdown.global_estimate
         if problem.u is not None:
             error = edge_fem.energy_error(solution, problem.coefficients,
-                                          problem.u, problem.curl_u, quad_degree)
+                                          problem.u, problem.curl_u)
         else:
             error = float("nan")
         n_dofs = solution.dofmap.n_free

@@ -19,22 +19,64 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .mesh import _cross2, _rot90
+from .mesh import _LOCAL_EDGES, _cross2, _gradients, _signed_areas
 from .quadrature import triangle_rule
 
-_LOC = [(0, 1), (1, 2), (2, 0)]
+# local edge k runs from vertex _TAIL[k] to vertex _HEAD[k]
+_TAIL, _HEAD = np.array(_LOCAL_EDGES).T
 
 
-def _triangle_gradients(coords):
-    """Barycentric gradients and signed area of a single triangle."""
-    coords = np.asarray(coords, dtype=float)
-    area = 0.5 * _cross2(coords[1] - coords[0], coords[2] - coords[0])
-    if area <= 0:
+def _basis_values(g, signs, lam):
+    """Signed basis values (N, Q, 3, 2) from barycentric gradients
+    (N, 3, 2), orientation signs (N, 3) and barycentric points lam, (Q, 3)
+    shared by all elements or (N, Q, 3) per element."""
+    if lam.ndim == 2:
+        lam = lam[None]
+    # one local edge at a time bounds the temporaries; the C-ordered result
+    # also fixes einsum's summation order in the load vector and u_h
+    phi = np.empty((len(g), lam.shape[-2], 3, 2))
+    for k, (i, j) in enumerate(_LOCAL_EDGES):
+        phi[..., k, :] = (lam[..., i, None] * g[:, None, j, :]
+                          - lam[..., j, None] * g[:, None, i, :])
+    phi *= signs[:, None, :, None]
+    return phi
+
+
+def _basis_curls(g, signs):
+    """Signed constant curls (N, 3) of the local basis."""
+    return 2.0 * _cross2(g[:, _TAIL], g[:, _HEAD]) * signs
+
+
+def _local_matrices(g, areas, signs, eps, kappa):
+    """Exact local curl-curl and mass matrices, each (N, 3, 3), for
+    elementwise eps (N,) and a constant kappa.
+
+    The mass entry of the local edges a = (i, j) and b = (k, l) expands
+    ``int_T phi_a . phi_b`` by the identity
+    ``int_T lam_i lam_j = |T| (1 + delta_ij) / 12``.
+    """
+    curls = _basis_curls(g, signs)
+    stiffness = eps[:, None, None] * areas[:, None, None] * curls[:, :, None] * curls[:, None, :]
+    integ = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    gg = np.einsum("tie,tje->tij", g, g)
+    i, j = _TAIL[:, None], _HEAD[:, None]  # row edge a = (i, j)
+    k, l = _TAIL, _HEAD                    # column edge b = (k, l)
+    mass = (gg[:, j, l] * integ[i, k] - gg[:, j, k] * integ[i, l]
+            - gg[:, i, l] * integ[j, k] + gg[:, i, k] * integ[j, l])
+    mass *= (kappa * areas)[:, None, None]
+    mass *= signs[:, :, None] * signs[:, None, :]
+    return stiffness, mass
+
+
+def _one_triangle(coords, signs):
+    """Gradients (1, 3, 2), area (1,) and signs (1, 3) of one triangle,
+    which must be counterclockwise with positive area."""
+    coords = np.asarray(coords, dtype=float)[None]
+    area = _signed_areas(coords)
+    if area[0] <= 0:
         raise ValueError("degenerate or clockwise triangle")
-    g = np.empty((3, 2))
-    for i in range(3):
-        g[i] = _rot90(coords[(i + 2) % 3] - coords[(i + 1) % 3]) / (2.0 * area)
-    return g, area
+    signs = np.ones((1, 3)) if signs is None else np.asarray(signs, dtype=float)[None]
+    return _gradients(coords, area), area, signs
 
 
 def whitney_eval(coords, point, signs=None):
@@ -55,51 +97,29 @@ def whitney_eval(coords, point, signs=None):
     curls : (3,) array
         The constant scalar curl of each basis function.
     """
-    g, _ = _triangle_gradients(coords)
+    g, _, signs = _one_triangle(coords, signs)
     lam = np.asarray(point, dtype=float)
     if (lam < -1e-12).any() or (lam > 1 + 1e-12).any():
         raise ValueError("barycentric point outside the closed triangle")
-    if signs is None:
-        signs = np.ones(3)
-    signs = np.asarray(signs, dtype=float)
-    single = lam.ndim == 1
-    lam = np.atleast_2d(lam)
-    values = np.empty((lam.shape[0], 3, 2))
-    curls = np.empty(3)
-    for k, (i, j) in enumerate(_LOC):
-        values[:, k, :] = lam[:, i, None] * g[j] - lam[:, j, None] * g[i]
-        curls[k] = 2.0 * _cross2(g[i], g[j])
-    values *= signs[None, :, None]
-    curls *= signs
-    return (values[0], curls) if single else (values, curls)
+    values = _basis_values(g, signs, np.atleast_2d(lam))[0]
+    curls = _basis_curls(g, signs)[0]
+    return (values[0], curls) if lam.ndim == 1 else (values, curls)
 
 
 def element_matrices(coords, eps, kappa, signs=None):
     """Exact 3x3 curl-curl and mass matrices of one triangle.
 
     ``stiffness[a, b] = eps * int_T curl(phi_a) curl(phi_b)`` (constants, so
-    exact) and ``mass[a, b] = kappa * int_T phi_a . phi_b`` via the identity
-    ``int_T lam_i lam_j = |T| (1 + delta_ij) / 12``.
+    exact) and ``mass[a, b] = kappa * int_T phi_a . phi_b``; see
+    :func:`_local_matrices`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    g, area = _triangle_gradients(coords)
-    if signs is None:
-        signs = np.ones(3)
-    signs = np.asarray(signs, dtype=float)
-    curls = np.array([2.0 * _cross2(g[i], g[j]) for i, j in _LOC]) * signs
-    stiffness = eps * area * np.outer(curls, curls)
-    integ = area * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    gg = g @ g.T
-    mass = np.empty((3, 3))
-    for a, (i, j) in enumerate(_LOC):
-        for b, (k, l) in enumerate(_LOC):
-            mass[a, b] = (gg[j, l] * integ[i, k] - gg[j, k] * integ[i, l]
-                          - gg[i, l] * integ[j, k] + gg[i, k] * integ[j, l])
-    mass *= kappa * np.outer(signs, signs)
-    return stiffness, mass
+    g, area, signs = _one_triangle(coords, signs)
+    stiffness, mass = _local_matrices(g, area, signs, np.array([eps], dtype=float), kappa)
+    return stiffness[0], mass[0]
 
 
 class DofMap:
@@ -174,38 +194,19 @@ class DiscreteSolution:
         return self.edge_values()[self.mesh.tri_edges]
 
 
-def _basis_at(mesh, tri_ids, lam):
-    """Signed basis values on chosen elements; lam is (Q,3) shared or
-    (N,Q,3) per element; returns (N,Q,3,2)."""
-    g = mesh.barycentric_gradients[tri_ids]
-    signs = mesh.tri_edge_signs[tri_ids]
-    if lam.ndim == 2:
-        lam = np.broadcast_to(lam, (len(tri_ids),) + lam.shape)
-    phi = np.empty(lam.shape[:2] + (3, 2))
-    for k, (i, j) in enumerate(_LOC):
-        phi[..., k, :] = (lam[..., i, None] * g[:, None, j, :]
-                          - lam[..., j, None] * g[:, None, i, :])
-    return phi * signs[:, None, :, None]
-
-
-def _basis_curls(mesh):
-    """Signed constant curls of the local basis, shape (T, 3)."""
-    g = mesh.barycentric_gradients
-    curls = np.stack([2.0 * _cross2(g[:, i, :], g[:, j, :]) for i, j in _LOC], axis=1)
-    return curls * mesh.tri_edge_signs
-
-
 def _field_at(solution, tri_ids, lam):
     """Discrete field on chosen elements at barycentric points."""
+    mesh = solution.mesh
     local = solution.element_coefficients()[tri_ids]
-    phi = _basis_at(solution.mesh, tri_ids, lam)
+    phi = _basis_values(mesh.barycentric_gradients[tri_ids], mesh.tri_edge_signs[tri_ids], lam)
     return np.einsum("nk,nqke->nqe", local, phi)
 
 
 def element_curls(solution):
     """Elementwise (constant) scalar curl of the discrete field, (T,)."""
+    mesh = solution.mesh
     return np.einsum("tk,tk->t", solution.element_coefficients(),
-                     _basis_curls(solution.mesh))
+                     _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs))
 
 
 def assemble_system(mesh, coefficients, f, quad=None):
@@ -225,26 +226,16 @@ def assemble_system(mesh, coefficients, f, quad=None):
     kappa = coefficients.kappa
 
     g = mesh.barycentric_gradients
-    area = mesh.areas
-    curls = _basis_curls(mesh)
-    stiffness = eps_t[:, None, None] * area[:, None, None] * curls[:, :, None] * curls[:, None, :]
-    integ = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    gg = np.einsum("tie,tje->tij", g, g)
-    mass = np.empty_like(stiffness)
-    for a, (i, j) in enumerate(_LOC):
-        for b, (k, l) in enumerate(_LOC):
-            mass[:, a, b] = (gg[:, j, l] * integ[i, k] - gg[:, j, k] * integ[i, l]
-                             - gg[:, i, l] * integ[j, k] + gg[:, i, k] * integ[j, l])
-    mass *= (kappa * area)[:, None, None]
     signs = mesh.tri_edge_signs
-    mass *= signs[:, :, None] * signs[:, None, :]
+    area = mesh.areas
+    stiffness, mass = _local_matrices(g, area, signs, eps_t, kappa)
     elem = stiffness + mass
 
     points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles])
     f_vals = np.asarray(f(points), dtype=float)
     if f_vals.shape != points.shape:
         raise ValueError("f must map (..., 2) points to (..., 2) values")
-    phi = _basis_at(mesh, np.arange(mesh.num_triangles), quad.points)
+    phi = _basis_values(g, signs, quad.points)
     load = np.einsum("q,tqe,tqke,t->tk", quad.weights, f_vals, phi, area)
 
     dofmap = DofMap(mesh)
@@ -265,16 +256,15 @@ def assemble_system(mesh, coefficients, f, quad=None):
     return matrix, b, dofmap
 
 
-def solve(mesh, coefficients, f, rel_tol=1e-12, max_iter=None, quad=None):
+def solve(mesh, coefficients, f, rel_tol=1e-12):
     """Solve the discrete problem and return a :class:`DiscreteSolution`.
 
     CG is preconditioned with Jacobi plus a diagonal solve on the
     gradients of interior nodal functions (:func:`discrete_gradient`),
     which keeps it converging when eps is large against kappa.
     """
-    matrix, b, dofmap = assemble_system(mesh, coefficients, f, quad=quad)
-    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, max_iter=max_iter,
-                             gradient=discrete_gradient(dofmap))
+    matrix, b, dofmap = assemble_system(mesh, coefficients, f)
+    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, gradient=discrete_gradient(dofmap))
     return DiscreteSolution(mesh, dofmap, result.x, result.iterations, result.residual)
 
 
@@ -295,8 +285,7 @@ def eval_uh(solution, tri_id, point):
 
 def curl_uh(solution, tri_id):
     """Scalar curl of the discrete field on one element (constant there)."""
-    local = solution.element_coefficients()[tri_id]
-    return float(local @ _basis_curls(solution.mesh)[tri_id])
+    return float(element_curls(solution)[tri_id])
 
 
 def energy_error(solution, coefficients, u_exact, curl_u_exact, quad_degree=6):
@@ -333,8 +322,8 @@ def galerkin_residual(solution, problem, quad_degree=4):
     uh_vals = _field_at(solution, np.arange(mesh.num_triangles), quad.points)
     curl_vals = np.asarray(problem.curl_u(points), dtype=float)
     curl_h = element_curls(solution)
-    phi = _basis_at(mesh, np.arange(mesh.num_triangles), quad.points)
-    basis_curls = _basis_curls(mesh)
+    phi = _basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, quad.points)
+    basis_curls = _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs)
     mass_part = kappa * np.einsum("q,tqe,tqke,t->tk", quad.weights, u_vals - uh_vals,
                                   phi, mesh.areas)
     curl_diff = np.einsum("q,tq->t", quad.weights, curl_vals - curl_h[:, None])

@@ -29,14 +29,22 @@ is half the local diameter: ``s_T = diam(T)/2`` for elements and
 ``s_S = max(diam(T+), diam(T-))/2`` for edges; L2 norms over edges use
 the true edge length.  The global estimate is the square root of the sum
 of the elementwise indicators.
+
+One pass evaluates u_h, f, div f and the edge traces, and reduces them
+to the squared norms of R1, R2 per element and J1, J2 per interior edge.
+Those norms do not depend on the estimator kind: ``indicator`` weights
+them as one kind, and ``IndicatorBreakdown.as_kind`` re-weights them as
+the other.  The oscillations and the per-entity helpers
+``element_residuals`` and ``edge_jumps`` read the same pass.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import _basis_at, _field_at, element_curls
+from .edge_fem import _field_at, element_curls
 from .quadrature import edge_rule, triangle_rule
 
 
@@ -60,15 +68,50 @@ class WeightedSizes:
     hbar_edge: np.ndarray      # (E,)
 
 
+class _Norms(NamedTuple):
+    """Squared L2 norms of R1, R2 per element and of J1, J2 per interior
+    edge; none of them depends on the estimator kind."""
+    r1: np.ndarray
+    r2: np.ndarray
+    j1: np.ndarray
+    j2: np.ndarray
+    edges: np.ndarray          # ids of the interior edges of j1, j2
+    mesh: object
+    coefficients: object
+
+
+class _Samples(NamedTuple):
+    """R1 (T, Q) and R2 (T, Q, 2) at the triangle quadrature points and J1
+    (E, S) at the edge Gauss points, with the unit-sum weights of both
+    rules and the squared norms of all four quantities."""
+    quad_weights: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    edge_weights: np.ndarray
+    j1: np.ndarray
+    norms: _Norms
+
+
 @dataclass(frozen=True)
 class IndicatorBreakdown:
-    """Per-element squared indicator parts; ``total`` is their exact sum
-    and ``global_estimate`` the square root of the grand total."""
+    """Per-element squared indicator parts of one estimator kind; ``total``
+    is their exact sum and ``global_estimate`` the square root of the
+    grand total.
+
+    ``norms`` keeps the kind-independent squared norms the parts were
+    weighted from, so :meth:`as_kind` re-weights them as the other
+    estimator without evaluating u_h again.
+    """
     kind: EstimatorKind
     r1: np.ndarray
     r2: np.ndarray
     j1: np.ndarray
     j2: np.ndarray
+    norms: _Norms = field(repr=False, compare=False)
+
+    def as_kind(self, kind):
+        """The breakdown of estimator ``kind`` for the same solution."""
+        return _weigh(self.norms, kind)
 
     @property
     def total(self):
@@ -116,165 +159,128 @@ def weighted_sizes(mesh, coefficients):
     )
 
 
-def _residual_data(solution, problem, quad):
-    """Pointwise residual samples on all elements.
+def _element_norms_sq(weights, values, areas):
+    """Squared L2 norms per element of samples (T, Q) or (T, Q, 2)."""
+    squares = values ** 2 if values.ndim == 2 else (values ** 2).sum(-1)
+    return np.einsum("q,tq,t->t", weights, squares, areas)
 
-    Returns quad weights, element areas, R1 values (T, Q) and R2 values
-    (T, Q, 2).
+
+def _edge_norms_sq(weights, values, lengths):
+    """Squared L2 norms per edge of scalar samples (E, S)."""
+    return lengths * (weights[None, :] * values ** 2).sum(1)
+
+
+def _edge_barycentric(mesh, edges, side, s_points):
+    """Barycentric coordinates (E, S, 3), in the neighbour ``side`` (0 or
+    1) of each interior edge, of the points at edge parameters ``s``
+    measured from the lower-id vertex."""
+    tri = mesh.edge_tris[edges, side]
+    loc = mesh.edge_tri_local[edges, side]
+    starts_low = (mesh.triangles[tri, loc] == mesh.edges[edges, 0])[:, None]
+    rows = np.arange(len(edges))
+    lam = np.zeros((len(edges), len(s_points), 3))
+    lam[rows, :, loc] = np.where(starts_low, 1.0 - s_points, s_points)
+    lam[rows, :, (loc + 1) % 3] = np.where(starts_low, s_points, 1.0 - s_points)
+    return lam
+
+
+def _samples(solution, problem, quad_degree=6, n_edge_points=4, tris=None, edges=None):
+    """One evaluation of the residuals on elements ``tris`` and of the
+    jumps on interior edges ``edges`` (all of them when None).
+
+    R1 needs an analytic div f, which is only read when ``tris`` is not
+    empty.  J1 is the normal jump of R2 = f - kappa u_h; f is evaluated
+    once per edge point and enters both sides literally, so its
+    contributions cancel when f is continuous.
     """
     mesh = solution.mesh
-    if problem.div_f is None:
-        raise ValueError("problem must provide an analytic div f")
-    kappa = problem.coefficients.kappa
-    points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles])
-    r1 = -np.asarray(problem.div_f(points), dtype=float)
-    uh = _field_at(solution, np.arange(mesh.num_triangles), quad.points)
-    r2 = np.asarray(problem.f(points), dtype=float) - kappa * uh
-    return quad.weights, mesh.areas, r1, r2
+    coeffs = problem.coefficients
+    kappa = coeffs.kappa
+    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, dtype=np.int64)
+    if edges is None:
+        edges = np.nonzero(~mesh.is_boundary_edge)[0]
+    edges = np.asarray(edges, dtype=np.int64)
+
+    def r2_at(f_vals, tri, lam):
+        return f_vals - kappa * _field_at(solution, tri, lam)
+
+    quad = triangle_rule(quad_degree)
+    points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles[tris]])
+    r1 = np.zeros(points.shape[:-1])
+    if len(tris):
+        if problem.div_f is None:
+            raise ValueError("problem must provide an analytic div f")
+        r1 = -np.asarray(problem.div_f(points), dtype=float)
+    r2 = r2_at(np.asarray(problem.f(points), dtype=float), tris, quad.points)
+
+    s_pts, s_wts = edge_rule(n_edge_points)
+    a, b = mesh.vertices[mesh.edges[edges, 0]], mesh.vertices[mesh.edges[edges, 1]]
+    f_edge = np.asarray(problem.f(a[:, None, :] + s_pts[None, :, None] * (b - a)[:, None, :]),
+                        dtype=float)
+    r2_plus, r2_minus = (r2_at(f_edge, mesh.edge_tris[edges, side],
+                               _edge_barycentric(mesh, edges, side, s_pts))
+                         for side in (0, 1))
+    j1 = ((r2_plus - r2_minus) * mesh.edge_normals[edges][:, None, :]).sum(-1)
+    eps_curl = coeffs.eps_by_region(mesh.regions) * element_curls(solution)
+    curl_jump = eps_curl[mesh.edge_tris[edges, 0]] - eps_curl[mesh.edge_tris[edges, 1]]
+    lengths = mesh.edge_lengths[edges]
+
+    areas = mesh.areas[tris]
+    norms = _Norms(r1=_element_norms_sq(quad.weights, r1, areas),
+                   r2=_element_norms_sq(quad.weights, r2, areas),
+                   j1=_edge_norms_sq(s_wts, j1, lengths),
+                   # the wedge of the scalar jump with n is tangential with
+                   # constant magnitude, so the squared edge norm is jump^2 |S|
+                   j2=curl_jump ** 2 * lengths,
+                   edges=edges, mesh=mesh, coefficients=coeffs)
+    return _Samples(quad.weights, r1, r2, s_wts, j1, norms)
 
 
 def element_residuals(solution, problem, tri_id, quad_degree=6):
     """L2 norms of the two element residuals on one triangle."""
-    quad = triangle_rule(quad_degree)
-    mesh = solution.mesh
-    kappa = problem.coefficients.kappa
-    if problem.div_f is None:
-        raise ValueError("problem must provide an analytic div f")
-    tri = np.array([tri_id])
-    points = np.einsum("qi,ie->qe", quad.points, mesh.vertices[mesh.triangles[tri_id]])
-    r1 = -np.asarray(problem.div_f(points), dtype=float)
-    uh = _field_at(solution, tri, quad.points)[0]
-    r2 = np.asarray(problem.f(points), dtype=float) - kappa * uh
-    area = mesh.areas[tri_id]
-    norm_r1 = np.sqrt(area * (quad.weights * r1 ** 2).sum())
-    norm_r2 = np.sqrt(area * (quad.weights * (r2 ** 2).sum(-1)).sum())
-    return float(norm_r1), float(norm_r2)
-
-
-def _edge_field_traces(solution, edge_ids, s_points):
-    """Discrete field on both sides of interior edges at edge parameters
-    ``s`` (measured from the lower-id vertex); returns (u_plus, u_minus),
-    each (n_edges, Q, 2)."""
-    mesh = solution.mesh
-    q = len(s_points)
-    traces = []
-    for side in (0, 1):
-        tri = mesh.edge_tris[edge_ids, side]
-        loc = mesh.edge_tri_local[edge_ids, side]
-        lam = np.zeros((len(edge_ids), q, 3))
-        anchor = mesh.triangles[tri, loc]
-        starts_low = anchor == mesh.edges[edge_ids, 0]
-        first = np.where(starts_low[:, None], 1.0 - s_points[None, :], s_points[None, :])
-        second = np.where(starts_low[:, None], s_points[None, :], 1.0 - s_points[None, :])
-        np.put_along_axis(lam, np.broadcast_to(loc[:, None, None], (len(edge_ids), q, 1)),
-                          first[..., None], axis=2)
-        np.put_along_axis(lam, np.broadcast_to(((loc + 1) % 3)[:, None, None],
-                                               (len(edge_ids), q, 1)),
-                          second[..., None], axis=2)
-        traces.append(_field_at(solution, tri, lam))
-    return traces[0], traces[1]
-
-
-def _jump_data(solution, problem, n_edge_points):
-    """Squared jump norms ||J1||_S^2 and ||J2||_S^2 on every edge
-    (zero on boundary edges), plus the raw J1 samples for oscillation
-    projections."""
-    mesh = solution.mesh
-    coeffs = problem.coefficients
-    eps_t = coeffs.eps_by_region(mesh.regions)
-    kappa = coeffs.kappa
-    s_pts, s_wts = edge_rule(n_edge_points)
-
-    ne = mesh.num_edges
-    j1_sq = np.zeros(ne)
-    j2_sq = np.zeros(ne)
-    interior = np.nonzero(~mesh.is_boundary_edge)[0]
-    j1_vals = np.zeros((len(interior), len(s_pts)))
-    if len(interior):
-        u_plus, u_minus = _edge_field_traces(solution, interior, s_pts)
-        a = mesh.edges[interior, 0]
-        b = mesh.edges[interior, 1]
-        points = (mesh.vertices[a][:, None, :]
-                  + s_pts[None, :, None] * (mesh.vertices[b] - mesh.vertices[a])[:, None, :])
-        f_vals = np.asarray(problem.f(points), dtype=float)
-        normals = mesh.edge_normals[interior]
-        lengths = mesh.edge_lengths[interior]
-        # both sides evaluated literally; the f contributions cancel when
-        # f is continuous
-        jump = (f_vals - kappa * u_plus) - (f_vals - kappa * u_minus)
-        j1_vals = (jump * normals[:, None, :]).sum(-1)
-        j1_sq[interior] = lengths * (s_wts[None, :] * j1_vals ** 2).sum(1)
-
-        curls = element_curls(solution)
-        t_plus = mesh.edge_tris[interior, 0]
-        t_minus = mesh.edge_tris[interior, 1]
-        curl_jump = eps_t[t_plus] * curls[t_plus] - eps_t[t_minus] * curls[t_minus]
-        # the wedge of the scalar jump with n is tangential with constant
-        # magnitude, so the squared edge norm is jump^2 * |S|
-        j2_sq[interior] = curl_jump ** 2 * lengths
-    return j1_sq, j2_sq, interior, j1_vals, s_wts
+    norms = _samples(solution, problem, quad_degree, tris=[tri_id], edges=[]).norms
+    return float(np.sqrt(norms.r1[0])), float(np.sqrt(norms.r2[0]))
 
 
 def edge_jumps(solution, problem, edge_id, n_edge_points=4):
     """L2 norms of the two jump terms on one interior edge."""
-    mesh = solution.mesh
-    if mesh.is_boundary_edge[edge_id]:
+    if solution.mesh.is_boundary_edge[edge_id]:
         raise ValueError(f"edge {edge_id} is a boundary edge; jumps are "
                          "defined on interior edges only")
-    coeffs = problem.coefficients
-    eps_t = coeffs.eps_by_region(mesh.regions)
-    kappa = coeffs.kappa
-    s_pts, s_wts = edge_rule(n_edge_points)
-    ids = np.array([edge_id])
-    u_plus, u_minus = _edge_field_traces(solution, ids, s_pts)
-    a, b = mesh.edges[edge_id]
-    points = mesh.vertices[a] + s_pts[:, None] * (mesh.vertices[b] - mesh.vertices[a])
-    f_vals = np.asarray(problem.f(points), dtype=float)
-    jump = (f_vals - kappa * u_plus[0]) - (f_vals - kappa * u_minus[0])
-    j1 = (jump * mesh.edge_normals[edge_id]).sum(-1)
-    length = mesh.edge_lengths[edge_id]
-    norm_j1 = np.sqrt(length * (s_wts * j1 ** 2).sum())
+    norms = _samples(solution, problem, n_edge_points=n_edge_points,
+                     tris=[], edges=[edge_id]).norms
+    return float(np.sqrt(norms.j1[0])), float(np.sqrt(norms.j2[0]))
 
-    curls = element_curls(solution)
-    t_plus, t_minus = mesh.edge_tris[edge_id]
-    curl_jump = eps_t[t_plus] * curls[t_plus] - eps_t[t_minus] * curls[t_minus]
-    norm_j2 = np.sqrt(curl_jump ** 2 * length)
-    return float(norm_j1), float(norm_j2)
+
+def _weigh(norms, kind):
+    """Indicator breakdown of one kind from the squared norms of a full
+    pass; every interior edge term is credited to both neighbours."""
+    mesh = norms.mesh
+    kappa = norms.coefficients.kappa
+    sizes = weighted_sizes(mesh, norms.coefficients)
+    e = norms.edges
+    if kind is EstimatorKind.ROBUST:
+        r2_weight = sizes.hbar_element ** 2
+        j2_weight = sizes.hbar_edge[e] / np.sqrt(sizes.eps_edge[e])
+    else:
+        r2_weight = sizes.element_size ** 2 / sizes.eps_element
+        j2_weight = sizes.edge_size[e] / sizes.eps_edge[e]
+    j1_term = sizes.edge_size[e] / kappa * norms.j1
+    j2_term = j2_weight * norms.j2
+    j1 = np.zeros(mesh.num_triangles)
+    j2 = np.zeros(mesh.num_triangles)
+    for side in (0, 1):
+        np.add.at(j1, mesh.edge_tris[e, side], j1_term)
+        np.add.at(j2, mesh.edge_tris[e, side], j2_term)
+    return IndicatorBreakdown(kind=kind, r1=sizes.element_size ** 2 / kappa * norms.r1,
+                              r2=r2_weight * norms.r2, j1=j1, j2=j2, norms=norms)
 
 
 def indicator(solution, problem, kind=EstimatorKind.ROBUST, quad_degree=6,
               n_edge_points=4):
-    """Per-element indicator breakdown for either estimator kind."""
-    mesh = solution.mesh
-    coeffs = problem.coefficients
-    kappa = coeffs.kappa
-    sizes = weighted_sizes(mesh, coeffs)
-
-    wts, areas, r1_vals, r2_vals = _residual_data(solution, problem,
-                                                  triangle_rule(quad_degree))
-    r1_norm_sq = np.einsum("q,tq,t->t", wts, r1_vals ** 2, areas)
-    r2_norm_sq = np.einsum("q,tq,t->t", wts, (r2_vals ** 2).sum(-1), areas)
-
-    r1 = sizes.element_size ** 2 / kappa * r1_norm_sq
-    if kind is EstimatorKind.ROBUST:
-        r2 = sizes.hbar_element ** 2 * r2_norm_sq
-    else:
-        r2 = sizes.element_size ** 2 / sizes.eps_element * r2_norm_sq
-
-    j1_sq, j2_sq, interior, _, _ = _jump_data(solution, problem, n_edge_points)
-    j1_term = sizes.edge_size[interior] / kappa * j1_sq[interior]
-    if kind is EstimatorKind.ROBUST:
-        j2_term = (sizes.hbar_edge[interior] / np.sqrt(sizes.eps_edge[interior])
-                   * j2_sq[interior])
-    else:
-        j2_term = sizes.edge_size[interior] / sizes.eps_edge[interior] * j2_sq[interior]
-
-    j1 = np.zeros(mesh.num_triangles)
-    j2 = np.zeros(mesh.num_triangles)
-    for side in (0, 1):  # full edge term credited to both neighbours
-        np.add.at(j1, mesh.edge_tris[interior, side], j1_term)
-        np.add.at(j2, mesh.edge_tris[interior, side], j2_term)
-    return IndicatorBreakdown(kind=kind, r1=r1, r2=r2, j1=j1, j2=j2)
+    """Per-element indicator breakdown for either estimator kind; the
+    other kind of the same solution is ``indicator(...).as_kind(other)``."""
+    return _weigh(_samples(solution, problem, quad_degree, n_edge_points).norms, kind)
 
 
 def oscillations(solution, problem, quad_degree=6, n_edge_points=4):
@@ -282,27 +288,22 @@ def oscillations(solution, problem, quad_degree=6, n_edge_points=4):
     constant L2 projections, in the weighted norms of the two estimator
     families."""
     mesh = solution.mesh
-    coeffs = problem.coefficients
-    sizes = weighted_sizes(mesh, coeffs)
-    wts, areas, r1_vals, r2_vals = _residual_data(solution, problem,
-                                                  triangle_rule(quad_degree))
+    sizes = weighted_sizes(mesh, problem.coefficients)
+    samples = _samples(solution, problem, quad_degree, n_edge_points)
+    wts, r1, r2 = samples.quad_weights, samples.r1, samples.r2
+    r1_mean = np.einsum("q,tq->t", wts, r1)
+    r2_mean = np.einsum("q,tqe->te", wts, r2)
+    element_part1 = sizes.element_size ** 2 * _element_norms_sq(
+        wts, r1 - r1_mean[:, None], mesh.areas)
+    element_part2 = sizes.hbar_element ** 2 * _element_norms_sq(
+        wts, r2 - r2_mean[:, None, :], mesh.areas)
 
-    r1_mean = np.einsum("q,tq->t", wts, r1_vals)
-    r1_dev_sq = np.einsum("q,tq,t->t", wts, (r1_vals - r1_mean[:, None]) ** 2, areas)
-    r2_mean = np.einsum("q,tqe->te", wts, r2_vals)
-    r2_dev_sq = np.einsum("q,tq,t->t", wts,
-                          ((r2_vals - r2_mean[:, None, :]) ** 2).sum(-1), areas)
-    element_part1 = sizes.element_size ** 2 * r1_dev_sq
-    element_part2 = sizes.hbar_element ** 2 * r2_dev_sq
-
-    _, _, interior, j1_vals, s_wts = _jump_data(solution, problem, n_edge_points)
+    e, s_wts, j1 = samples.norms.edges, samples.edge_weights, samples.j1
+    j1_mean = (s_wts[None, :] * j1).sum(1)
     edge_part1 = np.zeros(mesh.num_edges)
+    edge_part1[e] = sizes.edge_size[e] * _edge_norms_sq(s_wts, j1 - j1_mean[:, None],
+                                                        mesh.edge_lengths[e])
     edge_part2 = np.zeros(mesh.num_edges)  # J2 is constant per edge: projection exact
-    if len(interior):
-        mean = (s_wts[None, :] * j1_vals).sum(1)
-        dev_sq = mesh.edge_lengths[interior] * (s_wts[None, :]
-                                                * (j1_vals - mean[:, None]) ** 2).sum(1)
-        edge_part1[interior] = sizes.edge_size[interior] * dev_sq
 
     osc1 = float(np.sqrt(element_part1.sum()) + np.sqrt(edge_part1.sum()))
     osc2 = float(np.sqrt(element_part2.sum()) + np.sqrt(edge_part2.sum()))

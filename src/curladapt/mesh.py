@@ -41,6 +41,19 @@ def _rot90(a):
     return np.stack([-a[..., 1], a[..., 0]], axis=-1)
 
 
+def _signed_areas(coords):
+    """Signed areas of triangles with vertex coordinates (N, 3, 2)."""
+    return 0.5 * _cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+
+
+def _gradients(coords, areas):
+    """Barycentric gradients (N, 3, 2) of triangles with vertex coordinates
+    (N, 3, 2) and areas (N,): grad(lam_i) is the counterclockwise quarter
+    turn of the opposite edge from vertex i+1 to i+2, over twice the area."""
+    opposite = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+    return _rot90(opposite) / (2.0 * areas)[:, None, None]
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: int
@@ -114,10 +127,7 @@ class Mesh:
             parent_ids = np.full(nt, -1, dtype=np.int64)
         self.parent_ids = np.array(parent_ids, dtype=np.int64)
 
-        p0 = vertices[triangles[:, 0]]
-        p1 = vertices[triangles[:, 1]]
-        p2 = vertices[triangles[:, 2]]
-        area = 0.5 * _cross2(p1 - p0, p2 - p0)
+        area = _signed_areas(vertices[triangles])
         if (area <= 0).any():
             raise ValueError("triangles must be counterclockwise with positive area")
         self._areas = area
@@ -228,11 +238,7 @@ class Mesh:
     @cached_property
     def barycentric_gradients(self):
         """Gradients of the three barycentric coordinates, shape (T, 3, 2)."""
-        g = np.empty((self.num_triangles, 3, 2))
-        for i in range(3):
-            opp = (self.vertices[self.triangles[:, (i + 2) % 3]]
-                   - self.vertices[self.triangles[:, (i + 1) % 3]])
-            g[:, i, :] = _rot90(opp) / (2.0 * self.areas)[:, None]
+        g = _gradients(self.vertices[self.triangles], self.areas)
         g.flags.writeable = False
         return g
 

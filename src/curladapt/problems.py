@@ -90,8 +90,6 @@ def paper_problem(eps, kappa):
     is curl free, so the source reduces to ``f = kappa u`` with
     ``div f = -2 kappa pi sin(pi x1) sin(pi x2)``.
     """
-    if eps <= 0 or kappa <= 0:
-        raise ValueError("eps and kappa must be positive")
     u, curl_u, div_u = _trig_solution()
     return ManufacturedProblem(
         coefficients=CoefficientField(eps={OMEGA1: float(eps)}, kappa=float(kappa)),
@@ -112,10 +110,6 @@ def interface_problem(eps1, eps2, kappa, split=0.5):
     jumps across the interface, which is what exercises estimator
     robustness.
     """
-    if not (eps1 >= eps2 > 0):
-        raise ValueError("need eps1 >= eps2 > 0")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
     u, curl_u, div_u = _trig_solution()
     split = float(split)
     return ManufacturedProblem(

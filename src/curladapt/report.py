@@ -57,8 +57,6 @@ class RunConfig:
     split: float = 0.5
     levels: int = 5
     initial_n: int = 4
-    quad_degree: int = 6
-    n_edge_points: int = 4
     solver_tol: float = None        # None: 1e-12 constant eps, 1e-6 two-phase
     out: str = None
     fmt: str = "csv"
@@ -67,24 +65,22 @@ class RunConfig:
     dump_mesh: bool = False
 
     def validate(self):
+        """Refuse bad settings before any work; the coefficients are
+        checked by building the problem."""
         if self.levels < 1:
             raise ValueError("levels must be at least 1")
         if self.initial_n < 1:
             raise ValueError("initial_n must be at least 1")
-        if self.problem == "paper":
-            if self.eps <= 0 or self.kappa <= 0:
-                raise ValueError("eps and kappa must be positive")
-        elif self.problem == "interface":
+        if self.problem == "interface":
             if self.eps1 is None or self.eps2 is None:
                 raise ValueError("interface runs need eps1 and eps2")
-            if not (self.eps1 >= self.eps2 > 0) or self.kappa <= 0:
-                raise ValueError("need eps1 >= eps2 > 0 and kappa > 0")
-        else:
+        elif self.problem != "paper":
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.fmt not in ("csv", "markdown"):
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.solver_tol is not None and self.solver_tol <= 0:
             raise ValueError("solver_tol must be positive")
+        self.make_problem()
 
     def make_problem(self):
         if self.problem == "paper":
@@ -190,12 +186,9 @@ def run_table(config):
             solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
                                       rel_tol=solver_tol)
             error = edge_fem.energy_error(solution, problem.coefficients,
-                                          problem.u, problem.curl_u,
-                                          config.quad_degree)
-            robust = indicator(solution, problem, EstimatorKind.ROBUST,
-                               config.quad_degree, config.n_edge_points)
-            classical = indicator(solution, problem, EstimatorKind.CLASSICAL,
-                                  config.quad_degree, config.n_edge_points)
+                                          problem.u, problem.curl_u)
+            robust = indicator(solution, problem, EstimatorKind.ROBUST)
+            classical = robust.as_kind(EstimatorKind.CLASSICAL)
             rows.append(TableRow(mesh.num_triangles, error,
                                  robust.global_estimate, classical.global_estimate))
             if config.dump_indicators:
@@ -221,7 +214,7 @@ def run_table(config):
 
 
 def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, split=0.5,
-                         initial_n=4, solver_tol=1e-6, quad_degree=6, out=None):
+                         initial_n=4, solver_tol=1e-6, out=None):
     """Two-phase effectivity sweep over contrast ratios and kappa values.
 
     For every (ratio, kappa) combination the interface problem with
@@ -237,8 +230,7 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, split=0.5,
         for kappa in kappas:
             config = RunConfig(problem="interface", eps1=ratio * eps2, eps2=eps2,
                                kappa=kappa, split=split, levels=levels,
-                               initial_n=initial_n, solver_tol=solver_tol,
-                               quad_degree=quad_degree)
+                               initial_n=initial_n, solver_tol=solver_tol)
             table = run_table(config)
             rows.append(SweepRow(float(ratio), float(kappa),
                                  table.eff_eta, table.eff_eta_tilde))

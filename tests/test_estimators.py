@@ -192,6 +192,18 @@ def test_j1_against_two_sided_evaluation_oracle():
         assert j1 == pytest.approx(oracle, abs=1e-12 * max(1.0, oracle))
 
 
+def test_edge_jumps_do_not_need_div_f():
+    # the jumps never read div f, so a problem without it still has them
+    mesh = build_structured_unit_square(4)
+    problem = paper_problem(0.1, 10.0)
+    sol = solve(mesh, problem.coefficients, problem.f)
+    no_div_f = ManufacturedProblem(coefficients=problem.coefficients, u=problem.u,
+                                   curl_u=problem.curl_u, f=problem.f, div_f=None,
+                                   tag="no-divf")
+    for e in np.nonzero(~mesh.is_boundary_edge)[0][::9]:
+        assert edge_jumps(sol, no_div_f, int(e)) == edge_jumps(sol, problem, int(e))
+
+
 # -- indicators ---------------------------------------------------------
 
 
@@ -277,6 +289,22 @@ def test_estimators_differ_when_kappa_branch_active():
     robust = indicator(sol, problem, EstimatorKind.ROBUST).global_estimate
     classical = indicator(sol, problem, EstimatorKind.CLASSICAL).global_estimate
     assert classical > 2.0 * robust
+
+
+def test_as_kind_matches_a_fresh_call():
+    mesh = tag_regions(build_structured_unit_square(4),
+                       lambda c: 1 if c[0] < 0.5 else 2)
+    problem = interface_problem(1e4, 1.0, 1e4)
+    sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-6)
+    fresh = {kind: indicator(sol, problem, kind) for kind in EstimatorKind}
+    assert not np.array_equal(fresh[EstimatorKind.ROBUST].total,
+                              fresh[EstimatorKind.CLASSICAL].total)
+    for kind, other in ((EstimatorKind.ROBUST, EstimatorKind.CLASSICAL),
+                        (EstimatorKind.CLASSICAL, EstimatorKind.ROBUST)):
+        converted = fresh[kind].as_kind(other)
+        assert converted.kind is other
+        for part in ("r1", "r2", "j1", "j2"):
+            assert np.array_equal(getattr(converted, part), getattr(fresh[other], part))
 
 
 # -- oscillations -------------------------------------------------------

@@ -154,3 +154,31 @@ def test_run_table_classifier_without_interface_abscissa(monkeypatch):
     table = run_table(RunConfig(problem="interface", eps1=10.0, eps2=1.0,
                                 kappa=1.0, levels=2))
     assert [r.elements for r in table.rows] == [32, 128]
+
+
+# Full-precision rows and effectivities recorded before the estimator and
+# kernel refactor that made both estimator kinds one pass; rel=1e-9 guards
+# the formulas far below the 10% tolerance of the published figures.
+GOLDEN_TABLES = {
+    (0.1, 10.0): (
+        [(32, 0.8371499325854186, 3.6233677038035053, 3.8273925278486267),
+         (128, 0.4340190899134341, 2.024312318525116, 2.024312318525116),
+         (512, 0.21890664682781277, 1.039299821565009, 1.039299821565009)],
+        0.21869137974818117, 0.21458603540530374),
+    (1e-5, 1e5): (
+        [(32, 81.71568624345291, 361.44222514972375, 1444542.9380364774),
+         (128, 42.8910553312387, 202.64768968763153, 379107.00178755214),
+         (512, 21.809007045872725, 105.61078178074008, 96383.15991943765)],
+        0.21474640326808858, 0.00013199321711836737),
+}
+
+
+@pytest.mark.parametrize("eps, kappa", sorted(GOLDEN_TABLES))
+def test_run_table_golden_values(eps, kappa):
+    rows, eff_eta, eff_eta_tilde = GOLDEN_TABLES[(eps, kappa)]
+    table = run_table(RunConfig(eps=eps, kappa=kappa, levels=3))
+    assert [r.elements for r in table.rows] == [r[0] for r in rows]
+    for row, expected in zip(table.rows, rows):
+        assert tuple(row[1:]) == pytest.approx(expected[1:], rel=1e-9)
+    assert table.eff_eta == pytest.approx(eff_eta, rel=1e-9)
+    assert table.eff_eta_tilde == pytest.approx(eff_eta_tilde, rel=1e-9)
