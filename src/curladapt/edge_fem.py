@@ -10,6 +10,13 @@ the local basis wherever the local counterclockwise traversal disagrees
 with the global edge orientation, which makes tangential traces match
 across elements.
 
+A discrete field is linear on each element, so it is fixed there by three
+vertex vectors: ``u_h = sum_i lam_i w_i``.  Local edge k from vertex i to
+vertex j with coefficient c_k and sign s_k adds ``c_k s_k grad(lam_j)`` to
+w_i and ``-c_k s_k grad(lam_i)`` to w_j (:func:`_vertex_vectors`).  Values
+of u_h at barycentric points are then one (Q, 3) @ (N, 3, 2) product,
+without a per-point basis tensor.
+
 Homogeneous tangential boundary conditions are imposed by eliminating the
 boundary-edge unknowns.
 """
@@ -32,14 +39,29 @@ def _basis_values(g, signs, lam):
     shared by all elements or (N, Q, 3) per element."""
     if lam.ndim == 2:
         lam = lam[None]
-    # one local edge at a time bounds the temporaries; the C-ordered result
-    # also fixes einsum's summation order in the load vector and u_h
+    # one local edge at a time bounds the temporaries.  u_h is evaluated
+    # from _vertex_vectors; this tensor serves the load vector, whitney_eval
+    # and galerkin_residual.  The load keeps it because its C order fixes
+    # einsum's summation order there: a 1-ulp change in b already lifts the
+    # float64 CG residual of a contrast-1e4 solve above a 1e-10 tolerance
     phi = np.empty((len(g), lam.shape[-2], 3, 2))
     for k, (i, j) in enumerate(_LOCAL_EDGES):
         phi[..., k, :] = (lam[..., i, None] * g[:, None, j, :]
                           - lam[..., j, None] * g[:, None, i, :])
     phi *= signs[:, None, :, None]
     return phi
+
+
+def _vertex_vectors(g, signs, coeffs):
+    """Vertex vectors w (N, 3, 2) of the fields with local coefficients
+    coeffs (N, 3) against the signed basis; on each element the field is
+    ``sum_i lam_i w_i``, so its values at barycentric points lam are
+    ``lam @ w``."""
+    a = (coeffs * signs)[..., None]
+    w = np.zeros(g.shape)
+    w[:, _TAIL] += a * g[:, _HEAD]
+    w[:, _HEAD] -= a * g[:, _TAIL]
+    return w
 
 
 def _basis_curls(g, signs):
@@ -194,12 +216,18 @@ class DiscreteSolution:
         return self.edge_values()[self.mesh.tri_edges]
 
 
-def _field_at(solution, tri_ids, lam):
-    """Discrete field on chosen elements at barycentric points."""
+def _solution_vectors(solution):
+    """Vertex vectors (T, 3, 2) of a discrete field on every element."""
     mesh = solution.mesh
-    local = solution.element_coefficients()[tri_ids]
-    phi = _basis_values(mesh.barycentric_gradients[tri_ids], mesh.tri_edge_signs[tri_ids], lam)
-    return np.einsum("nk,nqke->nqe", local, phi)
+    return _vertex_vectors(mesh.barycentric_gradients, mesh.tri_edge_signs,
+                           solution.element_coefficients())
+
+
+def _field_at(w, tri_ids, lam):
+    """Field values (N, Q, 2) on elements ``tri_ids`` from the vertex
+    vectors w of all elements, at barycentric points lam, (Q, 3) shared
+    by the elements or (N, Q, 3) per element."""
+    return np.matmul(lam, w[tri_ids])
 
 
 def element_curls(solution):
@@ -280,7 +308,7 @@ def eval_uh(solution, tri_id, point):
     lam = _barycentric(solution.mesh, tri_id, point)
     if lam.min() < -1e-12:
         raise ValueError(f"point {point} lies outside triangle {tri_id}")
-    return _field_at(solution, np.array([tri_id]), lam[None, :])[0, 0]
+    return _field_at(_solution_vectors(solution), [tri_id], lam[None, :])[0, 0]
 
 
 def curl_uh(solution, tri_id):
@@ -295,15 +323,13 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact, quad_degree=6):
     quad = triangle_rule(quad_degree)
     eps_t = coefficients.eps_by_region(mesh.regions)
     kappa = coefficients.kappa
-    points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles])
+    points = np.matmul(quad.points, mesh.vertices[mesh.triangles])
     u_vals = np.asarray(u_exact(points), dtype=float)
-    uh_vals = _field_at(solution, np.arange(mesh.num_triangles), quad.points)
+    uh_vals = _field_at(_solution_vectors(solution), slice(None), quad.points)
     curl_vals = np.asarray(curl_u_exact(points), dtype=float)
     curl_h = element_curls(solution)
-    l2_part = np.einsum("q,tq,t->t", quad.weights, ((u_vals - uh_vals) ** 2).sum(-1),
-                        mesh.areas)
-    curl_part = np.einsum("q,tq,t->t", quad.weights, (curl_vals - curl_h[:, None]) ** 2,
-                          mesh.areas)
+    l2_part = ((u_vals - uh_vals) ** 2).sum(-1) @ quad.weights * mesh.areas
+    curl_part = (curl_vals - curl_h[:, None]) ** 2 @ quad.weights * mesh.areas
     return float(np.sqrt((eps_t * curl_part + kappa * l2_part).sum()))
 
 
@@ -319,7 +345,7 @@ def galerkin_residual(solution, problem, quad_degree=4):
     kappa = coeffs.kappa
     points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles])
     u_vals = np.asarray(problem.u(points), dtype=float)
-    uh_vals = _field_at(solution, np.arange(mesh.num_triangles), quad.points)
+    uh_vals = _field_at(_solution_vectors(solution), slice(None), quad.points)
     curl_vals = np.asarray(problem.curl_u(points), dtype=float)
     curl_h = element_curls(solution)
     phi = _basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, quad.points)

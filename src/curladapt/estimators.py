@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import _field_at, element_curls
+from .edge_fem import _field_at, _solution_vectors, element_curls
 from .quadrature import edge_rule, triangle_rule
 
 
@@ -162,7 +162,7 @@ def weighted_sizes(mesh, coefficients):
 def _element_norms_sq(weights, values, areas):
     """Squared L2 norms per element of samples (T, Q) or (T, Q, 2)."""
     squares = values ** 2 if values.ndim == 2 else (values ** 2).sum(-1)
-    return np.einsum("q,tq,t->t", weights, squares, areas)
+    return squares @ weights * areas
 
 
 def _edge_norms_sq(weights, values, lengths):
@@ -201,11 +201,13 @@ def _samples(solution, problem, quad_degree=6, n_edge_points=4, tris=None, edges
         edges = np.nonzero(~mesh.is_boundary_edge)[0]
     edges = np.asarray(edges, dtype=np.int64)
 
+    w = _solution_vectors(solution)
+
     def r2_at(f_vals, tri, lam):
-        return f_vals - kappa * _field_at(solution, tri, lam)
+        return f_vals - kappa * _field_at(w, tri, lam)
 
     quad = triangle_rule(quad_degree)
-    points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles[tris]])
+    points = np.matmul(quad.points, mesh.vertices[mesh.triangles[tris]])
     r1 = np.zeros(points.shape[:-1])
     if len(tris):
         if problem.div_f is None:
@@ -291,8 +293,8 @@ def oscillations(solution, problem, quad_degree=6, n_edge_points=4):
     sizes = weighted_sizes(mesh, problem.coefficients)
     samples = _samples(solution, problem, quad_degree, n_edge_points)
     wts, r1, r2 = samples.quad_weights, samples.r1, samples.r2
-    r1_mean = np.einsum("q,tq->t", wts, r1)
-    r2_mean = np.einsum("q,tqe->te", wts, r2)
+    r1_mean = r1 @ wts
+    r2_mean = wts @ r2
     element_part1 = sizes.element_size ** 2 * _element_norms_sq(
         wts, r1 - r1_mean[:, None], mesh.areas)
     element_part2 = sizes.hbar_element ** 2 * _element_norms_sq(

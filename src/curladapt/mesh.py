@@ -150,8 +150,11 @@ class Mesh:
         tris = self.triangles
         nt = len(tris)
         pairs = np.stack([tris[:, [i, j]] for i, j in _LOCAL_EDGES], axis=1)  # (T,3,2)
-        sorted_pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-        edges, inverse = np.unique(sorted_pairs, axis=0, return_inverse=True)
+        # the integer key lo * V + hi sorts like the pair (lo, hi)
+        lo, hi = np.sort(pairs.reshape(-1, 2), axis=1).T
+        nv = len(self.vertices)
+        keys, inverse = np.unique(lo * nv + hi, return_inverse=True)
+        edges = np.stack([keys // nv, keys % nv], axis=1)
         self.edges = edges
         self.tri_edges = inverse.reshape(nt, 3).astype(np.int64)
         # +1 where the local traversal k -> k+1 runs from low to high vertex id

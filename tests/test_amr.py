@@ -118,3 +118,32 @@ def test_records_csv(tmp_path):
     assert len(lines) == len(records) + 1
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[2]) == 40
+
+
+# (n_elements, n_dofs, eta, error, n_marked) per iteration of
+# adaptive_solve(interface_problem(1e4, 1, 1), max_dofs=2000), frozen from a
+# verified run.  A rounding change in the estimator can flip a Doerfler
+# near-tie and silently grow a different mesh, so the counts are exact.
+FROZEN_INTERFACE_RUN = [
+    (32, 40, 1.1209505825172594, 0.2668974978676073, 11),
+    (46, 61, 0.8213791332316385, 0.18129599476330419, 18),
+    (80, 112, 0.6625840282750625, 0.1409546568108787, 19),
+    (107, 151, 0.5775527027732624, 0.13181006453832356, 37),
+    (158, 225, 0.485916917468984, 0.10816124963437665, 45),
+    (215, 307, 0.4072762924094165, 0.09133581173000643, 67),
+    (301, 435, 0.33588841916505735, 0.07304928133575879, 91),
+    (416, 600, 0.29058488569644075, 0.0670758161972441, 151),
+    (608, 884, 0.24717192942162378, 0.05736686789880688, 171),
+    (806, 1181, 0.20571661524555182, 0.045861280959604796, 284),
+    (1188, 1754, 0.1693654737855342, 0.036261102063430015, 340),
+    (1572, 2314, 0.1487079777775471, 0.03370117584690326, 0),
+]
+
+
+def test_adaptive_interface_run_is_frozen():
+    records = adaptive_solve(interface_problem(1e4, 1.0, 1.0), max_dofs=2000)
+    assert [(r.n_elements, r.n_dofs, r.n_marked) for r in records] == \
+        [(n, d, m) for n, d, _, _, m in FROZEN_INTERFACE_RUN]
+    for record, (_, _, eta, error, _) in zip(records, FROZEN_INTERFACE_RUN):
+        assert record.eta == pytest.approx(eta, rel=1e-12)
+        assert record.error == pytest.approx(error, rel=1e-12)

@@ -7,6 +7,7 @@ from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
                                 element_matrices, energy_error, eval_uh,
                                 galerkin_residual, load_solution, save_solution,
                                 solve, whitney_eval)
+from curladapt.estimators import _edge_barycentric
 from curladapt.linalg import CgNonConvergence, cg_solve, spmv
 from curladapt.mesh import (bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
@@ -287,6 +288,37 @@ def test_normal_traces_jump_in_general():
                      - eval_uh(sol, int(t_minus), point) @ n)
     assert np.abs(jumps).max() > 1e-3
 
+
+
+def test_vertex_vectors_match_the_basis_tensor():
+    # u_h = lam @ w must equal the sum of coefficients times the signed
+    # basis values, at shared points and at per-element edge points
+    mesh = tag_regions(build_structured_unit_square(4),
+                       interface_problem(2.0, 1.0, 1.0).classifier)
+    mesh = bisect_refine(mesh, {0, 5, 17, 30})
+    mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
+    g, signs = mesh.barycentric_gradients, mesh.tri_edge_signs
+    assert (signs == 1).any() and (signs == -1).any()
+    coeffs = np.random.default_rng(11).standard_normal((mesh.num_triangles, 3))
+    w = edge_fem._vertex_vectors(g, signs, coeffs)
+
+    def reference(tris, lam):
+        phi = edge_fem._basis_values(g[tris], signs[tris], lam)
+        return np.einsum("nk,nqke->nqe", coeffs[tris], phi)
+
+    def assert_close(actual, expected):
+        assert actual.shape == expected.shape
+        assert np.abs(actual - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    tris = np.arange(mesh.num_triangles)
+    lam = triangle_rule(6).points
+    assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
+    edges = np.nonzero(~mesh.is_boundary_edge)[0]
+    s_points, _ = edge_rule(4)
+    for side in (0, 1):
+        lam = _edge_barycentric(mesh, edges, side, s_points)
+        tris = mesh.edge_tris[edges, side]
+        assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
 
 # -- energy error -------------------------------------------------------
 

@@ -148,6 +148,26 @@ def test_bisect_chain_keeps_invariants():
         check_invariants(mesh)
 
 
+def test_edge_numbering_contract():
+    # edges run low to high vertex id and are numbered in lexicographic
+    # order of that pair, on a bisected two-region mesh
+    mesh = tag_regions(build_structured_unit_square(4), lambda c: 1 if c[0] < 0.5 else 2)
+    mesh = bisect_refine(mesh, {0, 5, 17, 30})
+    mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
+    assert set(np.unique(mesh.regions)) == {1, 2}
+    lo, hi = mesh.edges.T
+    assert (lo < hi).all()
+    assert ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all()
+
+    pairs = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]]  # (T, 3, 2) local edges
+    assert np.array_equal(np.sort(pairs, axis=-1), mesh.edges[mesh.tri_edges])
+
+    edges, inverse = np.unique(np.sort(pairs.reshape(-1, 2), axis=1), axis=0,
+                               return_inverse=True)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tri_edges, inverse.reshape(-1, 3))
+
+
 def test_tag_regions():
     mesh = build_structured_unit_square(4)
     tagged = tag_regions(mesh, lambda c: 1)
