@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,41 @@ def test_bisect_chain_keeps_invariants():
                                 size=max(1, mesh.num_triangles // 4), replace=False))
         mesh = bisect_refine(mesh, marked)
         check_invariants(mesh)
+
+
+def _mesh_digest(mesh):
+    h = hashlib.sha256()
+    for arr in (mesh.vertices, mesh.triangles, mesh.refinement_edges,
+                mesh.parent_ids, mesh.regions):
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_bisect_chain_is_frozen():
+    # the seed-7 chain of test_bisect_chain_keeps_invariants, pinned bit for bit
+    rng = np.random.default_rng(7)
+    mesh = build_structured_unit_square(2)
+    patterns = set()
+    for _ in range(6):
+        ids = rng.choice(mesh.num_triangles, size=max(1, mesh.num_triangles // 4),
+                         replace=False)
+        fine = bisect_refine(mesh, set(ids))
+        for marked in (list(ids), np.asarray(ids, dtype=np.int64)):
+            assert _mesh_digest(bisect_refine(mesh, marked)) == _mesh_digest(fine)
+        # the children tile their parent
+        tiled = np.bincount(fine.parent_ids, weights=fine.areas,
+                            minlength=mesh.num_triangles)
+        np.testing.assert_allclose(tiled, mesh.areas, rtol=1e-14, atol=0)
+        # children of one parent are contiguous, in parent order
+        assert (np.diff(fine.parent_ids) >= 0).all()
+        for t in range(mesh.num_triangles):
+            refs = tuple(fine.refinement_edges[fine.parent_ids == t])
+            patterns.add("whole" if len(refs) == 1 else refs)
+        mesh = fine
+    assert patterns == {"whole", (0, 2), (0, 2, 2), (0, 0, 2), (0, 2, 0, 2)}
+    assert mesh.num_triangles == 129
+    assert _mesh_digest(mesh) == \
+        "38f5460d2a7bee903efcba1ec567a74567e816cdfb4597a815dfff11669a1ae9"
 
 
 def test_edge_numbering_contract():
