@@ -379,7 +379,10 @@ def load_solution(mesh, path):
         for line in fh:
             tok = line.split()
             if tok:
-                values[int(tok[0])] = float(tok[1])
+                edge_id = int(tok[0])
+                if not 0 <= edge_id < mesh.num_edges:
+                    raise ValueError(f"edge id {edge_id} not in [0, {mesh.num_edges})")
+                values[edge_id] = float(tok[1])
     dofmap = DofMap(mesh)
     if np.abs(values[mesh.is_boundary_edge]).max(initial=0.0) > 0:
         raise ValueError("stored solution has nonzero boundary coefficients")

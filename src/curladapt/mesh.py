@@ -29,7 +29,7 @@ OMEGA2 = 2
 # vertex-id triples of the local edges: edge k runs from vertex k to k+1
 _LOCAL_EDGES = [(0, 1), (1, 2), (2, 0)]
 # rotation that brings local refinement edge r into local position 1
-_CANONICAL_ROT = {0: (2, 0, 1), 1: (0, 1, 2), 2: (1, 2, 0)}
+_CANONICAL_ROT = np.array([(2, 0, 1), (0, 1, 2), (1, 2, 0)])
 
 
 def _cross2(a, b):
@@ -126,6 +126,8 @@ class Mesh:
         if parent_ids is None:
             parent_ids = np.full(nt, -1, dtype=np.int64)
         self.parent_ids = np.array(parent_ids, dtype=np.int64)
+        if self.parent_ids.shape != (nt,):
+            raise ValueError("parent_ids must have one entry per triangle")
 
         area = _signed_areas(vertices[triangles])
         if (area <= 0).any():
@@ -139,6 +141,8 @@ class Mesh:
         self.refinement_edges = np.array(refinement_edges, dtype=np.int64)
         if self.refinement_edges.shape != (nt,):
             raise ValueError("refinement_edges must have one entry per triangle")
+        if not np.isin(self.refinement_edges, (0, 1, 2)).all():
+            raise ValueError("refinement_edges entries must be 0, 1 or 2")
 
         for arr in (self.vertices, self.triangles, self.regions, self.parent_ids,
                     self.refinement_edges, self._areas, self.edges, self.tri_edges,
@@ -274,16 +278,10 @@ def build_structured_unit_square(n):
     side = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(side, side)  # row j = constant y
     vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            b = a + 1
-            c = a + n + 2
-            d = a + n + 1
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return Mesh(vertices, np.array(tris, dtype=np.int64))
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    a = j * (n + 1) + i  # lower-left corner of cell (i, j)
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    return Mesh(vertices, np.column_stack([a, b, c, a, c, d]).reshape(-1, 3))
 
 
 def red_refine(mesh):
@@ -312,77 +310,66 @@ def red_refine(mesh):
     return Mesh(vertices, children, regions=regions, parent_ids=parents)
 
 
-def bisect_refine(mesh, marked, max_closure_passes=None):
+def bisect_refine(mesh, marked):
     """Newest-vertex bisection of the marked triangles with conforming closure.
 
-    Every marked triangle is bisected across its refinement edge at least
-    once; further bisections propagate recursively so that the output mesh
-    has no hanging nodes.  Children place their refinement edge opposite
-    the newly inserted midpoint vertex.
+    The closure marks the refinement edge of every triangle that has a
+    split edge; each pass that goes on splits a new edge, so it ends
+    within ``num_edges`` passes.  With a triangle rotated to
+    ``(w0, w1, w2)``, refinement edge ``(w1, w2)``, and ``m``, ``a``, ``b``
+    the midpoints of ``(w1, w2)``, ``(w0, w1)``, ``(w2, w0)``, only input
+    edges can be split, so its children fill at most four slots (vertex
+    triple, then refinement-edge index)::
 
-    Raises ``RuntimeError`` if the closure fixpoint does not settle within
-    ``max_closure_passes`` sweeps (default: one more than the number of
-    edges), which indicates an inconsistent refinement-edge assignment.
+        slot 0: a split ? (m, w0, a) 0 : (w0, w1, m) 0
+        slot 1: a split ? (m, a, w1) 2 : -
+        slot 2: b split ? (m, w2, b) 0 : (w0, m, w2) 2
+        slot 3: b split ? (m, b, w0) 2 : -
+
+    A triangle with an unsplit refinement edge is kept as it is.  Children
+    follow parent order, then slot order; midpoints are numbered after the
+    existing vertices, in edge order.
     """
-    marked = np.unique(np.fromiter(marked, dtype=np.int64, count=-1)) \
-        if not isinstance(marked, np.ndarray) else np.unique(marked.astype(np.int64))
+    marked = np.unique(np.fromiter(marked, np.int64))
     if marked.size == 0:
         return mesh
-    if marked.min() < 0 or marked.max() >= mesh.num_triangles:
+    if marked[0] < 0 or marked[-1] >= mesh.num_triangles:
         raise ValueError("marked triangle id out of range")
 
-    ne = mesh.num_edges
-    if max_closure_passes is None:
-        max_closure_passes = ne + 1
-    tri_edges = mesh.tri_edges
     ref = mesh.refinement_edges
-    ref_edge_of = tri_edges[np.arange(mesh.num_triangles), ref]
+    rot = _CANONICAL_ROT[ref]
+    # local edges (w0, w1), (w1, w2), (w2, w0) of the rotated triangles
+    e_a, e_m, e_b = np.take_along_axis(mesh.tri_edges, rot, axis=1).T
 
-    edge_marked = np.zeros(ne, dtype=bool)
-    edge_marked[ref_edge_of[marked]] = True
-    for _ in range(max_closure_passes):
-        touches = edge_marked[tri_edges].any(axis=1)
-        need = touches & ~edge_marked[ref_edge_of]
+    split = np.zeros(mesh.num_edges, dtype=bool)
+    split[e_m[marked]] = True
+    while True:
+        need = split[mesh.tri_edges].any(axis=1) & ~split[e_m]
         if not need.any():
             break
-        edge_marked[ref_edge_of[need]] = True
-    else:
-        raise RuntimeError("bisection closure did not terminate; "
-                           "refinement-edge assignment is inconsistent")
+        split[e_m[need]] = True
 
-    split_ids = np.nonzero(edge_marked)[0]
-    mid_of = {int(e): mesh.num_vertices + k for k, e in enumerate(split_ids)}
-    midpoints = 0.5 * (mesh.vertices[mesh.edges[split_ids, 0]]
-                       + mesh.vertices[mesh.edges[split_ids, 1]])
-    vertices = np.vstack([mesh.vertices, midpoints])
+    vertices = np.vstack([mesh.vertices, mesh.vertices[mesh.edges[split]].mean(axis=1)])
+    # vertex id of each split edge's midpoint
+    mid = mesh.num_vertices - 1 + np.cumsum(split)
 
-    # only original edges can be marked, so lookups on child edges that are
-    # not plain copies of parent edges simply miss
-    edge_id_of = {(int(a), int(b)): int(e) for e, (a, b) in enumerate(mesh.edges)}
+    w0, w1, w2 = np.take_along_axis(mesh.triangles, rot, axis=1).T
+    m, a, b = mid[e_m], mid[e_a], mid[e_b]
+    has_m, has_a, has_b = split[e_m], split[e_a], split[e_b]
+    children = np.stack([
+        np.where(has_a[:, None], np.column_stack([m, w0, a]), np.column_stack([w0, w1, m])),
+        np.column_stack([m, a, w1]),
+        np.where(has_b[:, None], np.column_stack([m, w2, b]), np.column_stack([w0, m, w2])),
+        np.column_stack([m, b, w0]),
+    ], axis=1)
+    child_ref = np.where(has_b[:, None], [0, 2, 0, 2], [0, 2, 2, 2])
+    children[~has_m, 0] = mesh.triangles[~has_m]
+    child_ref[~has_m, 0] = ref[~has_m]
 
-    out_tris, out_ref, out_region, out_parent = [], [], [], []
-
-    def emit(tri, ref_local, parent):
-        i, j = tri[ref_local], tri[(ref_local + 1) % 3]
-        eid = edge_id_of.get((min(i, j), max(i, j)))
-        if eid is None or not edge_marked[eid]:
-            out_tris.append(tri)
-            out_ref.append(ref_local)
-            out_region.append(mesh.regions[parent])
-            out_parent.append(parent)
-            return
-        w0, w1, w2 = (tri[k] for k in _CANONICAL_ROT[ref_local])
-        mid = mid_of[eid]
-        emit((w0, w1, mid), 0, parent)
-        emit((w0, mid, w2), 2, parent)
-
-    for t in range(mesh.num_triangles):
-        emit(tuple(mesh.triangles[t]), int(ref[t]), t)
-
-    return Mesh(vertices, np.array(out_tris, dtype=np.int64),
-                regions=np.array(out_region, dtype=np.int64),
-                refinement_edges=np.array(out_ref, dtype=np.int64),
-                parent_ids=np.array(out_parent, dtype=np.int64))
+    keep = np.column_stack([np.ones_like(has_m), has_a, has_m, has_b])
+    parents = np.nonzero(keep)[0]
+    return Mesh(vertices, children[keep], regions=mesh.regions[parents],
+                refinement_edges=child_ref[keep], parent_ids=parents)
 
 
 def tag_regions(mesh, classifier):

@@ -390,6 +390,16 @@ def test_solution_roundtrip(tmp_path):
     assert np.array_equal(loaded.coefficients, sol.coefficients)
 
 
+@pytest.mark.parametrize("edge_id", [-4, 16])
+def test_load_solution_rejects_edge_id_out_of_range(tmp_path, edge_id):
+    mesh = build_structured_unit_square(2)
+    assert mesh.num_edges == 16
+    path = tmp_path / "solution.txt"
+    path.write_text(f"{edge_id} 2.5\n")
+    with pytest.raises(ValueError, match=f"edge id {edge_id}"):
+        load_solution(mesh, path)
+
+
 def test_element_curls_matches_scalar_api():
     mesh = build_structured_unit_square(3)
     problem = paper_problem(1.0, 1.0)

@@ -65,6 +65,19 @@ def test_constructor_rejects_bad_input():
         Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]])  # id out of range
 
 
+def test_constructor_rejects_bad_refinement_edges():
+    v, t = [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
+    for bad in ([5, 0], [0, -1]):
+        with pytest.raises(ValueError, match="refinement_edges"):
+            Mesh(v, t, refinement_edges=bad)
+
+
+def test_constructor_rejects_bad_parent_ids():
+    v, t = [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
+    with pytest.raises(ValueError, match="parent_ids"):
+        Mesh(v, t, parent_ids=[0, 0, 0, 0, 0])
+
+
 def test_red_refine_counts_and_similarity():
     mesh = build_structured_unit_square(4)
     fine = red_refine(mesh)
@@ -134,12 +147,6 @@ def test_bisect_rejects_bad_ids():
         bisect_refine(mesh, {99})
 
 
-def test_bisect_closure_depth_guard():
-    mesh = build_structured_unit_square(4)
-    with pytest.raises(RuntimeError):
-        bisect_refine(mesh, {0}, max_closure_passes=0)
-
-
 def test_bisect_chain_keeps_invariants():
     rng = np.random.default_rng(7)
     mesh = build_structured_unit_square(2)
@@ -183,6 +190,57 @@ def test_bisect_chain_is_frozen():
     assert mesh.num_triangles == 129
     assert _mesh_digest(mesh) == \
         "38f5460d2a7bee903efcba1ec567a74567e816cdfb4597a815dfff11669a1ae9"
+
+
+def _bisect_reference(mesh, marked):
+    """Per-triangle recursive newest-vertex bisection, the reference for
+    the array emit of ``bisect_refine``."""
+    tri_edges, ref = mesh.tri_edges, mesh.refinement_edges
+    ref_edge_of = tri_edges[np.arange(mesh.num_triangles), ref]
+    split = np.zeros(mesh.num_edges, dtype=bool)
+    split[ref_edge_of[sorted(marked)]] = True
+    while True:
+        need = split[tri_edges].any(axis=1) & ~split[ref_edge_of]
+        if not need.any():
+            break
+        split[ref_edge_of[need]] = True
+    edge_id = {(int(a), int(b)): e for e, (a, b) in enumerate(mesh.edges)}
+    mid = {int(e): mesh.num_vertices + k for k, e in enumerate(np.flatnonzero(split))}
+    midpoints = [0.5 * (mesh.vertices[a] + mesh.vertices[b]) for a, b in mesh.edges[split]]
+    out = []
+
+    def emit(tri, r, parent):
+        i, j = tri[r], tri[(r + 1) % 3]
+        e = edge_id.get((min(i, j), max(i, j)))
+        if e is None or not split[e]:
+            out.append((tri, r, parent))
+            return
+        w0, w1, w2 = (tri[k] for k in ((2, 0, 1), (0, 1, 2), (1, 2, 0))[r])
+        emit((w0, w1, mid[e]), 0, parent)
+        emit((w0, mid[e], w2), 2, parent)
+
+    for t in range(mesh.num_triangles):
+        emit(tuple(int(v) for v in mesh.triangles[t]), int(ref[t]), t)
+    tris, refs, parents = zip(*out)
+    return Mesh(np.vstack([mesh.vertices] + midpoints), tris,
+                regions=mesh.regions[list(parents)], refinement_edges=refs,
+                parent_ids=parents)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bisect_matches_recursive_reference(seed):
+    # tagged meshes with arbitrary refinement edges exercise every slot
+    rng = np.random.default_rng(seed)
+    mesh = tag_regions(build_structured_unit_square(3),
+                       lambda c: 1 if c[0] + c[1] < 1 else 2)
+    mesh = Mesh(mesh.vertices, mesh.triangles, regions=mesh.regions,
+                refinement_edges=rng.integers(0, 3, mesh.num_triangles))
+    for _ in range(4):
+        marked = set(rng.choice(mesh.num_triangles,
+                                size=max(1, mesh.num_triangles // 5), replace=False))
+        fine = bisect_refine(mesh, marked)
+        assert _mesh_digest(fine) == _mesh_digest(_bisect_reference(mesh, marked))
+        mesh = fine
 
 
 def test_edge_numbering_contract():
