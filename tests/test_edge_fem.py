@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,56 @@ def test_assemble_dimensions_and_symmetry():
     assert np.array_equal(matrix.indptr, transpose.indptr)
     assert np.array_equal(matrix.indices, transpose.indices)
     assert matrix.data == pytest.approx(transpose.data, abs=1e-15)
+
+
+def _seed7_chain_mesh():
+    # the 129-triangle mesh of test_bisect_chain_is_frozen
+    rng = np.random.default_rng(7)
+    mesh = build_structured_unit_square(2)
+    for _ in range(6):
+        mesh = bisect_refine(mesh, set(rng.choice(
+            mesh.num_triangles, size=max(1, mesh.num_triangles // 4), replace=False)))
+    return mesh
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (A.indptr, A.indices, A.data, b) from assemble_system and of
+# galerkin_residual for a fixed field, frozen before the triplet sort and
+# the np.add.at loops of the assembly were replaced by one bincount scatter
+FROZEN_ASSEMBLY = {
+    "seed7_chain": ("2e7d3f28fab69b38b69c55be5e927d5dba5d22b12fc00be9abe76c8066b7973b",
+                    "a8364466ec6a041172c81deb6ecf4649c9f53d8b9b9c66cb4852984305e09c49"),
+    "two_region": ("0181c2edd15e4a70decd93d5624bd54311478f7550d6ee41c03e7b14b026408d",
+                   "5cbd04c9e8389c0924bbb85f5cddef1567f639834464a8af5d9eb216a5e997ad"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_ASSEMBLY))
+def test_assembly_is_frozen(case):
+    if case == "seed7_chain":
+        mesh, problem = _seed7_chain_mesh(), paper_problem(0.1, 10.0)
+    else:
+        problem = interface_problem(1e4, 1.0, 1.0)
+        mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
+    field = DiscreteSolution(mesh, dofmap, np.sin(np.arange(dofmap.n_free) + 0.5))
+    residual = galerkin_residual(field, problem)
+    assert (_sha256(matrix.indptr, matrix.indices, matrix.data, b),
+            _sha256(residual)) == FROZEN_ASSEMBLY[case]
+    # no matrix or load entry sums more than two element terms, so the
+    # order of those sums cannot change a bit
+    ed = dofmap.element_dofs
+    rows, cols = np.broadcast_arrays(ed[:, :, None], ed[:, None, :])
+    keep = (rows >= 0) & (cols >= 0)
+    _, inv = np.unique(rows[keep] * dofmap.n_free + cols[keep], return_inverse=True)
+    assert len(inv) and np.bincount(inv).max() <= 2
+    assert np.bincount(ed[ed >= 0]).max() <= 2
 
 
 def test_assemble_rejects_missing_region():
