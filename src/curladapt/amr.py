@@ -53,8 +53,12 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
     solution), then Doerfler-marks and bisects.  Returns the list of
     per-iteration records; marked counts are zero on the final record.
     """
+    if not 0.0 < theta <= 1.0:
+        raise ValueError("theta must lie in (0, 1]")
     if solver_tol is None:
         solver_tol = default_solver_tol(problem)
+    elif solver_tol <= 0:
+        raise ValueError("solver_tol must be positive")
     mesh = build_structured_unit_square(initial_n)
     if problem.classifier is not None:
         if problem.interface_abscissa is not None:

@@ -32,6 +32,9 @@ from .quadrature import triangle_rule
 # local edge k runs from vertex _TAIL[k] to vertex _HEAD[k]
 _TAIL, _HEAD = np.array(_LOCAL_EDGES).T
 
+# the triangle rule of the load vector and of galerkin_residual
+_LOAD_RULE = triangle_rule(4)
+
 
 def _basis_values(g, signs, lam):
     """Signed basis values (N, Q, 3, 2) from barycentric gradients
@@ -163,6 +166,31 @@ class DofMap:
         self.element_dofs = edge_dof[mesh.tri_edges]
         self.element_signs = mesh.tri_edge_signs
 
+    def scatter(self, local):
+        """Sum local vectors (T, 3) into a free-dof vector, or local
+        matrices (T, 3, 3) into a free-dof CSR matrix; boundary slots drop.
+
+        No entry sums more than two element terms (an edge has at most two
+        triangles, two edges share at most one), every sum starts from 0.0
+        and two-term float addition commutes: the order cannot change a bit.
+        """
+        ed, n = self.element_dofs, self.n_free
+        if local.ndim == 2:
+            free = ed >= 0
+            return _weighted_count(ed[free], local[free], n)
+        rows, cols = np.broadcast_arrays(ed[:, :, None], ed[:, None, :])
+        keep = (rows >= 0) & (cols >= 0)
+        keys, inv = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return linalg.SparseMatrix((n, n), indptr, keys % n,
+                                   _weighted_count(inv, local[keep], len(keys)))
+
+
+def _weighted_count(index, weights, n):
+    # np.bincount returns integers for an empty index (a mesh without free edges)
+    return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
+
 
 def discrete_gradient(dofmap):
     """Discrete gradient G from interior vertices to free edges.
@@ -237,51 +265,29 @@ def element_curls(solution):
                      _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs))
 
 
-def assemble_system(mesh, coefficients, f, quad=None):
+def assemble_system(mesh, coefficients, f):
     """Assemble the free-dof Galerkin matrix and load vector.
 
     The bilinear form is ``eps * (curl u, curl v) + kappa * (u, v)`` with
     elementwise-constant eps taken from the coefficient field by region
-    tag.  The load ``int f . phi`` is integrated with ``quad`` (degree 4
-    by default); ``f`` must accept points of shape (..., 2) and return
-    values of the same shape.
+    tag.  The load ``int f . phi`` is integrated with the degree-4 triangle
+    rule; ``f`` must accept points of shape (..., 2) and return values of
+    the same shape.
     """
-    if quad is None:
-        quad = triangle_rule(4)
-    elif quad.degree < 4:
-        raise ValueError("load quadrature must be exact to degree >= 4")
     eps_t = coefficients.eps_by_region(mesh.regions)
-    kappa = coefficients.kappa
-
     g = mesh.barycentric_gradients
     signs = mesh.tri_edge_signs
-    area = mesh.areas
-    stiffness, mass = _local_matrices(g, area, signs, eps_t, kappa)
-    elem = stiffness + mass
+    stiffness, mass = _local_matrices(g, mesh.areas, signs, eps_t, coefficients.kappa)
 
-    points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles])
+    points = np.einsum("qi,tie->tqe", _LOAD_RULE.points, mesh.vertices[mesh.triangles])
     f_vals = np.asarray(f(points), dtype=float)
     if f_vals.shape != points.shape:
         raise ValueError("f must map (..., 2) points to (..., 2) values")
-    phi = _basis_values(g, signs, quad.points)
-    load = np.einsum("q,tqe,tqke,t->tk", quad.weights, f_vals, phi, area)
+    phi = _basis_values(g, signs, _LOAD_RULE.points)
+    load = np.einsum("q,tqe,tqke,t->tk", _LOAD_RULE.weights, f_vals, phi, mesh.areas)
 
     dofmap = DofMap(mesh)
-    ed = dofmap.element_dofs
-    b = np.zeros(dofmap.n_free)
-    rows, cols, vals = [], [], []
-    for a in range(3):
-        free_a = ed[:, a] >= 0
-        np.add.at(b, ed[free_a, a], load[free_a, a])
-        for c in range(3):
-            both = free_a & (ed[:, c] >= 0)
-            rows.append(ed[both, a])
-            cols.append(ed[both, c])
-            vals.append(elem[both, a, c])
-    matrix = linalg.from_triplet_arrays(dofmap.n_free, dofmap.n_free,
-                                        np.concatenate(rows), np.concatenate(cols),
-                                        np.concatenate(vals))
-    return matrix, b, dofmap
+    return dofmap.scatter(stiffness + mass), dofmap.scatter(load), dofmap
 
 
 def solve(mesh, coefficients, f, rel_tol=1e-12):
@@ -333,34 +339,27 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact, quad_degree=6):
     return float(np.sqrt((eps_t * curl_part + kappa * l2_part).sum()))
 
 
-def galerkin_residual(solution, problem, quad_degree=4):
+def galerkin_residual(solution, problem):
     """Residual of the discrete variational identity tested against every
     free basis function, computed by quadrature against the analytic
     solution: ``eps (curl u - curl u_h, curl phi) + kappa (u - u_h, phi)``.
     Vanishes up to quadrature and roundoff after a converged solve."""
     mesh = solution.mesh
-    quad = triangle_rule(quad_degree)
     coeffs = problem.coefficients
     eps_t = coeffs.eps_by_region(mesh.regions)
     kappa = coeffs.kappa
-    points = np.einsum("qi,tie->tqe", quad.points, mesh.vertices[mesh.triangles])
+    points = np.einsum("qi,tie->tqe", _LOAD_RULE.points, mesh.vertices[mesh.triangles])
     u_vals = np.asarray(problem.u(points), dtype=float)
-    uh_vals = _field_at(_solution_vectors(solution), slice(None), quad.points)
+    uh_vals = _field_at(_solution_vectors(solution), slice(None), _LOAD_RULE.points)
     curl_vals = np.asarray(problem.curl_u(points), dtype=float)
     curl_h = element_curls(solution)
-    phi = _basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, quad.points)
+    phi = _basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, _LOAD_RULE.points)
     basis_curls = _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs)
-    mass_part = kappa * np.einsum("q,tqe,tqke,t->tk", quad.weights, u_vals - uh_vals,
+    mass_part = kappa * np.einsum("q,tqe,tqke,t->tk", _LOAD_RULE.weights, u_vals - uh_vals,
                                   phi, mesh.areas)
-    curl_diff = np.einsum("q,tq->t", quad.weights, curl_vals - curl_h[:, None])
+    curl_diff = np.einsum("q,tq->t", _LOAD_RULE.weights, curl_vals - curl_h[:, None])
     curl_part = (eps_t * mesh.areas * curl_diff)[:, None] * basis_curls
-    local = mass_part + curl_part
-    residual = np.zeros(solution.dofmap.n_free)
-    ed = solution.dofmap.element_dofs
-    for a in range(3):
-        free_a = ed[:, a] >= 0
-        np.add.at(residual, ed[free_a, a], local[free_a, a])
-    return residual
+    return solution.dofmap.scatter(mass_part + curl_part)
 
 
 def save_solution(solution, path):

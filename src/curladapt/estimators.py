@@ -44,8 +44,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import _field_at, _solution_vectors, element_curls
+from .edge_fem import _field_at, _solution_vectors, _weighted_count, element_curls
 from .quadrature import edge_rule, triangle_rule
+
+_QUAD = triangle_rule(6)
+_EDGE_POINTS, _EDGE_WEIGHTS = edge_rule(4)
 
 
 class EstimatorKind(enum.Enum):
@@ -81,13 +84,10 @@ class _Norms(NamedTuple):
 
 
 class _Samples(NamedTuple):
-    """R1 (T, Q) and R2 (T, Q, 2) at the triangle quadrature points and J1
-    (E, S) at the edge Gauss points, with the unit-sum weights of both
-    rules and the squared norms of all four quantities."""
-    quad_weights: np.ndarray
+    """R1 (T, Q) and R2 (T, Q, 2) at the points of ``_QUAD`` and J1 (E, S)
+    at ``_EDGE_POINTS``, with the squared norms of all four quantities."""
     r1: np.ndarray
     r2: np.ndarray
-    edge_weights: np.ndarray
     j1: np.ndarray
     norms: _Norms
 
@@ -184,7 +184,7 @@ def _edge_barycentric(mesh, edges, side, s_points):
     return lam
 
 
-def _samples(solution, problem, quad_degree=6, n_edge_points=4, tris=None, edges=None):
+def _samples(solution, problem, tris=None, edges=None):
     """One evaluation of the residuals on elements ``tris`` and of the
     jumps on interior edges ``edges`` (all of them when None).
 
@@ -206,21 +206,19 @@ def _samples(solution, problem, quad_degree=6, n_edge_points=4, tris=None, edges
     def r2_at(f_vals, tri, lam):
         return f_vals - kappa * _field_at(w, tri, lam)
 
-    quad = triangle_rule(quad_degree)
-    points = np.matmul(quad.points, mesh.vertices[mesh.triangles[tris]])
+    points = np.matmul(_QUAD.points, mesh.vertices[mesh.triangles[tris]])
     r1 = np.zeros(points.shape[:-1])
     if len(tris):
         if problem.div_f is None:
             raise ValueError("problem must provide an analytic div f")
         r1 = -np.asarray(problem.div_f(points), dtype=float)
-    r2 = r2_at(np.asarray(problem.f(points), dtype=float), tris, quad.points)
+    r2 = r2_at(np.asarray(problem.f(points), dtype=float), tris, _QUAD.points)
 
-    s_pts, s_wts = edge_rule(n_edge_points)
     a, b = mesh.vertices[mesh.edges[edges, 0]], mesh.vertices[mesh.edges[edges, 1]]
-    f_edge = np.asarray(problem.f(a[:, None, :] + s_pts[None, :, None] * (b - a)[:, None, :]),
-                        dtype=float)
+    at_points = a[:, None, :] + _EDGE_POINTS[None, :, None] * (b - a)[:, None, :]
+    f_edge = np.asarray(problem.f(at_points), dtype=float)
     r2_plus, r2_minus = (r2_at(f_edge, mesh.edge_tris[edges, side],
-                               _edge_barycentric(mesh, edges, side, s_pts))
+                               _edge_barycentric(mesh, edges, side, _EDGE_POINTS))
                          for side in (0, 1))
     j1 = ((r2_plus - r2_minus) * mesh.edge_normals[edges][:, None, :]).sum(-1)
     eps_curl = coeffs.eps_by_region(mesh.regions) * element_curls(solution)
@@ -228,29 +226,28 @@ def _samples(solution, problem, quad_degree=6, n_edge_points=4, tris=None, edges
     lengths = mesh.edge_lengths[edges]
 
     areas = mesh.areas[tris]
-    norms = _Norms(r1=_element_norms_sq(quad.weights, r1, areas),
-                   r2=_element_norms_sq(quad.weights, r2, areas),
-                   j1=_edge_norms_sq(s_wts, j1, lengths),
+    norms = _Norms(r1=_element_norms_sq(_QUAD.weights, r1, areas),
+                   r2=_element_norms_sq(_QUAD.weights, r2, areas),
+                   j1=_edge_norms_sq(_EDGE_WEIGHTS, j1, lengths),
                    # the wedge of the scalar jump with n is tangential with
                    # constant magnitude, so the squared edge norm is jump^2 |S|
                    j2=curl_jump ** 2 * lengths,
                    edges=edges, mesh=mesh, coefficients=coeffs)
-    return _Samples(quad.weights, r1, r2, s_wts, j1, norms)
+    return _Samples(r1, r2, j1, norms)
 
 
-def element_residuals(solution, problem, tri_id, quad_degree=6):
+def element_residuals(solution, problem, tri_id):
     """L2 norms of the two element residuals on one triangle."""
-    norms = _samples(solution, problem, quad_degree, tris=[tri_id], edges=[]).norms
+    norms = _samples(solution, problem, tris=[tri_id], edges=[]).norms
     return float(np.sqrt(norms.r1[0])), float(np.sqrt(norms.r2[0]))
 
 
-def edge_jumps(solution, problem, edge_id, n_edge_points=4):
+def edge_jumps(solution, problem, edge_id):
     """L2 norms of the two jump terms on one interior edge."""
     if solution.mesh.is_boundary_edge[edge_id]:
         raise ValueError(f"edge {edge_id} is a boundary edge; jumps are "
                          "defined on interior edges only")
-    norms = _samples(solution, problem, n_edge_points=n_edge_points,
-                     tris=[], edges=[edge_id]).norms
+    norms = _samples(solution, problem, tris=[], edges=[edge_id]).norms
     return float(np.sqrt(norms.j1[0])), float(np.sqrt(norms.j2[0]))
 
 
@@ -267,32 +264,29 @@ def _weigh(norms, kind):
     else:
         r2_weight = sizes.element_size ** 2 / sizes.eps_element
         j2_weight = sizes.edge_size[e] / sizes.eps_edge[e]
-    j1_term = sizes.edge_size[e] / kappa * norms.j1
-    j2_term = j2_weight * norms.j2
-    j1 = np.zeros(mesh.num_triangles)
-    j2 = np.zeros(mesh.num_triangles)
-    for side in (0, 1):
-        np.add.at(j1, mesh.edge_tris[e, side], j1_term)
-        np.add.at(j2, mesh.edge_tris[e, side], j2_term)
+    # side 0 of every edge, then side 1: each element sums its edge terms
+    # in that order, from 0.0
+    tris = mesh.edge_tris[e].T.ravel()
+    j1, j2 = (_weighted_count(tris, np.tile(term, 2), mesh.num_triangles)
+              for term in (sizes.edge_size[e] / kappa * norms.j1, j2_weight * norms.j2))
     return IndicatorBreakdown(kind=kind, r1=sizes.element_size ** 2 / kappa * norms.r1,
                               r2=r2_weight * norms.r2, j1=j1, j2=j2, norms=norms)
 
 
-def indicator(solution, problem, kind=EstimatorKind.ROBUST, quad_degree=6,
-              n_edge_points=4):
+def indicator(solution, problem, kind=EstimatorKind.ROBUST):
     """Per-element indicator breakdown for either estimator kind; the
     other kind of the same solution is ``indicator(...).as_kind(other)``."""
-    return _weigh(_samples(solution, problem, quad_degree, n_edge_points).norms, kind)
+    return _weigh(_samples(solution, problem).norms, kind)
 
 
-def oscillations(solution, problem, quad_degree=6, n_edge_points=4):
+def oscillations(solution, problem):
     """Data oscillations: distance of R1, R2, J1, J2 from their piecewise
     constant L2 projections, in the weighted norms of the two estimator
     families."""
     mesh = solution.mesh
     sizes = weighted_sizes(mesh, problem.coefficients)
-    samples = _samples(solution, problem, quad_degree, n_edge_points)
-    wts, r1, r2 = samples.quad_weights, samples.r1, samples.r2
+    samples = _samples(solution, problem)
+    wts, r1, r2 = _QUAD.weights, samples.r1, samples.r2
     r1_mean = r1 @ wts
     r2_mean = wts @ r2
     element_part1 = sizes.element_size ** 2 * _element_norms_sq(
@@ -300,7 +294,7 @@ def oscillations(solution, problem, quad_degree=6, n_edge_points=4):
     element_part2 = sizes.hbar_element ** 2 * _element_norms_sq(
         wts, r2 - r2_mean[:, None, :], mesh.areas)
 
-    e, s_wts, j1 = samples.norms.edges, samples.edge_weights, samples.j1
+    e, s_wts, j1 = samples.norms.edges, _EDGE_WEIGHTS, samples.j1
     j1_mean = (s_wts[None, :] * j1).sum(1)
     edge_part1 = np.zeros(mesh.num_edges)
     edge_part1[e] = sizes.edge_size[e] * _edge_norms_sq(s_wts, j1 - j1_mean[:, None],

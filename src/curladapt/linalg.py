@@ -1,10 +1,10 @@
 """Sparse matrices and a preconditioned conjugate gradient solver.
 
-Matrices are kept in compressed sparse-row form.  Construction from
-triplets canonicalises the entry order (row, column, then value) before
-summing duplicates, so the result is bit-identical for any permutation of
-the input list.  Matrix-vector products are delegated to scipy's CSR
-kernel.
+Matrices are kept in compressed sparse-row form.  :func:`from_triplets`
+canonicalises the entry order (row, column, then value) before summing
+duplicates, so its result is bit-identical for any permutation of the
+input; ``edge_fem.DofMap.scatter`` assembles without it.  Matrix-vector
+products are delegated to scipy's CSR kernel.
 
 :func:`cg_solve` preconditions with the diagonal of the matrix (Jacobi).
 Given a discrete gradient G, it adds a diagonal solve on the gradient

@@ -220,10 +220,9 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, split=0.5,
     For every (ratio, kappa) combination the interface problem with
     ``eps1 = ratio * eps2`` is solved on ``levels`` uniformly refined
     meshes and the effectivity indices of both estimators are recorded.
+    Every combination is validated before the first one is solved.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
-    rows = []
+    runs = []
     for ratio in ratios:
         if ratio < 1:
             raise ValueError("contrast ratios must be >= 1")
@@ -231,9 +230,12 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, split=0.5,
             config = RunConfig(problem="interface", eps1=ratio * eps2, eps2=eps2,
                                kappa=kappa, split=split, levels=levels,
                                initial_n=initial_n, solver_tol=solver_tol)
-            table = run_table(config)
-            rows.append(SweepRow(float(ratio), float(kappa),
-                                 table.eff_eta, table.eff_eta_tilde))
+            config.validate()
+            runs.append((ratio, kappa, config))
+    rows = []
+    for ratio, kappa, config in runs:
+        table = run_table(config)
+        rows.append(SweepRow(float(ratio), float(kappa), table.eff_eta, table.eff_eta_tilde))
     if out is not None:
         with open(out, "w") as fh:
             fh.write("ratio,kappa,eff_eta,eff_eta_tilde\n")

@@ -60,6 +60,16 @@ def test_adaptive_stops_after_single_refinement():
     assert records[-1].n_marked == 0
 
 
+@pytest.mark.parametrize("options", [{"theta": 0.0}, {"theta": 1.5},
+                                     {"solver_tol": 0.0}, {"solver_tol": -1e-6}])
+def test_adaptive_refuses_bad_input_before_any_solve(monkeypatch, options):
+    calls = []
+    monkeypatch.setattr(edge_fem, "solve", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError):
+        adaptive_solve(paper_problem(1.0, 1.0), max_dofs=60, **options)
+    assert calls == []
+
+
 def test_adaptive_rejects_non_increasing_budget():
     problem = paper_problem(1.0, 1.0)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curladapt import edge_fem
 from curladapt.problems import interface_problem
 from curladapt.report import (ConvergenceTable, RunConfig, TableRow, emit,
                               parse_table_csv, run_robustness_sweep, run_table,
@@ -144,6 +145,19 @@ def test_sweep_csv_output(tmp_path):
 def test_sweep_rejects_bad_ratio():
     with pytest.raises(ValueError):
         run_robustness_sweep([0.5], [1.0], levels=1)
+
+
+@pytest.mark.parametrize("ratios, kappas, levels", [([1.0, 0.5], [1.0], 1),
+                                                    ([1.0], [1.0, 0.0], 1),
+                                                    ([1.0, 10.0], [1.0, -1.0], 1),
+                                                    ([1.0], [1.0], 0)])
+def test_sweep_refuses_a_late_bad_value_before_any_solve(monkeypatch, ratios, kappas,
+                                                         levels):
+    calls = []
+    monkeypatch.setattr(edge_fem, "solve", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError):
+        run_robustness_sweep(ratios, kappas, levels=levels)
+    assert calls == []
 
 
 def test_run_table_classifier_without_interface_abscissa(monkeypatch):
