@@ -9,7 +9,7 @@ from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
                                 element_matrices, energy_error, eval_uh,
                                 galerkin_residual, load_solution, save_solution,
                                 solve, whitney_eval)
-from curladapt.estimators import _edge_barycentric, indicator
+from curladapt.estimators import indicator
 from curladapt.linalg import CgNonConvergence, cg_solve, spmv
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
@@ -371,12 +371,12 @@ def test_vertex_vectors_match_the_basis_tensor():
     tris = np.arange(mesh.num_triangles)
     lam = triangle_rule(6).points
     assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
-    edges = np.nonzero(~mesh.is_boundary_edge)[0]
-    s_points, _ = edge_rule(4)
-    for side in (0, 1):
-        lam = _edge_barycentric(mesh, edges, side, s_points)
-        tris = mesh.edge_tris[edges, side]
-        assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
+    # w itself is u_h at the vertices, the values the J1 jumps read
+    assert_close(w, reference(tris, np.eye(3)))
+    # per-element points: the local edge midpoints, cycled by element id
+    midpoints = 0.5 * (np.eye(3) + np.roll(np.eye(3), -1, axis=0))
+    lam = midpoints[(np.arange(3)[None, :] + tris[:, None]) % 3]
+    assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
 
 # -- energy error -------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from curladapt.edge_fem import (DiscreteSolution, DofMap, curl_uh, energy_error,
 from curladapt.estimators import (EstimatorKind, capped_size, edge_jumps,
                                   element_residuals, indicator, oscillations,
                                   weighted_sizes)
-from curladapt.mesh import build_structured_unit_square, red_refine, tag_regions
+from curladapt.mesh import (bisect_refine, build_structured_unit_square, red_refine,
+                            tag_regions)
 from curladapt.problems import (CoefficientField, ManufacturedProblem,
                                 interface_problem, paper_problem)
 from curladapt.quadrature import edge_rule
@@ -190,6 +193,68 @@ def test_j1_against_two_sided_evaluation_oracle():
         oracle = np.sqrt(mesh.edge_lengths[e] * (wts * np.array(samples) ** 2).sum())
         j1, _ = edge_jumps(sol, problem, e)
         assert j1 == pytest.approx(oracle, abs=1e-12 * max(1.0, oracle))
+    _assert_edge_oscillation_matches_oracle(sol, problem,
+                                            np.nonzero(~mesh.is_boundary_edge)[0][::7])
+
+    # eps contrast 1e4 across the interface of a bisected two-region mesh
+    problem = interface_problem(1e4, 1.0, 1.0)
+    mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+    mesh = bisect_refine(mesh, {0, 5, 17, 30})
+    mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
+    sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-6)
+    interior = np.nonzero(~mesh.is_boundary_edge)[0]
+    for e in interior:
+        samples = _j1_oracle_samples(sol, problem, int(e))
+        oracle = np.sqrt(mesh.edge_lengths[e] * (wts * samples ** 2).sum())
+        j1, _ = edge_jumps(sol, problem, int(e))
+        assert j1 == pytest.approx(oracle, abs=1e-12 * max(1.0, oracle))
+    _assert_edge_oscillation_matches_oracle(sol, problem, interior)
+
+
+def _j1_oracle_samples(sol, problem, e):
+    """[[f - kappa u_h]] . n at the edge_rule(4) points of edge e, each side
+    evaluated pointwise on its own element."""
+    mesh = sol.mesh
+    kappa = problem.coefficients.kappa
+    a, b = mesh.edges[e]
+    t_plus, t_minus = (int(t) for t in mesh.edge_tris[e])
+    samples = []
+    for s in edge_rule(4)[0]:
+        x = mesh.vertices[a] + s * (mesh.vertices[b] - mesh.vertices[a])
+        f_val = problem.f(x)
+        jump = ((f_val - kappa * eval_uh(sol, t_plus, x))
+                - (f_val - kappa * eval_uh(sol, t_minus, x)))
+        samples.append(jump @ mesh.edge_normals[e])
+    return np.array(samples)
+
+
+def _assert_edge_oscillation_matches_oracle(sol, problem, edges):
+    # the J1 oscillation is the weighted squared distance of the oracle
+    # samples from their edge mean
+    mesh = sol.mesh
+    wts = edge_rule(4)[1]
+    edge_size = weighted_sizes(mesh, problem.coefficients).edge_size
+    edge_part1 = oscillations(sol, problem).edge_part1
+    for e in edges:
+        samples = _j1_oracle_samples(sol, problem, int(e))
+        mean = wts @ samples
+        oracle = edge_size[e] * mesh.edge_lengths[e] * (wts * (samples - mean) ** 2).sum()
+        assert abs(edge_part1[e] - oracle) <= 1e-12 * edge_part1.max()
+
+
+def test_indicator_evaluates_f_once():
+    # f enters the estimators at element points only: J1 reads no f
+    mesh = build_structured_unit_square(4)
+    problem = paper_problem(0.1, 10.0)
+    sol = solve(mesh, problem.coefficients, problem.f)
+    calls = []
+
+    def counted_f(x):
+        calls.append(np.shape(x))
+        return problem.f(x)
+
+    indicator(sol, dataclasses.replace(problem, f=counted_f))
+    assert len(calls) == 1
 
 
 def test_edge_jumps_do_not_need_div_f():
