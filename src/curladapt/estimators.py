@@ -30,12 +30,16 @@ is half the local diameter: ``s_T = diam(T)/2`` for elements and
 the true edge length.  The global estimate is the square root of the sum
 of the elementwise indicators.
 
-One pass evaluates u_h, f, div f and the edge traces, and reduces them
-to the squared norms of R1, R2 per element and J1, J2 per interior edge.
-Those norms do not depend on the estimator kind: ``indicator`` weights
-them as one kind, and ``IndicatorBreakdown.as_kind`` re-weights them as
-the other.  The oscillations and the per-entity helpers
-``element_residuals`` and ``edge_jumps`` read the same pass.
+One pass reduces the residuals and jumps to the squared norms of R1, R2
+per element and J1, J2 per interior edge.  f and div f are read at the
+element quadrature points only.  The jumps are exact per edge and need no
+edge quadrature: u_h is linear on each element and f is single-valued on
+an edge, so J1 = -kappa [[u_h]] . n is linear along the edge and fixed by
+its two end values, and J2 is constant.  The norms do not depend on the
+estimator kind: ``indicator`` weights them as one kind, and
+``IndicatorBreakdown.as_kind`` re-weights them as the other.  The
+oscillations and the per-entity helpers ``element_residuals`` and
+``edge_jumps`` read the same pass.
 """
 
 import enum
@@ -45,10 +49,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .edge_fem import _field_at, _solution_vectors, _weighted_count, element_curls
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import triangle_rule
 
 _QUAD = triangle_rule(6)
-_EDGE_POINTS, _EDGE_WEIGHTS = edge_rule(4)
 
 
 class EstimatorKind(enum.Enum):
@@ -84,8 +87,9 @@ class _Norms(NamedTuple):
 
 
 class _Samples(NamedTuple):
-    """R1 (T, Q) and R2 (T, Q, 2) at the points of ``_QUAD`` and J1 (E, S)
-    at ``_EDGE_POINTS``, with the squared norms of all four quantities."""
+    """R1 (T, Q) and R2 (T, Q, 2) at the points of ``_QUAD`` and J1 (E, 2)
+    at the two ends of each edge, with the squared norms of all four
+    quantities."""
     r1: np.ndarray
     r2: np.ndarray
     j1: np.ndarray
@@ -165,33 +169,14 @@ def _element_norms_sq(weights, values, areas):
     return squares @ weights * areas
 
 
-def _edge_norms_sq(weights, values, lengths):
-    """Squared L2 norms per edge of scalar samples (E, S)."""
-    return lengths * (weights[None, :] * values ** 2).sum(1)
-
-
-def _edge_barycentric(mesh, edges, side, s_points):
-    """Barycentric coordinates (E, S, 3), in the neighbour ``side`` (0 or
-    1) of each interior edge, of the points at edge parameters ``s``
-    measured from the lower-id vertex."""
-    tri = mesh.edge_tris[edges, side]
-    loc = mesh.edge_tri_local[edges, side]
-    starts_low = (mesh.triangles[tri, loc] == mesh.edges[edges, 0])[:, None]
-    rows = np.arange(len(edges))
-    lam = np.zeros((len(edges), len(s_points), 3))
-    lam[rows, :, loc] = np.where(starts_low, 1.0 - s_points, s_points)
-    lam[rows, :, (loc + 1) % 3] = np.where(starts_low, s_points, 1.0 - s_points)
-    return lam
-
-
 def _samples(solution, problem, tris=None, edges=None):
     """One evaluation of the residuals on elements ``tris`` and of the
     jumps on interior edges ``edges`` (all of them when None).
 
-    R1 needs an analytic div f, which is only read when ``tris`` is not
-    empty.  J1 is the normal jump of R2 = f - kappa u_h; f is evaluated
-    once per edge point and enters both sides literally, so its
-    contributions cancel when f is continuous.
+    f and div f are read at the element quadrature points only, div f
+    only when ``tris`` is not empty.  Both jumps are exact per edge: f is
+    single-valued on an edge, so J1 = -kappa [[u_h]] . n, which is linear
+    along the edge and fixed by its values at the two ends; J2 is constant.
     """
     mesh = solution.mesh
     coeffs = problem.coefficients
@@ -202,33 +187,29 @@ def _samples(solution, problem, tris=None, edges=None):
     edges = np.asarray(edges, dtype=np.int64)
 
     w = _solution_vectors(solution)
-
-    def r2_at(f_vals, tri, lam):
-        return f_vals - kappa * _field_at(w, tri, lam)
-
     points = np.matmul(_QUAD.points, mesh.vertices[mesh.triangles[tris]])
     r1 = np.zeros(points.shape[:-1])
     if len(tris):
         if problem.div_f is None:
             raise ValueError("problem must provide an analytic div f")
         r1 = -np.asarray(problem.div_f(points), dtype=float)
-    r2 = r2_at(np.asarray(problem.f(points), dtype=float), tris, _QUAD.points)
+    r2 = np.asarray(problem.f(points), dtype=float) - kappa * _field_at(w, tris, _QUAD.points)
 
-    a, b = mesh.vertices[mesh.edges[edges, 0]], mesh.vertices[mesh.edges[edges, 1]]
-    at_points = a[:, None, :] + _EDGE_POINTS[None, :, None] * (b - a)[:, None, :]
-    f_edge = np.asarray(problem.f(at_points), dtype=float)
-    r2_plus, r2_minus = (r2_at(f_edge, mesh.edge_tris[edges, side],
-                               _edge_barycentric(mesh, edges, side, _EDGE_POINTS))
-                         for side in (0, 1))
-    j1 = ((r2_plus - r2_minus) * mesh.edge_normals[edges][:, None, :]).sum(-1)
+    # u_h is w_i at local vertex i; side 0 traverses the edge tail -> head
+    # and side 1 head -> tail
+    (t0, t1), (k0, k1) = mesh.edge_tris[edges].T, mesh.edge_tri_local[edges].T
+    jumps = np.stack([w[t0, k0] - w[t1, (k1 + 1) % 3],
+                      w[t0, (k0 + 1) % 3] - w[t1, k1]], axis=1)
+    j1 = -kappa * (jumps * mesh.edge_normals[edges][:, None, :]).sum(-1)
+    a, b = j1.T
     eps_curl = coeffs.eps_by_region(mesh.regions) * element_curls(solution)
-    curl_jump = eps_curl[mesh.edge_tris[edges, 0]] - eps_curl[mesh.edge_tris[edges, 1]]
+    curl_jump = eps_curl[t0] - eps_curl[t1]
     lengths = mesh.edge_lengths[edges]
 
     areas = mesh.areas[tris]
     norms = _Norms(r1=_element_norms_sq(_QUAD.weights, r1, areas),
                    r2=_element_norms_sq(_QUAD.weights, r2, areas),
-                   j1=_edge_norms_sq(_EDGE_WEIGHTS, j1, lengths),
+                   j1=lengths * (a * a + a * b + b * b) / 3,
                    # the wedge of the scalar jump with n is tangential with
                    # constant magnitude, so the squared edge norm is jump^2 |S|
                    j2=curl_jump ** 2 * lengths,
@@ -282,7 +263,9 @@ def indicator(solution, problem, kind=EstimatorKind.ROBUST):
 def oscillations(solution, problem):
     """Data oscillations: distance of R1, R2, J1, J2 from their piecewise
     constant L2 projections, in the weighted norms of the two estimator
-    families."""
+    families.  The element parts use the quadrature points of the
+    estimation pass; the edge parts are exact, from the two end values of
+    the linear J1 and the constant J2."""
     mesh = solution.mesh
     sizes = weighted_sizes(mesh, problem.coefficients)
     samples = _samples(solution, problem)
@@ -294,11 +277,11 @@ def oscillations(solution, problem):
     element_part2 = sizes.hbar_element ** 2 * _element_norms_sq(
         wts, r2 - r2_mean[:, None, :], mesh.areas)
 
-    e, s_wts, j1 = samples.norms.edges, _EDGE_WEIGHTS, samples.j1
-    j1_mean = (s_wts[None, :] * j1).sum(1)
+    # J1 is linear along each edge, from a to b: its distance from the
+    # mean (a + b)/2 has squared norm |S| (a - b)^2 / 12
+    e, (a, b) = samples.norms.edges, samples.j1.T
     edge_part1 = np.zeros(mesh.num_edges)
-    edge_part1[e] = sizes.edge_size[e] * _edge_norms_sq(s_wts, j1 - j1_mean[:, None],
-                                                        mesh.edge_lengths[e])
+    edge_part1[e] = sizes.edge_size[e] * mesh.edge_lengths[e] * (a - b) ** 2 / 12
     edge_part2 = np.zeros(mesh.num_edges)  # J2 is constant per edge: projection exact
 
     osc1 = float(np.sqrt(element_part1.sum()) + np.sqrt(edge_part1.sum()))
