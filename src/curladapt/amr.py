@@ -45,8 +45,9 @@ def doerfler_mark(indicators, theta):
 
 
 def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
-                   initial_n=4, solver_tol=None):
-    """Run the adaptive loop until the free dof count reaches ``max_dofs``.
+                   solver_tol=None):
+    """Run the adaptive loop from the 4x4 structured mesh until the free
+    dof count reaches ``max_dofs``.
 
     Every iteration solves on the current mesh, records the global
     estimate (and the energy error when the problem carries an exact
@@ -59,7 +60,7 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
         solver_tol = default_solver_tol(problem)
     elif solver_tol <= 0:
         raise ValueError("solver_tol must be positive")
-    mesh = build_structured_unit_square(initial_n)
+    mesh = build_structured_unit_square(4)
     if problem.classifier is not None:
         if problem.interface_abscissa is not None:
             check_interface_alignment(mesh, problem.interface_abscissa)

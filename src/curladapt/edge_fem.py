@@ -152,8 +152,7 @@ class DofMap:
 
     Free (interior) edges get dense indices 0..N-1 in edge-id order;
     boundary edges are constrained to zero.  ``element_dofs`` holds the
-    global index (or -1) of each local edge and ``element_signs`` the
-    orientation sign relating local and global edge directions.
+    global index (or -1) of each local edge.
     """
 
     def __init__(self, mesh):
@@ -164,7 +163,6 @@ class DofMap:
         self.edge_dof = edge_dof
         self.n_free = int(free.sum())
         self.element_dofs = edge_dof[mesh.tri_edges]
-        self.element_signs = mesh.tri_edge_signs
 
     def scatter(self, local):
         """Sum local vectors (T, 3) into a free-dof vector, or local

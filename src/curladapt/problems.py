@@ -125,10 +125,11 @@ def interface_problem(eps1, eps2, kappa, split=0.5):
     )
 
 
-def check_interface_alignment(mesh, split, tol=1e-12):
-    """Raise if any triangle straddles the vertical line x1 = split."""
+def check_interface_alignment(mesh, split):
+    """Raise if any triangle straddles the vertical line x1 = split; a
+    vertex within 1e-12 of the line counts as on it."""
     x = mesh.vertices[mesh.triangles][:, :, 0]
-    straddles = (x.min(axis=1) < split - tol) & (x.max(axis=1) > split + tol)
+    straddles = (x.min(axis=1) < split - 1e-12) & (x.max(axis=1) > split + 1e-12)
     if straddles.any():
         bad = int(np.nonzero(straddles)[0][0])
         raise ValueError(f"interface x1={split} is not aligned with the mesh "
@@ -164,17 +165,18 @@ class ConsistencyReport:
                 f"at {self.worst_boundary_point}")
 
 
-def verify_consistency(problem, n_samples=100, fd_step=1e-5, tol=1e-6,
-                       boundary_tol=1e-12):
+def verify_consistency(problem):
     """Check that the problem data actually solves its own equation.
 
-    Samples interior points per region and verifies
+    Samples 100 interior points per region and verifies
     ``f = eps * curl*(curl u) + kappa * u`` with the adjoint curl
     ``curl* w = (-dw/dx2, dw/dx1)`` approximated by central differences of
-    the analytic ``curl_u``; verifies the tangential trace of ``u``
-    vanishes on the boundary of the unit square.  Points closer than two
+    the analytic ``curl_u`` with step 1e-5, to 1e-6 relative to the
+    largest |f|; verifies the tangential trace of ``u`` vanishes on the
+    boundary of the unit square, to 1e-12.  Points closer than two
     finite-difference steps to a region change are skipped.
     """
+    n_samples, fd_step, tol, boundary_tol = 100, 1e-5, 1e-6, 1e-12
     rng = np.random.default_rng(20240901)
     coeffs = problem.coefficients
     classify = problem.classifier or (lambda c: OMEGA1)

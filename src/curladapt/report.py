@@ -213,13 +213,15 @@ def run_table(config):
     return table
 
 
-def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, split=0.5,
-                         initial_n=4, solver_tol=1e-6, out=None):
+def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, solver_tol=1e-6,
+                         out=None):
     """Two-phase effectivity sweep over contrast ratios and kappa values.
 
     For every (ratio, kappa) combination the interface problem with
-    ``eps1 = ratio * eps2`` is solved on ``levels`` uniformly refined
-    meshes and the effectivity indices of both estimators are recorded.
+    ``eps1 = ratio * eps2`` and the ``RunConfig`` defaults for the rest
+    (interface at x1 = 0.5, 4x4 start mesh) is solved on ``levels``
+    uniformly refined meshes and the effectivity indices of both
+    estimators are recorded.
     Every combination is validated before the first one is solved.
     """
     runs = []
@@ -228,8 +230,7 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, split=0.5,
             raise ValueError("contrast ratios must be >= 1")
         for kappa in kappas:
             config = RunConfig(problem="interface", eps1=ratio * eps2, eps2=eps2,
-                               kappa=kappa, split=split, levels=levels,
-                               initial_n=initial_n, solver_tol=solver_tol)
+                               kappa=kappa, levels=levels, solver_tol=solver_tol)
             config.validate()
             runs.append((ratio, kappa, config))
     rows = []
