@@ -221,8 +221,8 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, solver_tol=1e-6,
     ``eps1 = ratio * eps2`` and the ``RunConfig`` defaults for the rest
     (interface at x1 = 0.5, 4x4 start mesh) is solved on ``levels``
     uniformly refined meshes and the effectivity indices of both
-    estimators are recorded.
-    Every combination is validated before the first one is solved.
+    estimators are recorded.  Every combination is validated before the
+    first one is solved.
     """
     runs = []
     for ratio in ratios:
