@@ -213,13 +213,17 @@ def _sha256(*arrays):
 
 
 # sha256 of (A.indptr, A.indices, A.data, b) from assemble_system and of
-# galerkin_residual for a fixed field, frozen before the triplet sort and
-# the np.add.at loops of the assembly were replaced by one bincount scatter
+# galerkin_residual for a fixed field.  The first two were frozen before the
+# triplet sort and the np.add.at loops of the assembly were replaced by one
+# bincount scatter, "red_contrast_1e6" before the load and residual moments
+# stopped building the (T, Q, 3, 2) basis tensor
 FROZEN_ASSEMBLY = {
     "seed7_chain": ("2e7d3f28fab69b38b69c55be5e927d5dba5d22b12fc00be9abe76c8066b7973b",
                     "a8364466ec6a041172c81deb6ecf4649c9f53d8b9b9c66cb4852984305e09c49"),
     "two_region": ("0181c2edd15e4a70decd93d5624bd54311478f7550d6ee41c03e7b14b026408d",
                    "5cbd04c9e8389c0924bbb85f5cddef1567f639834464a8af5d9eb216a5e997ad"),
+    "red_contrast_1e6": ("4df854113a662716170ce8852f687bb275f28c384e2f7654a8f8b13ff417de51",
+                         "5808f348dc95e15ec53286bc9d6e6be2792cabdada3a23a43ff94be60dc0157a"),
 }
 
 
@@ -227,6 +231,10 @@ FROZEN_ASSEMBLY = {
 def test_assembly_is_frozen(case):
     if case == "seed7_chain":
         mesh, problem = _seed7_chain_mesh(), paper_problem(0.1, 10.0)
+    elif case == "red_contrast_1e6":
+        problem = interface_problem(1e6, 1.0, 1e-2)
+        mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+        mesh = red_refine(red_refine(mesh))
     else:
         problem = interface_problem(1e4, 1.0, 1.0)
         mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
