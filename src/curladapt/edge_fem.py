@@ -42,11 +42,9 @@ def _basis_values(g, signs, lam):
     shared by all elements or (N, Q, 3) per element."""
     if lam.ndim == 2:
         lam = lam[None]
-    # one local edge at a time bounds the temporaries.  u_h is evaluated
-    # from _vertex_vectors; this tensor serves the load vector, whitney_eval
-    # and galerkin_residual.  The load keeps it because its C order fixes
-    # einsum's summation order there: a 1-ulp change in b already lifts the
-    # float64 CG residual of a contrast-1e4 solve above a 1e-10 tolerance
+    # one local edge at a time bounds the temporaries.  Only whitney_eval
+    # and the tests read this tensor: u_h comes from _vertex_vectors, and
+    # _moments forms the basis one load-rule point at a time
     phi = np.empty((len(g), lam.shape[-2], 3, 2))
     for k, (i, j) in enumerate(_LOCAL_EDGES):
         phi[..., k, :] = (lam[..., i, None] * g[:, None, j, :]
@@ -65,6 +63,44 @@ def _vertex_vectors(g, signs, coeffs):
     w[:, _TAIL] += a * g[:, _HEAD]
     w[:, _HEAD] -= a * g[:, _TAIL]
     return w
+
+
+def _load_points(mesh):
+    """Cartesian load-rule points (T, Q, 2) of every element: the
+    barycentric weights times the three vertices, added vertex by vertex
+    as ``einsum("qi,tie->tqe", ...)`` adds them, so bit for bit the same.
+    The sums run with the element axis last, which broadcasts faster."""
+    lam = _LOAD_RULE.points[:, :, None, None]
+    corners = mesh.vertices[mesh.triangles].transpose(1, 2, 0)
+    points = lam[:, 0] * corners[0] + lam[:, 1] * corners[1] + lam[:, 2] * corners[2]
+    return np.ascontiguousarray(points.transpose(2, 0, 1))
+
+
+def _moments(mesh, values):
+    """Moments ``int_T v . phi_k`` (T, 3) of values v (T, Q, 2) at the
+    load-rule points against the signed basis.
+
+    One point at a time, with no (T, Q, 3, 2) basis tensor, in the order of
+    ``einsum("q,tqe,tqke,t->tk", weights, v, phi, areas)``: each product is
+    ``weight * v``, then times phi, then times the area; the two components
+    of a point are added first, then the points one after the other.  The
+    signs are folded into the gradients, which is exact for +-1.  Keeping
+    that rounding matters: a 1-ulp change in the load already lifts the
+    float64 CG residual of a contrast-1e4 solve above a 1e-10 tolerance.
+    """
+    g, signs, areas = mesh.barycentric_gradients, mesh.tri_edge_signs, mesh.areas
+    # element axis last: the broadcasts of the point loop run about twice
+    # as fast as in the (T, 3, 2) layout
+    s = signs.T[:, None]
+    gt = g[:, _TAIL].transpose(1, 2, 0) * s
+    gh = g[:, _HEAD].transpose(1, 2, 0) * s
+    out = np.zeros((3, len(areas)))
+    for lam, weight, v in zip(_LOAD_RULE.points, _LOAD_RULE.weights, values.transpose(1, 2, 0)):
+        phi = lam[_TAIL, None, None] * gh - lam[_HEAD, None, None] * gt
+        phi *= weight * v
+        phi *= areas
+        out += phi[:, 0] + phi[:, 1]
+    return out.T
 
 
 def _basis_curls(g, signs):
@@ -206,13 +242,14 @@ def discrete_gradient(dofmap):
     n_interior = int(interior.sum())
     vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
     vertex_dof[interior] = np.arange(n_interior)
-    free = dofmap.edge_dof >= 0
-    rows = np.tile(dofmap.edge_dof[free], 2)
-    cols = vertex_dof[mesh.edges[free]].T.ravel()  # all lo, then all hi
-    vals = np.repeat([-1.0, 1.0], free.sum())
+    # free dofs follow edge ids, so row i is free edge i: [lo, hi] with
+    # lo < hi is already a sorted CSR row once boundary vertices drop out
+    cols = vertex_dof[mesh.edges[dofmap.edge_dof >= 0]]
     keep = cols >= 0
-    return linalg.from_triplet_arrays(dofmap.n_free, n_interior,
-                                      rows[keep], cols[keep], vals[keep])
+    indptr = np.zeros(dofmap.n_free + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    vals = np.broadcast_to([-1.0, 1.0], cols.shape)[keep]
+    return linalg.SparseMatrix((dofmap.n_free, n_interior), indptr, cols[keep], vals)
 
 
 @dataclass(frozen=True)
@@ -269,20 +306,18 @@ def assemble_system(mesh, coefficients, f):
     The bilinear form is ``eps * (curl u, curl v) + kappa * (u, v)`` with
     elementwise-constant eps taken from the coefficient field by region
     tag.  The load ``int f . phi`` is integrated with the degree-4 triangle
-    rule; ``f`` must accept points of shape (..., 2) and return values of
-    the same shape.
+    rule (:func:`_load_points`, :func:`_moments`); ``f`` must accept points
+    of shape (..., 2) and return values of the same shape.
     """
     eps_t = coefficients.eps_by_region(mesh.regions)
-    g = mesh.barycentric_gradients
-    signs = mesh.tri_edge_signs
-    stiffness, mass = _local_matrices(g, mesh.areas, signs, eps_t, coefficients.kappa)
+    stiffness, mass = _local_matrices(mesh.barycentric_gradients, mesh.areas,
+                                      mesh.tri_edge_signs, eps_t, coefficients.kappa)
 
-    points = np.einsum("qi,tie->tqe", _LOAD_RULE.points, mesh.vertices[mesh.triangles])
+    points = _load_points(mesh)
     f_vals = np.asarray(f(points), dtype=float)
     if f_vals.shape != points.shape:
         raise ValueError("f must map (..., 2) points to (..., 2) values")
-    phi = _basis_values(g, signs, _LOAD_RULE.points)
-    load = np.einsum("q,tqe,tqke,t->tk", _LOAD_RULE.weights, f_vals, phi, mesh.areas)
+    load = _moments(mesh, f_vals)
 
     dofmap = DofMap(mesh)
     return dofmap.scatter(stiffness + mass), dofmap.scatter(load), dofmap
@@ -340,21 +375,19 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact, quad_degree=6):
 def galerkin_residual(solution, problem):
     """Residual of the discrete variational identity tested against every
     free basis function, computed by quadrature against the analytic
-    solution: ``eps (curl u - curl u_h, curl phi) + kappa (u - u_h, phi)``.
-    Vanishes up to quadrature and roundoff after a converged solve."""
+    solution: ``eps (curl u - curl u_h, curl phi) + kappa (u - u_h, phi)``,
+    at the points of the load rule and with its moment kernel.  Vanishes up
+    to quadrature and roundoff after a converged solve."""
     mesh = solution.mesh
     coeffs = problem.coefficients
     eps_t = coeffs.eps_by_region(mesh.regions)
-    kappa = coeffs.kappa
-    points = np.einsum("qi,tie->tqe", _LOAD_RULE.points, mesh.vertices[mesh.triangles])
+    points = _load_points(mesh)
     u_vals = np.asarray(problem.u(points), dtype=float)
     uh_vals = _field_at(_solution_vectors(solution), slice(None), _LOAD_RULE.points)
     curl_vals = np.asarray(problem.curl_u(points), dtype=float)
     curl_h = element_curls(solution)
-    phi = _basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, _LOAD_RULE.points)
     basis_curls = _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs)
-    mass_part = kappa * np.einsum("q,tqe,tqke,t->tk", _LOAD_RULE.weights, u_vals - uh_vals,
-                                  phi, mesh.areas)
+    mass_part = coeffs.kappa * _moments(mesh, u_vals - uh_vals)
     curl_diff = np.einsum("q,tq->t", _LOAD_RULE.weights, curl_vals - curl_h[:, None])
     curl_part = (eps_t * mesh.areas * curl_diff)[:, None] * basis_curls
     return solution.dofmap.scatter(mass_part + curl_part)

@@ -3,8 +3,11 @@
 Matrices are kept in compressed sparse-row form.  :func:`from_triplets`
 canonicalises the entry order (row, column, then value) before summing
 duplicates, so its result is bit-identical for any permutation of the
-input; ``edge_fem.DofMap.scatter`` assembles without it.  Matrix-vector
-products are delegated to scipy's CSR kernel.
+input.  The package builds its own matrices without it:
+``edge_fem.DofMap.scatter`` assembles the Galerkin matrix and
+``edge_fem.discrete_gradient`` writes its already sorted rows directly;
+the triplet builders are their test references.  Matrix-vector products
+are delegated to scipy's CSR kernel.
 
 :func:`cg_solve` preconditions with the diagonal of the matrix (Jacobi).
 Given a discrete gradient G, it adds a diagonal solve on the gradient

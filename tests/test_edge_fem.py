@@ -10,7 +10,7 @@ from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
                                 galerkin_residual, load_solution, save_solution,
                                 solve, whitney_eval)
 from curladapt.estimators import indicator
-from curladapt.linalg import CgNonConvergence, cg_solve, spmv
+from curladapt.linalg import CgNonConvergence, cg_solve, from_triplet_arrays, spmv
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
 from curladapt.problems import (CoefficientField, interface_problem,
@@ -356,13 +356,18 @@ def test_normal_traces_jump_in_general():
 
 
 
-def test_vertex_vectors_match_the_basis_tensor():
-    # u_h = lam @ w must equal the sum of coefficients times the signed
-    # basis values, at shared points and at per-element edge points
+def two_sign_mesh():
+    # bisected two-region mesh whose elements carry both orientation signs
     mesh = tag_regions(build_structured_unit_square(4),
                        interface_problem(2.0, 1.0, 1.0).classifier)
     mesh = bisect_refine(mesh, {0, 5, 17, 30})
-    mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
+    return bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
+
+
+def test_vertex_vectors_match_the_basis_tensor():
+    # u_h = lam @ w must equal the sum of coefficients times the signed
+    # basis values, at shared points and at per-element edge points
+    mesh = two_sign_mesh()
     g, signs = mesh.barycentric_gradients, mesh.tri_edge_signs
     assert (signs == 1).any() and (signs == -1).any()
     coeffs = np.random.default_rng(11).standard_normal((mesh.num_triangles, 3))
@@ -385,6 +390,38 @@ def test_vertex_vectors_match_the_basis_tensor():
     midpoints = 0.5 * (np.eye(3) + np.roll(np.eye(3), -1, axis=0))
     lam = midpoints[(np.arange(3)[None, :] + tris[:, None]) % 3]
     assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["bisected", "jittered"])
+def test_load_kernels_match_the_einsum_bit_for_bit(jitter):
+    # the load and the Galerkin residual must keep the einsum's rounding.
+    # The bisected areas are powers of two, whose products are exact; the
+    # jittered mesh checks the order of the area factor as well
+    mesh = two_sign_mesh()
+    shift = np.random.default_rng(2).uniform(-jitter, jitter, mesh.vertices.shape)
+    mesh = Mesh(mesh.vertices + shift, mesh.triangles, regions=mesh.regions)
+    g, signs = mesh.barycentric_gradients, mesh.tri_edge_signs
+    assert (signs == 1).any() and (signs == -1).any()
+    rule = edge_fem._LOAD_RULE
+    assert rule.points.shape == (9, 3)
+    values = np.random.default_rng(5).standard_normal((mesh.num_triangles, 9, 2))
+    phi = edge_fem._basis_values(g, signs, rule.points)
+    expected = np.einsum("q,tqe,tqke,t->tk", rule.weights, values, phi, mesh.areas)
+    assert np.array_equal(edge_fem._moments(mesh, values), expected)
+    expected = np.einsum("qi,tie->tqe", rule.points, mesh.vertices[mesh.triangles])
+    assert np.array_equal(edge_fem._load_points(mesh), expected)
+
+
+def test_load_and_residual_build_no_basis_tensor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_basis_values called")
+
+    monkeypatch.setattr(edge_fem, "_basis_values", refuse)
+    problem = interface_problem(1e4, 1.0, 1.0)
+    mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
+    field = DiscreteSolution(mesh, dofmap, np.sin(np.arange(dofmap.n_free)))
+    assert galerkin_residual(field, problem).shape == b.shape == (dofmap.n_free,)
 
 # -- energy error -------------------------------------------------------
 
@@ -503,6 +540,30 @@ def test_discrete_gradient_maps_nodal_values_to_curl_free_fields(bisected):
     assert np.array_equal(coefficients[dofmap.edge_dof[free]], v[hi] - v[lo])
     curls = element_curls(DiscreteSolution(mesh, dofmap, coefficients))
     assert np.abs(curls).max() <= 1e-13
+
+
+@pytest.mark.parametrize("mesh", [
+    gradient_test_mesh(False), gradient_test_mesh(True), build_structured_unit_square(1),
+], ids=["tagged", "bisected", "n1"])
+def test_discrete_gradient_matches_the_triplet_build(mesh):
+    dofmap = DofMap(mesh)
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.edges[mesh.is_boundary_edge]] = False
+    vertex_dof = np.cumsum(interior) - 1
+    free = dofmap.edge_dof >= 0
+    rows = np.tile(dofmap.edge_dof[free], 2)
+    lo, hi = mesh.edges[free].T
+    cols = np.concatenate([vertex_dof[lo], vertex_dof[hi]])
+    vals = np.repeat([-1.0, 1.0], free.sum())
+    keep = np.concatenate([interior[lo], interior[hi]])
+    reference = from_triplet_arrays(dofmap.n_free, int(interior.sum()),
+                                    rows[keep], cols[keep], vals[keep])
+    gradient = discrete_gradient(dofmap)
+    assert gradient.shape == reference.shape
+    for name in ("indptr", "indices", "data"):
+        actual, expected = getattr(gradient, name), getattr(reference, name)
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
 
 
 def test_discrete_gradient_without_interior_vertices():
