@@ -65,8 +65,7 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
         if problem.interface_abscissa is not None:
             check_interface_alignment(mesh, problem.interface_abscissa)
         mesh = tag_regions(mesh, problem.classifier)
-    dofmap = edge_fem.DofMap(mesh)
-    if max_dofs <= dofmap.n_free:
+    if max_dofs <= mesh.num_interior_edges:
         raise ValueError("max_dofs must exceed the initial dof count")
 
     records = []

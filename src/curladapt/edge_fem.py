@@ -13,8 +13,9 @@ across elements.
 A discrete field is linear on each element, so it is fixed there by three
 vertex vectors: ``u_h = sum_i lam_i w_i``.  Local edge k from vertex i to
 vertex j with coefficient c_k and sign s_k adds ``c_k s_k grad(lam_j)`` to
-w_i and ``-c_k s_k grad(lam_i)`` to w_j (:func:`_vertex_vectors`).  Values
-of u_h at barycentric points are then one (Q, 3) @ (N, 3, 2) product,
+w_i and ``-c_k s_k grad(lam_i)`` to w_j (:func:`_vertex_vectors`).
+``DiscreteSolution.vertex_vectors`` builds them once per field, and every
+reader of u_h evaluates it from there as one (Q, 3) @ (N, 3, 2) product,
 without a per-point basis tensor.
 
 Homogeneous tangential boundary conditions are imposed by eliminating the
@@ -22,6 +23,7 @@ boundary-edge unknowns.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,8 +31,9 @@ from . import linalg
 from .mesh import _LOCAL_EDGES, _cross2, _gradients, _signed_areas
 from .quadrature import triangle_rule
 
-# local edge k runs from vertex _TAIL[k] to vertex _HEAD[k]
+# local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
 _TAIL, _HEAD = np.array(_LOCAL_EDGES).T
+_PREV = np.array([2, 0, 1])  # edge i starts at vertex i, edge _PREV[i] ends there
 
 # the triangle rule of the load vector and of galerkin_residual
 _LOAD_RULE = triangle_rule(4)
@@ -59,10 +62,7 @@ def _vertex_vectors(g, signs, coeffs):
     ``sum_i lam_i w_i``, so its values at barycentric points lam are
     ``lam @ w``."""
     a = (coeffs * signs)[..., None]
-    w = np.zeros(g.shape)
-    w[:, _TAIL] += a * g[:, _HEAD]
-    w[:, _HEAD] -= a * g[:, _TAIL]
-    return w
+    return a * g[:, _HEAD] - a[:, _PREV] * g[:, _PREV]
 
 
 def _load_points(mesh):
@@ -278,26 +278,22 @@ class DiscreteSolution:
         edges; these multiply the orientation-signed local basis."""
         return self.edge_values()[self.mesh.tri_edges]
 
+    @cached_property
+    def vertex_vectors(self):
+        """Read-only vertex vectors w (T, 3, 2): on element t the field is
+        ``lam @ w[t]``."""
+        w = _vertex_vectors(self.mesh.barycentric_gradients, self.mesh.tri_edge_signs,
+                            self.element_coefficients())
+        w.flags.writeable = False
+        return w
 
-def _solution_vectors(solution):
-    """Vertex vectors (T, 3, 2) of a discrete field on every element."""
-    mesh = solution.mesh
-    return _vertex_vectors(mesh.barycentric_gradients, mesh.tri_edge_signs,
-                           solution.element_coefficients())
-
-
-def _field_at(w, tri_ids, lam):
-    """Field values (N, Q, 2) on elements ``tri_ids`` from the vertex
-    vectors w of all elements, at barycentric points lam, (Q, 3) shared
-    by the elements or (N, Q, 3) per element."""
-    return np.matmul(lam, w[tri_ids])
-
-
-def element_curls(solution):
-    """Elementwise (constant) scalar curl of the discrete field, (T,)."""
-    mesh = solution.mesh
-    return np.einsum("tk,tk->t", solution.element_coefficients(),
-                     _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs))
+    @cached_property
+    def curls(self):
+        """Read-only elementwise (constant) scalar curl of the field, (T,)."""
+        c = np.einsum("tk,tk->t", self.element_coefficients(),
+                      _basis_curls(self.mesh.barycentric_gradients, self.mesh.tri_edge_signs))
+        c.flags.writeable = False
+        return c
 
 
 def assemble_system(mesh, coefficients, f):
@@ -347,12 +343,24 @@ def eval_uh(solution, tri_id, point):
     lam = _barycentric(solution.mesh, tri_id, point)
     if lam.min() < -1e-12:
         raise ValueError(f"point {point} lies outside triangle {tri_id}")
-    return _field_at(_solution_vectors(solution), [tri_id], lam[None, :])[0, 0]
+    return lam @ solution.vertex_vectors[tri_id]
 
 
 def curl_uh(solution, tri_id):
     """Scalar curl of the discrete field on one element (constant there)."""
-    return float(element_curls(solution)[tri_id])
+    return float(solution.curls[tri_id])
+
+
+def _errors_at(solution, u, curl_u, rule, points):
+    """``u - u_h`` (T, Q, 2) and ``curl u - curl u_h`` (T, Q) at the points
+    of ``rule``, given in Cartesian coordinates as ``points`` (T, Q, 2)."""
+    # each caller keeps its point formula: galerkin_residual's frozen digests
+    # need the rounding of _load_points; the matmul points of energy_error
+    # are about 5x faster, and the load formula would move its last bits
+    u_vals = np.asarray(u(points), dtype=float)
+    curl_vals = np.asarray(curl_u(points), dtype=float)
+    return (u_vals - np.matmul(rule.points, solution.vertex_vectors),
+            curl_vals - solution.curls[:, None])
 
 
 def energy_error(solution, coefficients, u_exact, curl_u_exact, quad_degree=6):
@@ -361,15 +369,11 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact, quad_degree=6):
     mesh = solution.mesh
     quad = triangle_rule(quad_degree)
     eps_t = coefficients.eps_by_region(mesh.regions)
-    kappa = coefficients.kappa
     points = np.matmul(quad.points, mesh.vertices[mesh.triangles])
-    u_vals = np.asarray(u_exact(points), dtype=float)
-    uh_vals = _field_at(_solution_vectors(solution), slice(None), quad.points)
-    curl_vals = np.asarray(curl_u_exact(points), dtype=float)
-    curl_h = element_curls(solution)
-    l2_part = ((u_vals - uh_vals) ** 2).sum(-1) @ quad.weights * mesh.areas
-    curl_part = (curl_vals - curl_h[:, None]) ** 2 @ quad.weights * mesh.areas
-    return float(np.sqrt((eps_t * curl_part + kappa * l2_part).sum()))
+    du, dcurl = _errors_at(solution, u_exact, curl_u_exact, quad, points)
+    l2_part = (du ** 2).sum(-1) @ quad.weights * mesh.areas
+    curl_part = dcurl ** 2 @ quad.weights * mesh.areas
+    return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))
 
 
 def galerkin_residual(solution, problem):
@@ -381,14 +385,10 @@ def galerkin_residual(solution, problem):
     mesh = solution.mesh
     coeffs = problem.coefficients
     eps_t = coeffs.eps_by_region(mesh.regions)
-    points = _load_points(mesh)
-    u_vals = np.asarray(problem.u(points), dtype=float)
-    uh_vals = _field_at(_solution_vectors(solution), slice(None), _LOAD_RULE.points)
-    curl_vals = np.asarray(problem.curl_u(points), dtype=float)
-    curl_h = element_curls(solution)
+    du, dcurl = _errors_at(solution, problem.u, problem.curl_u, _LOAD_RULE, _load_points(mesh))
     basis_curls = _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs)
-    mass_part = coeffs.kappa * _moments(mesh, u_vals - uh_vals)
-    curl_diff = np.einsum("q,tq->t", _LOAD_RULE.weights, curl_vals - curl_h[:, None])
+    mass_part = coeffs.kappa * _moments(mesh, du)
+    curl_diff = np.einsum("q,tq->t", _LOAD_RULE.weights, dcurl)
     curl_part = (eps_t * mesh.areas * curl_diff)[:, None] * basis_curls
     return solution.dofmap.scatter(mass_part + curl_part)
 
@@ -405,14 +405,21 @@ def save_solution(solution, path):
 def load_solution(mesh, path):
     """Rebuild a solution saved by :func:`save_solution` against a mesh."""
     values = np.zeros(mesh.num_edges)
+    seen = np.zeros(mesh.num_edges, dtype=bool)
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             tok = line.split()
-            if tok:
-                edge_id = int(tok[0])
-                if not 0 <= edge_id < mesh.num_edges:
-                    raise ValueError(f"edge id {edge_id} not in [0, {mesh.num_edges})")
-                values[edge_id] = float(tok[1])
+            if not tok:
+                continue
+            if len(tok) != 2:
+                raise ValueError(f"line {lineno}: expected 'edge_id value', got {line.strip()!r}")
+            edge_id = int(tok[0])
+            if not 0 <= edge_id < mesh.num_edges:
+                raise ValueError(f"line {lineno}: edge id {edge_id} not in [0, {mesh.num_edges})")
+            if seen[edge_id]:
+                raise ValueError(f"line {lineno}: edge id {edge_id} given twice")
+            seen[edge_id] = True
+            values[edge_id] = float(tok[1])
     dofmap = DofMap(mesh)
     if np.abs(values[mesh.is_boundary_edge]).max(initial=0.0) > 0:
         raise ValueError("stored solution has nonzero boundary coefficients")

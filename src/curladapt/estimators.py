@@ -31,14 +31,14 @@ the true edge length.  The global estimate is the square root of the sum
 of the elementwise indicators.
 
 One pass reduces the residuals and jumps to the squared norms of R1, R2
-per element and J1, J2 per interior edge.  f and div f are read at the
-element quadrature points only.  The jumps are exact per edge and need no
-edge quadrature: u_h is linear on each element and f is single-valued on
-an edge, so J1 = -kappa [[u_h]] . n is linear along the edge and fixed by
-its two end values, and J2 is constant.  The norms do not depend on the
-estimator kind: ``indicator`` weights them as one kind, and
-``IndicatorBreakdown.as_kind`` re-weights them as the other.  The
-oscillations and the per-entity helpers ``element_residuals`` and
+per element and J1, J2 per interior edge, reading f and div f only at the
+element quadrature points and u_h from ``DiscreteSolution.vertex_vectors``
+and ``.curls``, built once per field.  The jumps need no edge quadrature:
+u_h is linear on each element and f is single-valued on an edge, so
+J1 = -kappa [[u_h]] . n is linear along the edge and fixed by its two end
+values, and J2 is constant.  The norms do not depend on the estimator
+kind: ``indicator`` weights them as one kind, ``IndicatorBreakdown.as_kind``
+as the other, and the oscillations, ``element_residuals`` and
 ``edge_jumps`` read the same pass.
 """
 
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import _field_at, _solution_vectors, _weighted_count, element_curls
+from .edge_fem import _weighted_count
 from .quadrature import triangle_rule
 
 _QUAD = triangle_rule(6)
@@ -186,14 +186,14 @@ def _samples(solution, problem, tris=None, edges=None):
         edges = np.nonzero(~mesh.is_boundary_edge)[0]
     edges = np.asarray(edges, dtype=np.int64)
 
-    w = _solution_vectors(solution)
+    w = solution.vertex_vectors
     points = np.matmul(_QUAD.points, mesh.vertices[mesh.triangles[tris]])
     r1 = np.zeros(points.shape[:-1])
     if len(tris):
         if problem.div_f is None:
             raise ValueError("problem must provide an analytic div f")
         r1 = -np.asarray(problem.div_f(points), dtype=float)
-    r2 = np.asarray(problem.f(points), dtype=float) - kappa * _field_at(w, tris, _QUAD.points)
+    r2 = np.asarray(problem.f(points), dtype=float) - kappa * np.matmul(_QUAD.points, w[tris])
 
     # u_h is w_i at local vertex i; side 0 traverses the edge tail -> head
     # and side 1 head -> tail
@@ -202,7 +202,7 @@ def _samples(solution, problem, tris=None, edges=None):
                       w[t0, (k0 + 1) % 3] - w[t1, k1]], axis=1)
     j1 = -kappa * (jumps * mesh.edge_normals[edges][:, None, :]).sum(-1)
     a, b = j1.T
-    eps_curl = coeffs.eps_by_region(mesh.regions) * element_curls(solution)
+    eps_curl = coeffs.eps_by_region(mesh.regions) * solution.curls
     curl_jump = eps_curl[t0] - eps_curl[t1]
     lengths = mesh.edge_lengths[edges]
 

@@ -413,12 +413,21 @@ def load_mesh(path):
         if len(header) != 3:
             raise ValueError("malformed mesh header, expected 'V E F'")
         nv, ne, nt = (int(tok) for tok in header)
-        vertices = np.array([[float(tok) for tok in fh.readline().split()]
-                             for _ in range(nv)])
-        rows = [[int(tok) for tok in fh.readline().split()] for _ in range(nt)]
+        vertices = [_read_fields(fh, 2 + i, float, "x y") for i in range(nv)]
+        rows = [_read_fields(fh, 2 + nv + i, int, "v0 v1 v2 region") for i in range(nt)]
     rows = np.array(rows, dtype=np.int64)
-    mesh = Mesh(vertices, rows[:, :3], regions=rows[:, 3])
+    mesh = Mesh(np.array(vertices), rows[:, :3], regions=rows[:, 3])
     if mesh.num_edges != ne:
         raise ValueError(f"edge count mismatch: header says {ne}, "
                          f"topology gives {mesh.num_edges}")
     return mesh
+
+
+def _read_fields(fh, lineno, parse, layout):
+    """The fields of the next line of a mesh file, which must match the
+    space-separated ``layout``."""
+    line = fh.readline()
+    tok = line.split()
+    if len(tok) != len(layout.split()):
+        raise ValueError(f"line {lineno}: expected '{layout}', got {line.strip()!r}")
+    return [parse(t) for t in tok]

@@ -5,7 +5,7 @@ import pytest
 
 from curladapt import edge_fem
 from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
-                                curl_uh, discrete_gradient, element_curls,
+                                curl_uh, discrete_gradient,
                                 element_matrices, energy_error, eval_uh,
                                 galerkin_residual, load_solution, save_solution,
                                 solve, whitney_eval)
@@ -383,13 +383,13 @@ def test_vertex_vectors_match_the_basis_tensor():
 
     tris = np.arange(mesh.num_triangles)
     lam = triangle_rule(6).points
-    assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
+    assert_close(np.matmul(lam, w[tris]), reference(tris, lam))
     # w itself is u_h at the vertices, the values the J1 jumps read
     assert_close(w, reference(tris, np.eye(3)))
     # per-element points: the local edge midpoints, cycled by element id
     midpoints = 0.5 * (np.eye(3) + np.roll(np.eye(3), -1, axis=0))
     lam = midpoints[(np.arange(3)[None, :] + tris[:, None]) % 3]
-    assert_close(edge_fem._field_at(w, tris, lam), reference(tris, lam))
+    assert_close(np.matmul(lam, w[tris]), reference(tris, lam))
 
 
 @pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["bisected", "jittered"])
@@ -507,9 +507,33 @@ def test_element_curls_matches_scalar_api():
     mesh = build_structured_unit_square(3)
     problem = paper_problem(1.0, 1.0)
     sol = solve(mesh, problem.coefficients, problem.f)
-    curls = element_curls(sol)
+    curls = sol.curls
     for t in (0, 5, 11):
         assert curls[t] == pytest.approx(curl_uh(sol, t), abs=1e-14)
+
+
+def test_vertex_vectors_and_curls_are_read_only():
+    mesh = build_structured_unit_square(2)
+    problem = paper_problem(1.0, 1.0)
+    sol = solve(mesh, problem.coefficients, problem.f)
+    with pytest.raises(ValueError):
+        sol.vertex_vectors[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sol.curls[0] = 1.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{e} 0.5\n{e}\n", "line 2: expected 'edge_id value'"),
+    ("{e} 0.5\n\n{e} 0.25\n", "line 3: edge id {e} given twice"),
+    ("{e} 0.5 7\n", "line 1: expected 'edge_id value'"),
+], ids=["missing_value", "repeated_edge", "extra_token"])
+def test_load_solution_rejects_malformed_lines(tmp_path, text, message):
+    mesh = build_structured_unit_square(2)
+    e = int(np.nonzero(~mesh.is_boundary_edge)[0][0])
+    path = tmp_path / "solution.txt"
+    path.write_text(text.format(e=e))
+    with pytest.raises(ValueError, match=message.format(e=e)):
+        load_solution(mesh, path)
 
 
 # -- discrete gradient and the preconditioned solve ------------------------
@@ -538,7 +562,7 @@ def test_discrete_gradient_maps_nodal_values_to_curl_free_fields(bisected):
     free = dofmap.edge_dof >= 0
     lo, hi = mesh.edges[free].T
     assert np.array_equal(coefficients[dofmap.edge_dof[free]], v[hi] - v[lo])
-    curls = element_curls(DiscreteSolution(mesh, dofmap, coefficients))
+    curls = DiscreteSolution(mesh, dofmap, coefficients).curls
     assert np.abs(curls).max() <= 1e-13
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from curladapt import edge_fem
 from curladapt.edge_fem import (DiscreteSolution, DofMap, curl_uh, energy_error,
                                 eval_uh, solve)
 from curladapt.estimators import (EstimatorKind, capped_size, edge_jumps,
@@ -254,6 +255,26 @@ def test_indicator_evaluates_f_once():
         return problem.f(x)
 
     indicator(sol, dataclasses.replace(problem, f=counted_f))
+    assert len(calls) == 1
+
+
+def test_every_reader_shares_one_build_of_the_vertex_vectors(monkeypatch):
+    mesh = build_structured_unit_square(4)
+    problem = paper_problem(0.1, 10.0)
+    sol = solve(mesh, problem.coefficients, problem.f)
+    calls = []
+    build = edge_fem._vertex_vectors
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(edge_fem, "_vertex_vectors", counted)
+    indicator(sol, problem).as_kind(EstimatorKind.CLASSICAL)
+    oscillations(sol, problem)
+    energy_error(sol, problem.coefficients, problem.u, problem.curl_u)
+    eval_uh(sol, 3, mesh.centroids[3])
+    curl_uh(sol, 3)
     assert len(calls) == 1
 
 

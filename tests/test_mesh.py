@@ -348,3 +348,19 @@ def test_load_rejects_inconsistent_header(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda lines: lines[:-1] + [" ".join(lines[-1].split()[:3])],
+     "line 18: expected 'v0 v1 v2 region'"),
+    (lambda lines: lines[:-2], "line 17: expected 'v0 v1 v2 region', got ''"),
+    (lambda lines: lines[:4], "line 5: expected 'x y', got ''"),
+], ids=["triangle_without_region", "truncated_triangles", "truncated_vertices"])
+def test_load_rejects_malformed_lines(tmp_path, cut, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(build_structured_unit_square(2), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 18  # header, 9 vertices, 8 triangles
+    path.write_text("\n".join(cut(lines)) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_mesh(path)
