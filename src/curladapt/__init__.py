@@ -8,8 +8,7 @@ from .edge_fem import (DiscreteSolution, DofMap, assemble_system, curl_uh,
 from .estimators import (EstimatorKind, IndicatorBreakdown, Oscillations,
                          WeightedSizes, edge_jumps, element_residuals,
                          indicator, oscillations, weighted_sizes)
-from .linalg import (CgNonConvergence, CgResult, SparseMatrix, cg_solve,
-                     from_triplets, spmv)
+from .linalg import CgNonConvergence, CgResult, cg_solve, from_triplets
 from .mesh import (OMEGA1, OMEGA2, Mesh, bisect_refine,
                    build_structured_unit_square, edge_geometry, load_mesh,
                    red_refine, save_mesh, tag_regions)

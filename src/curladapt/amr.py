@@ -58,8 +58,8 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
         raise ValueError("theta must lie in (0, 1]")
     if solver_tol is None:
         solver_tol = default_solver_tol(problem)
-    elif solver_tol <= 0:
-        raise ValueError("solver_tol must be positive")
+    elif not 0 < solver_tol < np.inf:
+        raise ValueError("solver_tol must be positive and finite")
     mesh = build_structured_unit_square(4)
     if problem.classifier is not None:
         if problem.interface_abscissa is not None:

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from . import linalg
-from .mesh import _LOCAL_EDGES, _cross2, _gradients, _signed_areas
+from .mesh import _LOCAL_EDGES, _cross2, _gradients, _parse_fields, _signed_areas
 from .quadrature import triangle_rule
 
 # local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
@@ -174,10 +175,10 @@ def element_matrices(coords, eps, kappa, signs=None):
     exact) and ``mass[a, b] = kappa * int_T phi_a . phi_b``; see
     :func:`_local_matrices`.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+    if not 0 <= kappa < np.inf:
+        raise ValueError("kappa must be nonnegative and finite")
     g, area, signs = _one_triangle(coords, signs)
     stiffness, mass = _local_matrices(g, area, signs, np.array([eps], dtype=float), kappa)
     return stiffness[0], mass[0]
@@ -202,7 +203,8 @@ class DofMap:
 
     def scatter(self, local):
         """Sum local vectors (T, 3) into a free-dof vector, or local
-        matrices (T, 3, 3) into a free-dof CSR matrix; boundary slots drop.
+        matrices (T, 3, 3) into a free-dof ``scipy.sparse.csr_matrix`` with
+        sorted, unique columns per row; boundary slots drop.
 
         No entry sums more than two element terms (an edge has at most two
         triangles, two edges share at most one), every sum starts from 0.0
@@ -217,8 +219,8 @@ class DofMap:
         keys, inv = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return linalg.SparseMatrix((n, n), indptr, keys % n,
-                                   _weighted_count(inv, local[keep], len(keys)))
+        return scipy.sparse.csr_matrix(
+            (_weighted_count(inv, local[keep], len(keys)), keys % n, indptr), shape=(n, n))
 
 
 def _weighted_count(index, weights, n):
@@ -234,7 +236,8 @@ def discrete_gradient(dofmap):
     oriented low to high) has +1 in the column of hi and -1 in the column
     of lo, so ``G @ v`` holds the edge moments of the gradient of the
     continuous piecewise-linear function with interior nodal values v and
-    zero boundary values.  Boundary vertices have no column.
+    zero boundary values.  Boundary vertices have no column.  Returned as
+    a ``scipy.sparse.csr_matrix`` with sorted rows.
     """
     mesh = dofmap.mesh
     interior = np.ones(mesh.num_vertices, dtype=bool)
@@ -249,7 +252,7 @@ def discrete_gradient(dofmap):
     indptr = np.zeros(dofmap.n_free + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     vals = np.broadcast_to([-1.0, 1.0], cols.shape)[keep]
-    return linalg.SparseMatrix((dofmap.n_free, n_interior), indptr, cols[keep], vals)
+    return scipy.sparse.csr_matrix((vals, cols[keep], indptr), shape=(dofmap.n_free, n_interior))
 
 
 @dataclass(frozen=True)
@@ -408,18 +411,17 @@ def load_solution(mesh, path):
     seen = np.zeros(mesh.num_edges, dtype=bool)
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            tok = line.split()
-            if not tok:
+            if not line.strip():
                 continue
-            if len(tok) != 2:
-                raise ValueError(f"line {lineno}: expected 'edge_id value', got {line.strip()!r}")
-            edge_id = int(tok[0])
+            edge_id, value = _parse_fields(line, lineno, "edge_id value", (int, float))
+            if not np.isfinite(value):
+                raise ValueError(f"line {lineno}: value {value} is not finite")
             if not 0 <= edge_id < mesh.num_edges:
                 raise ValueError(f"line {lineno}: edge id {edge_id} not in [0, {mesh.num_edges})")
             if seen[edge_id]:
                 raise ValueError(f"line {lineno}: edge id {edge_id} given twice")
             seen[edge_id] = True
-            values[edge_id] = float(tok[1])
+            values[edge_id] = value
     dofmap = DofMap(mesh)
     if np.abs(values[mesh.is_boundary_edge]).max(initial=0.0) > 0:
         raise ValueError("stored solution has nonzero boundary coefficients")

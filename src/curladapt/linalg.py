@@ -1,13 +1,13 @@
 """Sparse matrices and a preconditioned conjugate gradient solver.
 
-Matrices are kept in compressed sparse-row form.  :func:`from_triplets`
-canonicalises the entry order (row, column, then value) before summing
-duplicates, so its result is bit-identical for any permutation of the
-input.  The package builds its own matrices without it:
-``edge_fem.DofMap.scatter`` assembles the Galerkin matrix and
+Every matrix is a ``scipy.sparse.csr_matrix`` with sorted, unique column
+indices per row; products, the diagonal and the transpose are scipy's.
+:func:`from_triplets` canonicalises the entry order (row, column, then
+value) before summing duplicates, so its result is bit-identical for any
+permutation of the input.  The package builds its own matrices without
+it: ``edge_fem.DofMap.scatter`` assembles the Galerkin matrix and
 ``edge_fem.discrete_gradient`` writes its already sorted rows directly;
-the triplet builders are their test references.  Matrix-vector products
-are delegated to scipy's CSR kernel.
+the triplet builders are their test references.
 
 :func:`cg_solve` preconditions with the diagonal of the matrix (Jacobi).
 Given a discrete gradient G, it adds a diagonal solve on the gradient
@@ -23,44 +23,8 @@ import numpy as np
 import scipy.sparse
 
 
-class SparseMatrix:
-    """CSR matrix: ``indptr`` row offsets, ``indices`` sorted unique column
-    ids per row, ``data`` values."""
-
-    def __init__(self, shape, indptr, indices, data):
-        self.shape = tuple(shape)
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self._csr = None
-
-    @property
-    def nnz(self):
-        return len(self.data)
-
-    def _as_scipy(self):
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=self.shape)
-        return self._csr
-
-    def diagonal(self):
-        return self._as_scipy().diagonal()
-
-    def transpose(self):
-        t = self._as_scipy().T.tocsr()
-        t.sort_indices()
-        return SparseMatrix(t.shape, t.indptr, t.indices, t.data)
-
-    def toarray(self):
-        return self._as_scipy().toarray()
-
-    def __repr__(self):
-        return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
-
-
 def from_triplets(n_rows, n_cols, entries):
-    """Build a SparseMatrix from an iterable of (row, col, value) triplets.
+    """Build a CSR matrix from an iterable of (row, col, value) triplets.
 
     Duplicate positions are summed.  Entries are sorted by (row, col,
     value) first, which makes the floating-point sums independent of the
@@ -101,15 +65,7 @@ def from_triplet_arrays(n_rows, n_cols, rows, cols, vals):
         indices = cols
         row_counts = np.zeros(n_rows, dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(row_counts)]).astype(np.int64)
-    return SparseMatrix((n_rows, n_cols), indptr, indices, data)
-
-
-def spmv(matrix, x):
-    """Matrix-vector product y = A x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (matrix.shape[1],):
-        raise ValueError(f"dimension mismatch: matrix {matrix.shape}, vector {x.shape}")
-    return matrix._as_scipy() @ x
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
 class CgResult(NamedTuple):
@@ -132,8 +88,8 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
     """Preconditioned conjugate gradients for symmetric positive definite A.
 
     Without ``gradient`` the preconditioner is Jacobi, ``B r = r /
-    diag(A)``.  ``gradient`` is an (n, m) :class:`SparseMatrix` G whose
-    columns span a subspace of near-kernel directions (the discrete
+    diag(A)``.  ``gradient`` is an (n, m) ``scipy.sparse.csr_matrix`` G
+    whose columns span a subspace of near-kernel directions (the discrete
     gradients of an edge-element space); the preconditioner then becomes
     ``B r = r / diag(A) + G ((G^T r) / diag(G^T A G))``, which is also
     symmetric positive definite.
@@ -155,8 +111,8 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
         raise ValueError("matrix must be square and match the right-hand side")
     if gradient is not None and gradient.shape[0] != n:
         raise ValueError("gradient must have one row per unknown")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < np.inf:
+        raise ValueError("rel_tol must be positive and finite")
     if max_iter is None:
         max_iter = 20 * n
 
@@ -167,12 +123,12 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
     if (diag <= 0).any():
         raise ValueError("matrix has a zero or negative diagonal entry")
 
-    a = matrix._as_scipy()
+    a = matrix
     if gradient is None:
         def precondition(r):
             return r / diag
     else:
-        g = gradient._as_scipy()
+        g = gradient
         gt = g.T.tocsr()
         diag_g = np.asarray(g.multiply(a @ g).sum(axis=0)).ravel()
         if (diag_g <= 0).any():

@@ -409,12 +409,16 @@ def load_mesh(path):
     """Read a mesh written by :func:`save_mesh`; the edge count in the
     header is checked against the rebuilt topology."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("malformed mesh header, expected 'V E F'")
-        nv, ne, nt = (int(tok) for tok in header)
-        vertices = [_read_fields(fh, 2 + i, float, "x y") for i in range(nv)]
-        rows = [_read_fields(fh, 2 + nv + i, int, "v0 v1 v2 region") for i in range(nt)]
+        nv, ne, nt = _parse_fields(fh.readline(), 1, "V E F", (int,) * 3)
+        if min(nv, ne, nt) < 1:
+            raise ValueError(f"line 1: counts must be positive, got {nv} {ne} {nt}")
+        vertices = [_parse_fields(fh.readline(), 2 + i, "x y", (float,) * 2)
+                    for i in range(nv)]
+        rows = [_parse_fields(fh.readline(), 2 + nv + i, "v0 v1 v2 region", (int,) * 4)
+                for i in range(nt)]
+        for lineno, line in enumerate(fh, 2 + nv + nt):
+            if line.strip():
+                raise ValueError(f"line {lineno}: text after the last triangle")
     rows = np.array(rows, dtype=np.int64)
     mesh = Mesh(np.array(vertices), rows[:, :3], regions=rows[:, 3])
     if mesh.num_edges != ne:
@@ -423,11 +427,15 @@ def load_mesh(path):
     return mesh
 
 
-def _read_fields(fh, lineno, parse, layout):
-    """The fields of the next line of a mesh file, which must match the
-    space-separated ``layout``."""
-    line = fh.readline()
-    tok = line.split()
-    if len(tok) != len(layout.split()):
-        raise ValueError(f"line {lineno}: expected '{layout}', got {line.strip()!r}")
-    return [parse(t) for t in tok]
+def _parse_fields(line, lineno, layout, parsers, sep=None):
+    """The fields of one line of a text file, split at ``sep`` (default:
+    whitespace) and parsed one each by ``parsers``; a wrong field count or
+    an unparsable field raises a ValueError that names the line and the
+    expected ``layout``."""
+    tok = line.split(sep)
+    try:
+        if len(tok) == len(parsers):
+            return [parse(t) for parse, t in zip(parsers, tok)]
+    except ValueError:
+        pass
+    raise ValueError(f"line {lineno}: expected '{layout}', got {line.strip()!r}")

@@ -24,11 +24,12 @@ class CoefficientField:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         for region, value in self.eps.items():
-            if value <= 0:
-                raise ValueError(f"eps must be positive, got {value} for region {region}")
+            if not 0 < value < np.inf:
+                raise ValueError(f"eps must be positive and finite, got {value} "
+                                 f"for region {region}")
         if OMEGA1 in self.eps and OMEGA2 in self.eps:
             if self.eps[OMEGA1] < self.eps[OMEGA2]:
                 raise ValueError("two-phase fields require eps(region 1) >= eps(region 2)")
@@ -112,6 +113,8 @@ def interface_problem(eps1, eps2, kappa, split=0.5):
     """
     u, curl_u, div_u = _trig_solution()
     split = float(split)
+    if not 0 < split < 1:
+        raise ValueError(f"split must lie in (0, 1), got {split}")
     return ManufacturedProblem(
         coefficients=CoefficientField(eps={OMEGA1: float(eps1), OMEGA2: float(eps2)},
                                       kappa=float(kappa)),

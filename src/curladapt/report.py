@@ -8,7 +8,8 @@ import numpy as np
 from . import edge_fem
 from .estimators import EstimatorKind, dump_indicators, indicator
 from .linalg import CgNonConvergence
-from .mesh import build_structured_unit_square, red_refine, save_mesh, tag_regions
+from .mesh import (_parse_fields, build_structured_unit_square, red_refine, save_mesh,
+                   tag_regions)
 from .problems import (check_interface_alignment, default_solver_tol,
                        interface_problem, paper_problem)
 
@@ -78,8 +79,8 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.fmt not in ("csv", "markdown"):
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.solver_tol is not None and self.solver_tol <= 0:
-            raise ValueError("solver_tol must be positive")
+        if self.solver_tol is not None and not 0 < self.solver_tol < np.inf:
+            raise ValueError("solver_tol must be positive and finite")
         self.make_problem()
 
     def make_problem(self):
@@ -141,17 +142,16 @@ def parse_table_csv(path):
         header = fh.readline().strip()
         if header != "elements,e,eta,eta_tilde":
             raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cells = line.split(",")
-            if cells[0] == "eff":
-                eff_eta = float(cells[2])
-                eff_eta_tilde = float(cells[3])
+            if line.startswith("eff,"):
+                _, _, eff_eta, eff_eta_tilde = _parse_fields(
+                    line, lineno, "eff,,eta,eta_tilde", (str, str, float, float), ",")
             else:
-                rows.append(TableRow(int(cells[0]), float(cells[1]),
-                                     float(cells[2]), float(cells[3])))
+                rows.append(TableRow(*_parse_fields(
+                    line, lineno, "elements,e,eta,eta_tilde", (int, float, float, float), ",")))
     return ConvergenceTable(rows=tuple(rows), eff_eta=eff_eta,
                             eff_eta_tilde=eff_eta_tilde)
 
@@ -226,8 +226,8 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, solver_tol=1e-6,
     """
     runs = []
     for ratio in ratios:
-        if ratio < 1:
-            raise ValueError("contrast ratios must be >= 1")
+        if not 1 <= ratio < np.inf:
+            raise ValueError("contrast ratios must be finite and >= 1")
         for kappa in kappas:
             config = RunConfig(problem="interface", eps1=ratio * eps2, eps2=eps2,
                                kappa=kappa, levels=levels, solver_tol=solver_tol)

@@ -16,7 +16,7 @@ from curladapt.amr import doerfler_mark
 from curladapt.edge_fem import (assemble_system, element_matrices, solve,
                                 whitney_eval)
 from curladapt.estimators import EstimatorKind, indicator
-from curladapt.linalg import cg_solve, from_triplet_arrays, from_triplets, spmv
+from curladapt.linalg import cg_solve, from_triplet_arrays, from_triplets
 from curladapt.mesh import (bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
 from curladapt.problems import (interface_problem, paper_problem,
@@ -205,7 +205,7 @@ def test_property_galerkin_orthogonality():
         mesh = red_refine(build_structured_unit_square(4))
         matrix, b, _ = assemble_system(mesh, problem.coefficients, problem.f)
         solution = solve(mesh, problem.coefficients, problem.f)
-        residual = np.abs(b - spmv(matrix, solution.coefficients)).max()
+        residual = np.abs(b - matrix @ solution.coefficients).max()
         worst = max(worst, residual / np.linalg.norm(b))
     ok = worst <= 1e-10
     report("Galerkin orthogonality after solve", ok, f"worst residual {worst:.2e}")

@@ -61,7 +61,8 @@ def test_adaptive_stops_after_single_refinement():
 
 
 @pytest.mark.parametrize("options", [{"theta": 0.0}, {"theta": 1.5},
-                                     {"solver_tol": 0.0}, {"solver_tol": -1e-6}])
+                                     {"solver_tol": 0.0}, {"solver_tol": -1e-6},
+                                     {"solver_tol": np.nan}, {"solver_tol": np.inf}])
 def test_adaptive_refuses_bad_input_before_any_solve(monkeypatch, options):
     calls = []
     monkeypatch.setattr(edge_fem, "solve", lambda *args, **kwargs: calls.append(args))

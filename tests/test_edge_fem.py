@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from curladapt import edge_fem
 from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
@@ -10,7 +11,7 @@ from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
                                 galerkin_residual, load_solution, save_solution,
                                 solve, whitney_eval)
 from curladapt.estimators import indicator
-from curladapt.linalg import CgNonConvergence, cg_solve, from_triplet_arrays, spmv
+from curladapt.linalg import CgNonConvergence, cg_solve, from_triplet_arrays
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
 from curladapt.problems import (CoefficientField, interface_problem,
@@ -130,6 +131,13 @@ def test_element_matrices_kappa_zero_mass():
     assert np.array_equal(mass, np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("eps, kappa", [(0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                                        (1.0, -1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_element_matrices_rejects_bad_coefficients(eps, kappa):
+    with pytest.raises(ValueError):
+        element_matrices(REFERENCE, eps, kappa)
+
+
 def test_element_matrices_against_quadrature_oracle():
     rng = np.random.default_rng(42)
     quad = triangle_rule(8)
@@ -189,7 +197,8 @@ def test_assemble_dimensions_and_symmetry():
     problem = paper_problem(0.1, 10.0)
     matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
     assert matrix.shape == (40, 40)  # interior edges of the 4x4 mesh
-    transpose = matrix.transpose()
+    assert isinstance(matrix, scipy.sparse.csr_matrix) and matrix.has_canonical_format
+    transpose = matrix.T.tocsr()
     assert np.array_equal(matrix.indptr, transpose.indptr)
     assert np.array_equal(matrix.indices, transpose.indices)
     assert matrix.data == pytest.approx(transpose.data, abs=1e-15)
@@ -241,7 +250,8 @@ def test_assembly_is_frozen(case):
     matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
     field = DiscreteSolution(mesh, dofmap, np.sin(np.arange(dofmap.n_free) + 0.5))
     residual = galerkin_residual(field, problem)
-    assert (_sha256(matrix.indptr, matrix.indices, matrix.data, b),
+    assert (_sha256(matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64),
+                    matrix.data, b),
             _sha256(residual)) == FROZEN_ASSEMBLY[case]
     # no matrix or load entry sums more than two element terms, so the
     # order of those sums cannot change a bit
@@ -275,8 +285,7 @@ def test_galerkin_orthogonality_algebraic_and_quadrature():
     problem = paper_problem(0.1, 10.0)
     matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
     sol = solve(mesh, problem.coefficients, problem.f)
-    from curladapt.linalg import spmv
-    algebraic = b - spmv(matrix, sol.coefficients)
+    algebraic = b - matrix @ sol.coefficients
     assert np.abs(algebraic).max() <= 1e-10 * np.linalg.norm(b)
     # same identity via quadrature against the analytic solution
     residual = galerkin_residual(sol, problem)
@@ -526,12 +535,18 @@ def test_vertex_vectors_and_curls_are_read_only():
     ("{e} 0.5\n{e}\n", "line 2: expected 'edge_id value'"),
     ("{e} 0.5\n\n{e} 0.25\n", "line 3: edge id {e} given twice"),
     ("{e} 0.5 7\n", "line 1: expected 'edge_id value'"),
-], ids=["missing_value", "repeated_edge", "extra_token"])
+    ("{e} 0.5\n{b} nan\n", "line 2: value nan is not finite"),
+    ("{e} inf\n", "line 1: value inf is not finite"),
+    ("{e} zz\n", "line 1: expected 'edge_id value', got '{e} zz'"),
+    ("x 0.5\n", "line 1: expected 'edge_id value', got 'x 0.5'"),
+], ids=["missing_value", "repeated_edge", "extra_token", "nan_on_boundary", "inf",
+        "non_numeric_value", "non_numeric_edge"])
 def test_load_solution_rejects_malformed_lines(tmp_path, text, message):
     mesh = build_structured_unit_square(2)
     e = int(np.nonzero(~mesh.is_boundary_edge)[0][0])
+    b = int(np.nonzero(mesh.is_boundary_edge)[0][0])
     path = tmp_path / "solution.txt"
-    path.write_text(text.format(e=e))
+    path.write_text(text.format(e=e, b=b))
     with pytest.raises(ValueError, match=message.format(e=e)):
         load_solution(mesh, path)
 
@@ -558,7 +573,7 @@ def test_discrete_gradient_maps_nodal_values_to_curl_free_fields(bisected):
     rng = np.random.default_rng(7)
     v = np.zeros(mesh.num_vertices)
     v[interior] = rng.standard_normal(interior.sum())
-    coefficients = spmv(gradient, v[interior])
+    coefficients = gradient @ v[interior]
     free = dofmap.edge_dof >= 0
     lo, hi = mesh.edges[free].T
     assert np.array_equal(coefficients[dofmap.edge_dof[free]], v[hi] - v[lo])
@@ -583,6 +598,7 @@ def test_discrete_gradient_matches_the_triplet_build(mesh):
     reference = from_triplet_arrays(dofmap.n_free, int(interior.sum()),
                                     rows[keep], cols[keep], vals[keep])
     gradient = discrete_gradient(dofmap)
+    assert isinstance(gradient, scipy.sparse.csr_matrix) and gradient.has_canonical_format
     assert gradient.shape == reference.shape
     for name in ("indptr", "indices", "data"):
         actual, expected = getattr(gradient, name), getattr(reference, name)
@@ -617,7 +633,7 @@ def test_gradient_correction_iterations_against_jacobi(problem, rel_tol, max_rat
     jacobi = cg_solve(matrix, b, rel_tol=rel_tol)
     assert sol.iterations <= max_ratio * jacobi.iterations
     assert sol.residual <= rel_tol
-    true_residual = np.linalg.norm(b - spmv(matrix, sol.coefficients)) / np.linalg.norm(b)
+    true_residual = np.linalg.norm(b - matrix @ sol.coefficients) / np.linalg.norm(b)
     assert sol.residual == pytest.approx(true_residual, rel=1e-12)
 
 

@@ -355,7 +355,16 @@ def test_load_rejects_inconsistent_header(tmp_path):
      "line 18: expected 'v0 v1 v2 region'"),
     (lambda lines: lines[:-2], "line 17: expected 'v0 v1 v2 region', got ''"),
     (lambda lines: lines[:4], "line 5: expected 'x y', got ''"),
-], ids=["triangle_without_region", "truncated_triangles", "truncated_vertices"])
+    (lambda lines: ["0 0 0"], "line 1: counts must be positive"),
+    (lambda lines: ["9 16 -8"] + lines[1:], "line 1: counts must be positive"),
+    (lambda lines: ["9 16 x"] + lines[1:], "line 1: expected 'V E F', got '9 16 x'"),
+    (lambda lines: lines[:1] + ["1 zz"] + lines[2:], "line 2: expected 'x y', got '1 zz'"),
+    (lambda lines: lines[:-1] + ["0 1 2 x"], "line 18: expected 'v0 v1 v2 region'"),
+    (lambda lines: lines[:-1] + ["0 1 2 1.5"], "line 18: expected 'v0 v1 v2 region'"),
+    (lambda lines: lines + ["", "0 1 2 1"], "line 20: text after the last triangle"),
+], ids=["triangle_without_region", "truncated_triangles", "truncated_vertices",
+        "zero_header", "negative_count", "non_numeric_count", "non_numeric_coordinate",
+        "region_x", "fractional_region", "trailing_line"])
 def test_load_rejects_malformed_lines(tmp_path, cut, message):
     path = tmp_path / "mesh.txt"
     save_mesh(build_structured_unit_square(2), path)

@@ -51,6 +51,9 @@ def test_coefficient_field_validation():
         CoefficientField(eps={1: -1.0}, kappa=1.0)
     with pytest.raises(ValueError):
         CoefficientField(eps={1: 1.0, 2: 10.0}, kappa=1.0)  # eps1 < eps2
+    for eps, kappa in [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]:
+        with pytest.raises(ValueError):
+            CoefficientField(eps={1: eps}, kappa=kappa)
     field = CoefficientField(eps={1: 10.0, 2: 1.0}, kappa=1.0)
     assert field.eps_of(1) == 10.0
     with pytest.raises(ValueError):
@@ -62,6 +65,9 @@ def test_paper_problem_rejects_bad_parameters():
         paper_problem(0.0, 1.0)
     with pytest.raises(ValueError):
         interface_problem(1.0, 2.0, 1.0)  # eps1 < eps2
+    for split in (0.0, 1.0, 2.0, -0.5, np.nan):  # one region would hold every element
+        with pytest.raises(ValueError, match="split"):
+            interface_problem(2.0, 1.0, 1.0, split)
 
 
 def test_verify_consistency_passes_for_shipped_problems():

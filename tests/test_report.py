@@ -57,6 +57,20 @@ def test_emit_full_precision_roundtrip(tmp_path):
     assert parsed.eff_eta == table.eff_eta
 
 
+@pytest.mark.parametrize("body, message", [
+    ("32,0.8,3.6\n", "line 2: expected 'elements,e,eta,eta_tilde', got '32,0.8,3.6'"),
+    ("32,0.8,3.6,3.8\neff,,0.2\n", "line 3: expected 'eff,,eta,eta_tilde', got 'eff,,0.2'"),
+    ("32,zz,3.6,3.8\n", "line 2: expected 'elements,e,eta,eta_tilde'"),
+    ("32.5,0.8,3.6,3.8\n", "line 2: expected 'elements,e,eta,eta_tilde'"),
+    ("# note\n\n32,0.8,3.6,3.8,9\n", "line 4: expected 'elements,e,eta,eta_tilde'"),
+], ids=["short_row", "short_eff", "non_numeric", "fractional_elements", "extra_cell"])
+def test_parse_table_csv_rejects_malformed_lines(tmp_path, body, message):
+    path = tmp_path / "table.csv"
+    path.write_text("elements,e,eta,eta_tilde\n" + body)
+    with pytest.raises(ValueError, match=message):
+        parse_table_csv(path)
+
+
 def test_markdown_layout():
     rows = [TableRow(32, 0.8, 3.6, 3.8)]
     text = table_to_markdown(ConvergenceTable.from_rows(rows))
@@ -150,7 +164,11 @@ def test_sweep_rejects_bad_ratio():
 @pytest.mark.parametrize("ratios, kappas, levels", [([1.0, 0.5], [1.0], 1),
                                                     ([1.0], [1.0, 0.0], 1),
                                                     ([1.0, 10.0], [1.0, -1.0], 1),
-                                                    ([1.0], [1.0], 0)])
+                                                    ([1.0], [1.0], 0),
+                                                    ([1.0, np.nan], [1.0], 1),
+                                                    ([1.0, np.inf], [1.0], 1),
+                                                    ([1.0], [1.0, np.nan], 1),
+                                                    ([1.0], [1.0, np.inf], 1)])
 def test_sweep_refuses_a_late_bad_value_before_any_solve(monkeypatch, ratios, kappas,
                                                          levels):
     calls = []
