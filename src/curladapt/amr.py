@@ -7,7 +7,11 @@ import numpy as np
 from . import edge_fem
 from .estimators import EstimatorKind, indicator
 from .mesh import bisect_refine, build_structured_unit_square, tag_regions
-from .problems import check_interface_alignment, default_solver_tol
+from .problems import check_interface_alignment
+
+# Fraction of eta the A-norm algebraic error of each adaptive solve may
+# reach under the energy stop.
+ALGEBRAIC_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,12 +57,24 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
     estimate (and the energy error when the problem carries an exact
     solution), then Doerfler-marks and bisects.  Returns the list of
     per-iteration records; marked counts are zero on the final record.
+
+    By default CG stops on its algebraic error, which only has to stay
+    well below the discretisation error that eta estimates: the A-norm
+    error of every iterate should be at most ``ALGEBRAIC_FRACTION * eta``
+    of its own iteration.  Iteration i stops CG once the delayed energy
+    estimate (:func:`linalg.cg_solve`) reaches ``ALGEBRAIC_FRACTION *
+    eta_{i-1} / 2``; the first iteration knows no eta yet and stops at
+    ``linalg.ENERGY_RELATIVE_TOL`` relative to the energy of its iterate.
+    When the new estimate has fallen below ``eta_{i-1} / 2`` that target
+    no longer implies the bound, so CG resumes from the iterate with target
+    ``ALGEBRAIC_FRACTION * eta_i / 2`` and eta is estimated again.
+
+    An explicit ``solver_tol`` stops every solve on the relative residual
+    ``solver_tol`` instead.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    if solver_tol is None:
-        solver_tol = default_solver_tol(problem)
-    elif not 0 < solver_tol < np.inf:
+    if solver_tol is not None and not 0 < solver_tol < np.inf:
         raise ValueError("solver_tol must be positive and finite")
     mesh = build_structured_unit_square(4)
     if problem.classifier is not None:
@@ -70,10 +86,20 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
 
     records = []
     iteration = 0
+    eta_prev = None
     while True:
+        target = None
+        if solver_tol is None and eta_prev is not None:
+            target = ALGEBRAIC_FRACTION * eta_prev / 2
         solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
-                                  rel_tol=solver_tol)
+                                  rel_tol=solver_tol, energy_target=target)
         breakdown = indicator(solution, problem, kind)
+        if target is not None and breakdown.global_estimate < eta_prev / 2:
+            solution = edge_fem.solve(
+                mesh, problem.coefficients, problem.f, rel_tol=None,
+                energy_target=ALGEBRAIC_FRACTION * breakdown.global_estimate / 2,
+                x0=solution.coefficients)
+            breakdown = indicator(solution, problem, kind)
         eta = breakdown.global_estimate
         if problem.u is not None:
             error = edge_fem.energy_error(solution, problem.coefficients,
@@ -91,6 +117,7 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
         if not marked:
             return records
         mesh = bisect_refine(mesh, marked)
+        eta_prev = eta
         iteration += 1
 
 

@@ -60,7 +60,10 @@ def build_parser():
     adaptive.add_argument("--max-dofs", type=int, default=2000)
     adaptive.add_argument("--estimator", choices=("robust", "classical"),
                           default="robust")
-    adaptive.add_argument("--solver-tol", type=float)
+    adaptive.add_argument("--solver-tol", type=float,
+                          help="stop CG at this relative residual; by default CG "
+                               "stops on its estimated energy-norm error, kept below "
+                               "1e-3 of eta (the energy stop)")
     adaptive.add_argument("--out")
     return parser
 

@@ -322,15 +322,19 @@ def assemble_system(mesh, coefficients, f):
     return dofmap.scatter(stiffness + mass), dofmap.scatter(load), dofmap
 
 
-def solve(mesh, coefficients, f, rel_tol=1e-12):
+def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None):
     """Solve the discrete problem and return a :class:`DiscreteSolution`.
 
     CG is preconditioned with Jacobi plus a diagonal solve on the
     gradients of interior nodal functions (:func:`discrete_gradient`),
-    which keeps it converging when eps is large against kappa.
+    which keeps it converging when eps is large against kappa.  It starts
+    from the free-dof vector ``x0`` (zero if None) and stops on the
+    relative residual ``rel_tol``, or with ``rel_tol=None`` on the energy
+    estimate against ``energy_target`` (see :func:`linalg.cg_solve`).
     """
     matrix, b, dofmap = assemble_system(mesh, coefficients, f)
-    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, gradient=discrete_gradient(dofmap))
+    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, gradient=discrete_gradient(dofmap),
+                             x0=x0, energy_target=energy_target)
     return DiscreteSolution(mesh, dofmap, result.x, result.iterations, result.residual)
 
 

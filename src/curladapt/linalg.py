@@ -15,8 +15,18 @@ space, ``B r = r / diag(A) + G ((G^T r) / diag(G^T A G))``: the
 gradient-space half of Hiptmair's hybrid smoother for H(curl) (SIAM J.
 Numer. Anal. 36, 1999).  Gradients are the near-kernel of the curl-curl
 operator when kappa is small against eps, where Jacobi alone stalls.
+
+It stops by one of two rules.  The residual contract asks for a fixed
+relative residual ``||b - A x|| <= rel_tol * ||b||``; near the float64
+floor of the discretisation that number may be unreachable.  The energy
+stop bounds the algebraic error ``||x - x_k||_A`` instead, through the
+delayed Hestenes-Stiefel estimate (Strakos and Tichy, ETNA 13, 2002),
+against a target the caller derives from its discretisation error
+(Arioli, Numer. Math. 97, 2004); ``amr.adaptive_solve`` uses it.
 """
 
+import collections
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +78,13 @@ def from_triplet_arrays(n_rows, n_cols, rows, cols, vals):
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
 
 
+# Energy stop: delay d of the Hestenes-Stiefel estimate, and the target on
+# its square relative to the energy gained so far, for a solve that knows
+# no absolute target yet.
+ENERGY_DELAY = 8
+ENERGY_RELATIVE_TOL = 1e-8
+
+
 class CgResult(NamedTuple):
     x: np.ndarray
     iterations: int
@@ -75,7 +92,7 @@ class CgResult(NamedTuple):
 
 
 class CgNonConvergence(RuntimeError):
-    """CG failed to meet the residual contract; carries the best iterate."""
+    """CG failed to meet its stopping rule; carries the best iterate."""
 
     def __init__(self, message, x, iterations, residual):
         super().__init__(message)
@@ -84,7 +101,33 @@ class CgNonConvergence(RuntimeError):
         self.residual = residual
 
 
-def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
+def _cg_steps(a, precondition, x, r):
+    """Preconditioned CG from the iterate ``x`` with residual ``r = b - A x``.
+
+    Updates ``x`` and ``r`` in place and yields ``alpha_j r_j . z_j`` after
+    every step; stops once ``r . z`` is no longer positive (an exact zero
+    residual).
+    """
+    z = precondition(r)
+    p = z.copy()
+    rz = r @ z
+    while rz > 0:
+        ap = a @ p
+        pap = p @ ap
+        if pap <= 0:
+            raise ValueError("matrix is not positive definite")
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        z = precondition(r)
+        rz_next = r @ z
+        p = z + (rz_next / rz) * p
+        yield alpha * rz
+        rz = rz_next
+
+
+def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None, x0=None,
+             energy_target=None):
     """Preconditioned conjugate gradients for symmetric positive definite A.
 
     Without ``gradient`` the preconditioner is Jacobi, ``B r = r /
@@ -92,16 +135,31 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
     whose columns span a subspace of near-kernel directions (the discrete
     gradients of an edge-element space); the preconditioner then becomes
     ``B r = r / diag(A) + G ((G^T r) / diag(G^T A G))``, which is also
-    symmetric positive definite.
+    symmetric positive definite.  CG starts from ``x0`` (zero if None), so
+    a solve can be resumed from an earlier iterate.
 
-    Iterates until the recurrence residual satisfies ``||r|| <= rel_tol *
-    ||b||``, then checks the true residual ``||b - A x||`` in float64; if
-    rounding has detached the two, the solve restarts from the computed
-    iterate (at most twice) before raising :class:`CgNonConvergence`.  A
-    restart takes its residual ``b - A x`` in extended precision
-    (``np.longdouble``), so that the float64 rounding of that product does
-    not cap what the restart can reach; the acceptance check itself stays
-    in float64.
+    Two stopping rules:
+
+    * Residual contract (``rel_tol`` a number).  Iterates until the
+      recurrence residual satisfies ``||r|| <= rel_tol * ||b||``, then
+      checks the true residual ``||b - A x||`` in float64; if rounding has
+      detached the two, the solve restarts from the computed iterate (at
+      most twice) before raising :class:`CgNonConvergence`.  A restart
+      takes its residual ``b - A x`` in extended precision
+      (``np.longdouble``), so that the float64 rounding of that product
+      does not cap what the restart can reach; the acceptance check itself
+      stays in float64.
+    * Energy stop (``rel_tol=None``).  Bounds the algebraic error in the
+      A-norm instead.  Step j contributes ``alpha_j r_j . z_j``; at step k
+      the delayed sum of the last d = ``ENERGY_DELAY`` contributions is the
+      Hestenes-Stiefel estimate of ``||x - x_{k-d}||_A^2`` (Strakos and
+      Tichy, ETNA 13, 2002), and ``||x - x_k||_A`` is no larger than
+      ``||x - x_{k-d}||_A``.  CG stops once that sum is at most
+      ``energy_target**2``.  Without ``energy_target`` it stops once the
+      sum is at most ``ENERGY_RELATIVE_TOL`` times the running sum of all
+      contributions, which is ``||x_k - x0||_A^2``.  An exactly zero
+      residual stops either rule, also before d steps.  Reaching
+      ``max_iter`` first raises :class:`CgNonConvergence`.
 
     Returns ``(x, iterations, residual)`` with the relative true residual.
     """
@@ -111,8 +169,15 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
         raise ValueError("matrix must be square and match the right-hand side")
     if gradient is not None and gradient.shape[0] != n:
         raise ValueError("gradient must have one row per unknown")
-    if not 0 < rel_tol < np.inf:
-        raise ValueError("rel_tol must be positive and finite")
+    if x0 is not None and np.shape(x0) != (n,):
+        raise ValueError("x0 must have one entry per unknown")
+    if rel_tol is not None:
+        if not 0 < rel_tol < np.inf:
+            raise ValueError("rel_tol must be positive and finite")
+        if energy_target is not None:
+            raise ValueError("energy_target needs rel_tol=None")
+    elif energy_target is not None and not 0 < energy_target < np.inf:
+        raise ValueError("energy_target must be positive and finite")
     if max_iter is None:
         max_iter = 20 * n
 
@@ -137,25 +202,35 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None):
         def precondition(r):
             return r / diag + g @ ((gt @ r) / diag_g)
 
-    x = np.zeros(n)
-    r = b.copy()
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = b - a @ x
     iterations = 0
+    if rel_tol is None:
+        window = collections.deque(maxlen=ENERGY_DELAY)
+        energy = 0.0
+        bound = 0.0 if energy_target is None else energy_target ** 2
+        for term in itertools.islice(_cg_steps(a, precondition, x, r), max_iter):
+            iterations += 1
+            window.append(term)
+            if energy_target is None:
+                energy += term
+                bound = ENERGY_RELATIVE_TOL * energy
+            if len(window) == ENERGY_DELAY and sum(window) <= bound:
+                break
+        else:
+            if r.any():
+                achieved = np.linalg.norm(b - a @ x) / norm_b
+                raise CgNonConvergence(
+                    f"CG did not reach energy target {np.sqrt(bound):.3e} in "
+                    f"{iterations} iterations (estimate {np.sqrt(sum(window)):.3e})",
+                    x, iterations, achieved)
+        return CgResult(x, iterations, np.linalg.norm(b - a @ x) / norm_b)
+
     for _restart in range(3):
-        z = precondition(r)
-        p = z.copy()
-        rz = r @ z
+        steps = _cg_steps(a, precondition, x, r)
         while iterations < max_iter and np.linalg.norm(r) > rel_tol * norm_b:
-            ap = a @ p
-            pap = p @ ap
-            if pap <= 0:
-                raise ValueError("matrix is not positive definite")
-            alpha = rz / pap
-            x += alpha * p
-            r -= alpha * ap
-            z = precondition(r)
-            rz_next = r @ z
-            p = z + (rz_next / rz) * p
-            rz = rz_next
+            if next(steps, None) is None:
+                break
             iterations += 1
         r = b - a @ x  # replace recurrence residual by the true one
         achieved = np.linalg.norm(r) / norm_b

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
-from curladapt import edge_fem
+from curladapt import amr, edge_fem
 from curladapt.amr import adaptive_solve, doerfler_mark, records_to_csv
 from curladapt.estimators import EstimatorKind, indicator
 from curladapt.mesh import bisect_refine, build_structured_unit_square, tag_regions
@@ -151,10 +152,61 @@ FROZEN_INTERFACE_RUN = [
 ]
 
 
-def test_adaptive_interface_run_is_frozen():
-    records = adaptive_solve(interface_problem(1e4, 1.0, 1.0), max_dofs=2000)
+# The same run under the default energy stop: the meshes and marks are
+# identical, eta and the error moved by at most 7.6e-6 and 1.0e-6 relative.
+FROZEN_INTERFACE_ENERGY_RUN = [
+    (32, 40, 1.120950554020084, 0.2668974978683929, 11),
+    (46, 61, 0.8213784941463204, 0.18129599501656193, 18),
+    (80, 112, 0.6625840659096142, 0.14095465714831118, 19),
+    (107, 151, 0.5775525967810162, 0.13181006484745345, 37),
+    (158, 225, 0.485916314243875, 0.10816125017698298, 45),
+    (215, 307, 0.4072760529604064, 0.09133581260772124, 67),
+    (301, 435, 0.33588939295484244, 0.07304929601263568, 91),
+    (416, 600, 0.29058483962121084, 0.06707581743650437, 151),
+    (608, 884, 0.24717180341251055, 0.05736687386469444, 171),
+    (806, 1181, 0.20571504446466307, 0.0458612591343565, 284),
+    (1188, 1754, 0.16936532092024173, 0.03626113894201694, 340),
+    (1572, 2314, 0.14870796642445405, 0.033701193159663294, 0),
+]
+
+
+def _assert_run_is(records, frozen):
     assert [(r.n_elements, r.n_dofs, r.n_marked) for r in records] == \
-        [(n, d, m) for n, d, _, _, m in FROZEN_INTERFACE_RUN]
-    for record, (_, _, eta, error, _) in zip(records, FROZEN_INTERFACE_RUN):
+        [(n, d, m) for n, d, _, _, m in frozen]
+    for record, (_, _, eta, error, _) in zip(records, frozen):
         assert record.eta == pytest.approx(eta, rel=1e-12)
         assert record.error == pytest.approx(error, rel=1e-12)
+
+
+def test_adaptive_interface_run_is_frozen():
+    records = adaptive_solve(interface_problem(1e4, 1.0, 1.0), max_dofs=2000,
+                             solver_tol=1e-6)
+    _assert_run_is(records, FROZEN_INTERFACE_RUN)
+
+
+def test_adaptive_interface_energy_stop_is_frozen():
+    records = adaptive_solve(interface_problem(1e4, 1.0, 1.0), max_dofs=2000)
+    _assert_run_is(records, FROZEN_INTERFACE_ENERGY_RUN)
+
+
+@pytest.mark.parametrize("problem", [interface_problem(1e4, 1.0, 1.0),
+                                     paper_problem(1.0, 1e-4), paper_problem(0.1, 10.0)],
+                         ids=["interface-1e4", "paper-1-1e-4", "paper-0.1-10"])
+def test_energy_stop_keeps_algebraic_error_below_eta(monkeypatch, problem):
+    # the last solution estimated on each mesh is the one its record reports
+    final = {}
+    estimate = amr.indicator
+
+    def spy(solution, problem, kind):
+        breakdown = estimate(solution, problem, kind)
+        final[id(solution.mesh)] = solution, breakdown.global_estimate
+        return breakdown
+
+    monkeypatch.setattr(amr, "indicator", spy)
+    records = adaptive_solve(problem, max_dofs=3000)
+    assert len(final) == len(records)
+    for solution, eta in final.values():
+        matrix, b, _ = edge_fem.assemble_system(solution.mesh, problem.coefficients,
+                                                problem.f)
+        error = spsolve(matrix.tocsc(), b) - solution.coefficients
+        assert np.sqrt(error @ (matrix @ error)) <= amr.ALGEBRAIC_FRACTION * eta

@@ -1,3 +1,5 @@
+import pytest
+
 from curladapt.cli import main
 
 
@@ -64,6 +66,19 @@ def test_run_adaptive(tmp_path, capsys):
     assert lines[0] == "iter,elements,dofs,eta,error,marked"
     assert len(lines) >= 3
     assert "iter" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("problem", [
+    ["--eps", "1", "--kappa", "1e-4"],
+    ["--problem", "interface", "--eps1", "1e6", "--eps2", "1", "--kappa", "1e-2"],
+], ids=["paper-1-1e-4", "interface-1e6-kappa-1e-2"])
+def test_run_adaptive_below_the_residual_floor(capsys, problem):
+    # a fixed relative residual is out of reach on the first mesh here
+    code = main(["run-adaptive", *problem, "--max-dofs", "2000"])
+    assert code == 0
+    *_, dofs, eta, error, marked = capsys.readouterr().out.splitlines()[-1].split()
+    assert int(dofs) >= 2000 and int(marked) == 0
+    assert 0 < float(error) < float(eta)
 
 
 def test_full_precision_flag(tmp_path):

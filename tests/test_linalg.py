@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from curladapt.linalg import (CgNonConvergence, cg_solve, from_triplet_arrays,
-                              from_triplets)
+from curladapt.linalg import (ENERGY_DELAY, ENERGY_RELATIVE_TOL, CgNonConvergence,
+                              CgResult, cg_solve, from_triplet_arrays, from_triplets)
 
 
 def poisson_5point(n):
@@ -155,6 +155,81 @@ def test_cg_rejects_bad_tol():
     for rel_tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             cg_solve(m, np.ones(4), rel_tol=rel_tol)
+    for target in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            cg_solve(m, np.ones(4), rel_tol=None, energy_target=target)
+    with pytest.raises(ValueError):  # two stopping rules at once
+        cg_solve(m, np.ones(4), rel_tol=1e-8, energy_target=1e-3)
+    with pytest.raises(ValueError):
+        cg_solve(m, np.ones(4), x0=np.zeros(3))
+
+
+def test_cg_result_keeps_three_fields():
+    assert CgResult._fields == ("x", "iterations", "residual")
+
+
+def energy_norm(matrix, v):
+    return np.sqrt(v @ (matrix @ v))
+
+
+@pytest.mark.parametrize("target", [1e-2, 1e-5, 1e-9])
+def test_cg_energy_stop_meets_absolute_target(target):
+    m = poisson_5point(16)
+    b = np.random.default_rng(1).standard_normal(256)
+    x, iterations, residual = cg_solve(m, b, rel_tol=None, energy_target=target)
+    oracle = np.linalg.solve(m.toarray(), b)
+    assert energy_norm(m, oracle - x) <= target
+    assert iterations >= ENERGY_DELAY
+    assert residual == pytest.approx(np.linalg.norm(b - m @ x) / np.linalg.norm(b))
+
+
+def test_cg_energy_stop_relative_target():
+    m = poisson_5point(16)
+    b = np.random.default_rng(2).standard_normal(256)
+    x, _, _ = cg_solve(m, b, rel_tol=None)
+    oracle = np.linalg.solve(m.toarray(), b)
+    assert energy_norm(m, oracle - x) <= np.sqrt(ENERGY_RELATIVE_TOL) * energy_norm(m, x)
+    # the relative stop needs fewer iterations than a tight absolute one
+    assert cg_solve(m, b, rel_tol=None)[1] < cg_solve(m, b, rel_tol=None,
+                                                      energy_target=1e-12)[1]
+
+
+def test_cg_energy_stop_before_the_delay_returns_cleanly():
+    # Jacobi solves a diagonal system in one step: r.z is then exactly zero
+    diag = from_triplets(3, 3, [(0, 0, 2.0), (1, 1, 4.0), (2, 2, 8.0)])
+    b = np.array([1.0, 2.0, 3.0])
+    with np.errstate(all="raise"):
+        for target in (None, 1e-3):
+            x, iterations, residual = cg_solve(diag, b, rel_tol=None, energy_target=target)
+            assert iterations == 1 < ENERGY_DELAY
+            assert np.array_equal(x, b / [2.0, 4.0, 8.0])
+            assert residual == 0.0
+
+
+def test_cg_energy_stop_max_iter_names_the_target():
+    m = poisson_5point(16)
+    b = np.ones(256)
+    with pytest.raises(CgNonConvergence, match="energy target 1.000e-12") as info:
+        cg_solve(m, b, rel_tol=None, energy_target=1e-12, max_iter=3)
+    assert info.value.iterations == 3
+    achieved = np.linalg.norm(b - m @ info.value.x) / np.linalg.norm(b)
+    assert info.value.residual == pytest.approx(achieved, rel=1e-12)
+
+
+def test_cg_resumes_from_x0():
+    m = poisson_5point(8)
+    exact = np.arange(64.0) - 20.0
+    b = m @ exact  # integer arithmetic: b - A exact is exactly zero
+    for rel_tol in (None, 1e-12):
+        x, iterations, residual = cg_solve(m, b, rel_tol=rel_tol, x0=exact)
+        assert iterations == 0 and residual == 0.0
+        assert np.array_equal(x, exact)
+    with pytest.raises(CgNonConvergence) as info:
+        cg_solve(m, b, rel_tol=None, energy_target=1e-6, max_iter=ENERGY_DELAY)
+    partial = info.value.x
+    x, _, _ = cg_solve(m, b, rel_tol=None, energy_target=1e-6, x0=partial)
+    assert energy_norm(m, exact - x) <= 1e-6
+    assert np.array_equal(partial, info.value.x)  # x0 is not written to
 
 
 def test_transpose_structural_symmetry():
