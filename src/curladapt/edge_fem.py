@@ -20,6 +20,15 @@ without a per-point basis tensor.
 
 Homogeneous tangential boundary conditions are imposed by eliminating the
 boundary-edge unknowns.
+
+A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
+(:func:`prolongate`).  On each coarse element P it is linear with a
+constant curl, ``u = w_0 + (curl_P / 2) (x - x_0)^perp`` about P's first
+vertex x_0, where it takes the vertex vector w_0.  The moment of a fine
+edge, which lies in its first incident triangle and hence in that
+triangle's parent, is therefore exactly ``u(midpoint) . (head - tail)``.
+The prolongated field is the coarse one; no prolongation matrix and no
+vertex history are needed.
 """
 
 from dataclasses import dataclass
@@ -29,7 +38,8 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .mesh import _LOCAL_EDGES, _cross2, _gradients, _parse_fields, _signed_areas
+from .mesh import (_LOCAL_EDGES, _cross2, _gradients, _parse_fields, _rot90,
+                   _signed_areas)
 from .quadrature import triangle_rule
 
 # local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
@@ -336,6 +346,25 @@ def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None):
     result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, gradient=discrete_gradient(dofmap),
                              x0=x0, energy_target=energy_target)
     return DiscreteSolution(mesh, dofmap, result.x, result.iterations, result.residual)
+
+
+def prolongate(solution, mesh):
+    """Free-dof vector of the field ``solution`` on ``mesh``, a refinement
+    of ``solution.mesh`` whose ``parent_ids`` index that mesh's triangles.
+
+    Exact: the result is the coarse field itself (module docstring).
+    """
+    coarse = solution.mesh
+    parents = mesh.parent_ids
+    if ((parents < 0) | (parents >= coarse.num_triangles)).any():
+        raise ValueError("mesh.parent_ids do not index the triangles of the solution's mesh")
+    free = ~mesh.is_boundary_edge
+    p = parents[mesh.edge_tris[free, 0]]
+    tail, head = mesh.vertices[mesh.edges[free].T]
+    # u at the midpoint, from its value w_0 at the parent's first vertex
+    offset = 0.5 * (tail + head) - coarse.vertices[coarse.triangles[p, 0]]
+    u = solution.vertex_vectors[p, 0] + 0.5 * solution.curls[p, None] * _rot90(offset)
+    return np.einsum("ie,ie->i", u, head - tail)
 
 
 def _barycentric(mesh, tri_id, point):

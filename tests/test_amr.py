@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from curladapt import amr, edge_fem
+from curladapt import amr, edge_fem, linalg
 from curladapt.amr import adaptive_solve, doerfler_mark, records_to_csv
 from curladapt.estimators import EstimatorKind, indicator
 from curladapt.mesh import bisect_refine, build_structured_unit_square, tag_regions
@@ -136,38 +138,41 @@ def test_records_csv(tmp_path):
 # adaptive_solve(interface_problem(1e4, 1, 1), max_dofs=2000), frozen from a
 # verified run.  A rounding change in the estimator can flip a Doerfler
 # near-tie and silently grow a different mesh, so the counts are exact.
+# Every solve after the first starts from the prolongated previous field.
 FROZEN_INTERFACE_RUN = [
     (32, 40, 1.1209505825172594, 0.2668974978676073, 11),
-    (46, 61, 0.8213791332316385, 0.18129599476330419, 18),
-    (80, 112, 0.6625840282750625, 0.1409546568108787, 19),
-    (107, 151, 0.5775527027732624, 0.13181006453832356, 37),
-    (158, 225, 0.485916917468984, 0.10816124963437665, 45),
-    (215, 307, 0.4072762924094165, 0.09133581173000643, 67),
-    (301, 435, 0.33588841916505735, 0.07304928133575879, 91),
-    (416, 600, 0.29058488569644075, 0.0670758161972441, 151),
-    (608, 884, 0.24717192942162378, 0.05736686789880688, 171),
-    (806, 1181, 0.20571661524555182, 0.045861280959604796, 284),
-    (1188, 1754, 0.1693654737855342, 0.036261102063430015, 340),
-    (1572, 2314, 0.1487079777775471, 0.03370117584690326, 0),
+    (46, 61, 0.8213791332085563, 0.18129599476330405, 18),
+    (80, 112, 0.6625840282881306, 0.14095465681087893, 19),
+    (107, 151, 0.5775527027529532, 0.13181006453832364, 37),
+    (158, 225, 0.48591691753696004, 0.10816124963437654, 45),
+    (215, 307, 0.40727629239938395, 0.09133581173000649, 67),
+    (301, 435, 0.3358884191532369, 0.07304928133575878, 91),
+    (416, 600, 0.29058488569964075, 0.06707581619724409, 151),
+    (608, 884, 0.2471719294549973, 0.05736686789880688, 171),
+    (806, 1181, 0.20571661523924378, 0.0458612809596048, 284),
+    (1188, 1754, 0.16936547380635736, 0.03626110206343003, 340),
+    (1572, 2314, 0.14870797776523745, 0.03370117584690328, 0),
 ]
 
 
 # The same run under the default energy stop: the meshes and marks are
-# identical, eta and the error moved by at most 7.6e-6 and 1.0e-6 relative.
+# identical, eta and the error moved by at most 3.6e-6 and 6.2e-7 relative.
 FROZEN_INTERFACE_ENERGY_RUN = [
     (32, 40, 1.120950554020084, 0.2668974978683929, 11),
-    (46, 61, 0.8213784941463204, 0.18129599501656193, 18),
-    (80, 112, 0.6625840659096142, 0.14095465714831118, 19),
-    (107, 151, 0.5775525967810162, 0.13181006484745345, 37),
-    (158, 225, 0.485916314243875, 0.10816125017698298, 45),
-    (215, 307, 0.4072760529604064, 0.09133581260772124, 67),
-    (301, 435, 0.33588939295484244, 0.07304929601263568, 91),
-    (416, 600, 0.29058483962121084, 0.06707581743650437, 151),
-    (608, 884, 0.24717180341251055, 0.05736687386469444, 171),
-    (806, 1181, 0.20571504446466307, 0.0458612591343565, 284),
-    (1188, 1754, 0.16936532092024173, 0.03626113894201694, 340),
-    (1572, 2314, 0.14870796642445405, 0.033701193159663294, 0),
+    (46, 61, 0.8213791446142715, 0.18129599477228409, 18),
+    (80, 112, 0.6625840458809142, 0.14095465684008315, 19),
+    (107, 151, 0.5775547646072935, 0.1318100690850839, 37),
+    (158, 225, 0.4859169246754907, 0.108161250017339, 45),
+    (215, 307, 0.40727694049059443, 0.09133583175780237, 67),
+    (301, 435, 0.33588764516730735, 0.07304928361802965, 91),
+    (416, 600, 0.29058465694574326, 0.06707582033875108, 151),
+    (608, 884, 0.24717236876565016, 0.05736689821949385, 171),
+    (806, 1181, 0.20571711390323905, 0.04586130697451984, 284),
+    (1188, 1754, 0.16936515663581536, 0.03626112381948733, 340),
+    (1572, 2314, 0.14870779136587467, 0.03370119661543918, 0),
 ]
+# total CG iterations of the energy run: 604 when every solve started from zero
+FROZEN_INTERFACE_ENERGY_CG_ITERATIONS = 395
 
 
 def _assert_run_is(records, frozen):
@@ -184,9 +189,66 @@ def test_adaptive_interface_run_is_frozen():
     _assert_run_is(records, FROZEN_INTERFACE_RUN)
 
 
-def test_adaptive_interface_energy_stop_is_frozen():
+def test_adaptive_interface_energy_stop_is_frozen(monkeypatch):
+    iterations = []
+    cg_solve = linalg.cg_solve
+
+    def spy(*args, **kwargs):
+        result = cg_solve(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(linalg, "cg_solve", spy)
     records = adaptive_solve(interface_problem(1e4, 1.0, 1.0), max_dofs=2000)
     _assert_run_is(records, FROZEN_INTERFACE_ENERGY_RUN)
+    assert len(iterations) == len(records)
+    assert sum(iterations) == FROZEN_INTERFACE_ENERGY_CG_ITERATIONS
+
+
+def test_adaptive_solve_warm_starts_from_the_prolongated_field(monkeypatch):
+    solves = []
+    solve = edge_fem.solve
+
+    def spy(mesh, coefficients, f, **kwargs):
+        solves.append((mesh, kwargs, solve(mesh, coefficients, f, **kwargs)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(edge_fem, "solve", spy)
+    adaptive_solve(paper_problem(1.0, 1.0), max_dofs=100)
+    assert len(solves) >= 3 and solves[0][1]["x0"] is None
+    for (_, _, previous), (mesh, kwargs, _) in zip(solves, solves[1:]):
+        assert np.array_equal(kwargs["x0"], edge_fem.prolongate(previous, mesh))
+
+
+def test_resume_branch_restarts_from_the_iterate_and_reports_the_new_eta(monkeypatch):
+    solves, etas = [], []
+    solve, estimate = edge_fem.solve, amr.indicator
+
+    def solve_spy(mesh, coefficients, f, **kwargs):
+        solves.append((kwargs, solve(mesh, coefficients, f, **kwargs)))
+        return solves[-1][1]
+
+    def indicator_spy(solution, problem, kind):
+        breakdown = estimate(solution, problem, kind)
+        if len(etas) == 1:  # first estimate on the second mesh: eta drops by 10x
+            breakdown = dataclasses.replace(breakdown, r1=breakdown.r1 / 100,
+                                            r2=breakdown.r2 / 100, j1=breakdown.j1 / 100,
+                                            j2=breakdown.j2 / 100)
+        etas.append(breakdown.global_estimate)
+        return breakdown
+
+    monkeypatch.setattr(edge_fem, "solve", solve_spy)
+    monkeypatch.setattr(amr, "indicator", indicator_spy)
+    records = adaptive_solve(interface_problem(1e4, 1.0, 1.0), max_dofs=41)
+    assert len(records) == 2 and len(solves) == 3 and len(etas) == 3
+    assert etas[1] < etas[0] / 2
+    _, (warm, iterate), (resume, resumed) = solves
+    assert warm["energy_target"] == amr.ALGEBRAIC_FRACTION * etas[0] / 4
+    assert resume["rel_tol"] is None
+    assert resume["x0"] is iterate.coefficients
+    assert resume["energy_target"] == amr.ALGEBRAIC_FRACTION * etas[1] / 4
+    assert resumed.iterations > 0
+    assert records[1].eta == etas[2] != etas[1]
 
 
 @pytest.mark.parametrize("problem", [interface_problem(1e4, 1.0, 1.0),

@@ -92,3 +92,12 @@ def test_full_precision_flag(tmp_path):
     high_e = high.read_text().splitlines()[1].split(",")[1]
     assert len(high_e) > len(low_e)
     assert float(high_e) != float(low_e) or low_e != high_e
+
+
+def test_run_adaptive_interface_to_2e4_dofs(capsys):
+    code = main(["run-adaptive", "--problem", "interface", "--eps1", "1e4", "--eps2", "1",
+                 "--kappa", "1", "--max-dofs", "20000"])
+    assert code == 0
+    *_, dofs, eta, error, marked = capsys.readouterr().out.splitlines()[-1].split()
+    assert int(dofs) >= 20000 and int(marked) == 0
+    assert float(error) < 0.02

@@ -8,8 +8,8 @@ from curladapt import edge_fem
 from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
                                 curl_uh, discrete_gradient,
                                 element_matrices, energy_error, eval_uh,
-                                galerkin_residual, load_solution, save_solution,
-                                solve, whitney_eval)
+                                galerkin_residual, load_solution, prolongate,
+                                save_solution, solve, whitney_eval)
 from curladapt.estimators import indicator
 from curladapt.linalg import CgNonConvergence, cg_solve, from_triplet_arrays
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
@@ -612,6 +612,75 @@ def test_discrete_gradient_without_interior_vertices():
     problem = paper_problem(1.0, 1.0)
     sol = solve(mesh, problem.coefficients, problem.f)
     assert sol.residual <= 1e-12
+
+
+# -- prolongation -----------------------------------------------------
+
+
+def refinement_pair(case):
+    coarse = gradient_test_mesh(case != "tagged-red")
+    fine = red_refine(coarse) if case.endswith("red") else bisect_refine(coarse, {2, 9, 30})
+    return coarse, fine
+
+
+def random_solution(mesh, seed):
+    dofmap = DofMap(mesh)
+    return DiscreteSolution(mesh, dofmap, np.random.default_rng(seed).standard_normal(dofmap.n_free))
+
+
+REFINEMENTS = ["tagged-red", "bisected-red", "bisected-bisected"]
+
+
+@pytest.mark.parametrize("case", REFINEMENTS)
+def test_prolongation_reproduces_the_coarse_field(case):
+    coarse, fine = refinement_pair(case)
+    assert fine.regions.max() == 2  # the two-region tagging carries over
+    solution = random_solution(coarse, 11)
+    prolongated = DiscreteSolution(fine, DofMap(fine), prolongate(solution, fine))
+    # the coarse field at every fine vertex, from the scalar evaluator
+    expected = np.array([[eval_uh(solution, parent, fine.vertices[v]) for v in tri]
+                         for tri, parent in zip(fine.triangles, fine.parent_ids)])
+    scale = np.abs(expected).max()
+    assert np.abs(prolongated.vertex_vectors - expected).max() <= 1e-14 * scale
+    assert np.abs(prolongated.curls - solution.curls[fine.parent_ids]).max() <= 1e-13 * scale
+
+
+def p1_interpolant(coarse, fine, v):
+    """Nodal values of the coarse P1 function v (all coarse vertices) at
+    every fine vertex: new vertices are edge midpoints and take the mean
+    of the edge's two end values."""
+    ends = {tuple(0.5 * (coarse.vertices[a] + coarse.vertices[b])): (a, b)
+            for a, b in coarse.edges}
+    new = [ends[tuple(x)] for x in fine.vertices[coarse.num_vertices:]]
+    return np.concatenate([v, v[np.array(new)].mean(axis=1)])
+
+
+def interior_vertices(mesh):
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.edges[mesh.is_boundary_edge]] = False
+    return interior
+
+
+@pytest.mark.parametrize("case", REFINEMENTS)
+def test_prolongation_commutes_with_the_discrete_gradient(case):
+    coarse, fine = refinement_pair(case)
+    coarse_dofs = DofMap(coarse)
+    interior = interior_vertices(coarse)
+    v = np.zeros(coarse.num_vertices)
+    v[interior] = np.random.default_rng(5).standard_normal(interior.sum())
+    gradient = DiscreteSolution(coarse, coarse_dofs, discrete_gradient(coarse_dofs) @ v[interior])
+    v_fine = p1_interpolant(coarse, fine, v)
+    expected = discrete_gradient(DofMap(fine)) @ v_fine[interior_vertices(fine)]
+    assert prolongate(gradient, fine) == pytest.approx(expected, rel=0, abs=1e-14 * np.abs(v).max())
+
+
+def test_prolongation_refuses_a_mesh_not_refined_from_the_solution_mesh():
+    coarse = gradient_test_mesh(True)
+    solution = random_solution(coarse, 3)
+    with pytest.raises(ValueError, match="parent_ids"):
+        prolongate(solution, build_structured_unit_square(4))  # root mesh: -1
+    with pytest.raises(ValueError, match="parent_ids"):
+        prolongate(solution, red_refine(red_refine(coarse)))  # ids of the middle mesh
 
 
 def uniform_3008_dof_mesh(problem):
