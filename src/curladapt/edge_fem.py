@@ -16,7 +16,11 @@ vertex j with coefficient c_k and sign s_k adds ``c_k s_k grad(lam_j)`` to
 w_i and ``-c_k s_k grad(lam_i)`` to w_j (:func:`_vertex_vectors`).
 ``DiscreteSolution.vertex_vectors`` builds them once per field, and every
 reader of u_h evaluates it from there as one (Q, 3) @ (N, 3, 2) product,
-without a per-point basis tensor.
+without a per-point basis tensor.  The load moments are the adjoint of
+that map (:func:`_moments`): quadrature values are first weighted onto
+the three vertices, then paired with the barycentric gradients.  Its
+rounding differs from a basis-tensor einsum in the last bits; only
+tolerances, not bit patterns, relate the two.
 
 Homogeneous tangential boundary conditions are imposed by eliminating the
 boundary-edge unknowns.
@@ -46,25 +50,10 @@ from .quadrature import triangle_rule
 _TAIL, _HEAD = np.array(_LOCAL_EDGES).T
 _PREV = np.array([2, 0, 1])  # edge i starts at vertex i, edge _PREV[i] ends there
 
-# the triangle rule of the load vector and of galerkin_residual
+# the triangle rules of the load vector and galerkin_residual, and of
+# energy_error
 _LOAD_RULE = triangle_rule(4)
-
-
-def _basis_values(g, signs, lam):
-    """Signed basis values (N, Q, 3, 2) from barycentric gradients
-    (N, 3, 2), orientation signs (N, 3) and barycentric points lam, (Q, 3)
-    shared by all elements or (N, Q, 3) per element."""
-    if lam.ndim == 2:
-        lam = lam[None]
-    # one local edge at a time bounds the temporaries.  Only whitney_eval
-    # and the tests read this tensor: u_h comes from _vertex_vectors, and
-    # _moments forms the basis one load-rule point at a time
-    phi = np.empty((len(g), lam.shape[-2], 3, 2))
-    for k, (i, j) in enumerate(_LOCAL_EDGES):
-        phi[..., k, :] = (lam[..., i, None] * g[:, None, j, :]
-                          - lam[..., j, None] * g[:, None, i, :])
-    phi *= signs[:, None, :, None]
-    return phi
+_ERROR_RULE = triangle_rule(6)
 
 
 def _vertex_vectors(g, signs, coeffs):
@@ -76,42 +65,17 @@ def _vertex_vectors(g, signs, coeffs):
     return a * g[:, _HEAD] - a[:, _PREV] * g[:, _PREV]
 
 
-def _load_points(mesh):
-    """Cartesian load-rule points (T, Q, 2) of every element: the
-    barycentric weights times the three vertices, added vertex by vertex
-    as ``einsum("qi,tie->tqe", ...)`` adds them, so bit for bit the same.
-    The sums run with the element axis last, which broadcasts faster."""
-    lam = _LOAD_RULE.points[:, :, None, None]
-    corners = mesh.vertices[mesh.triangles].transpose(1, 2, 0)
-    points = lam[:, 0] * corners[0] + lam[:, 1] * corners[1] + lam[:, 2] * corners[2]
-    return np.ascontiguousarray(points.transpose(2, 0, 1))
-
-
 def _moments(mesh, values):
     """Moments ``int_T v . phi_k`` (T, 3) of values v (T, Q, 2) at the
-    load-rule points against the signed basis.
-
-    One point at a time, with no (T, Q, 3, 2) basis tensor, in the order of
-    ``einsum("q,tqe,tqke,t->tk", weights, v, phi, areas)``: each product is
-    ``weight * v``, then times phi, then times the area; the two components
-    of a point are added first, then the points one after the other.  The
-    signs are folded into the gradients, which is exact for +-1.  Keeping
-    that rounding matters: a 1-ulp change in the load already lifts the
-    float64 CG residual of a contrast-1e4 solve above a 1e-10 tolerance.
-    """
-    g, signs, areas = mesh.barycentric_gradients, mesh.tri_edge_signs, mesh.areas
-    # element axis last: the broadcasts of the point loop run about twice
-    # as fast as in the (T, 3, 2) layout
-    s = signs.T[:, None]
-    gt = g[:, _TAIL].transpose(1, 2, 0) * s
-    gh = g[:, _HEAD].transpose(1, 2, 0) * s
-    out = np.zeros((3, len(areas)))
-    for lam, weight, v in zip(_LOAD_RULE.points, _LOAD_RULE.weights, values.transpose(1, 2, 0)):
-        phi = lam[_TAIL, None, None] * gh - lam[_HEAD, None, None] * gt
-        phi *= weight * v
-        phi *= areas
-        out += phi[:, 0] + phi[:, 1]
-    return out.T
+    load-rule points against the signed basis: the adjoint of
+    :func:`_vertex_vectors`.  With ``y_i = |T| sum_q w_q lam_qi v_q`` the
+    moment of local edge k from vertex i to vertex j is
+    ``s_k (y_i . grad(lam_j) - y_j . grad(lam_i))``."""
+    g = mesh.barycentric_gradients
+    y = np.matmul(_LOAD_RULE.weights * _LOAD_RULE.points.T, values)
+    y *= mesh.areas[:, None, None]
+    return mesh.tri_edge_signs * (np.einsum("tke,tke->tk", y, g[:, _HEAD])
+                                  - np.einsum("tke,tke->tk", y[:, _HEAD], g))
 
 
 def _basis_curls(g, signs):
@@ -173,9 +137,9 @@ def whitney_eval(coords, point, signs=None):
     lam = np.asarray(point, dtype=float)
     if (lam < -1e-12).any() or (lam > 1 + 1e-12).any():
         raise ValueError("barycentric point outside the closed triangle")
-    values = _basis_values(g, signs, np.atleast_2d(lam))[0]
-    curls = _basis_curls(g, signs)[0]
-    return (values[0], curls) if lam.ndim == 1 else (values, curls)
+    # basis function k is the field with coefficient one on local edge k
+    w = _vertex_vectors(np.repeat(g, 3, axis=0), np.repeat(signs, 3, axis=0), np.eye(3))
+    return np.moveaxis(lam @ w, 0, -2), _basis_curls(g, signs)[0]
 
 
 def element_matrices(coords, eps, kappa, signs=None):
@@ -315,14 +279,15 @@ def assemble_system(mesh, coefficients, f):
     The bilinear form is ``eps * (curl u, curl v) + kappa * (u, v)`` with
     elementwise-constant eps taken from the coefficient field by region
     tag.  The load ``int f . phi`` is integrated with the degree-4 triangle
-    rule (:func:`_load_points`, :func:`_moments`); ``f`` must accept points
-    of shape (..., 2) and return values of the same shape.
+    rule, as the adjoint of the vertex vectors (:func:`_moments`); ``f``
+    must accept points of shape (..., 2) and return values of the same
+    shape.
     """
     eps_t = coefficients.eps_by_region(mesh.regions)
     stiffness, mass = _local_matrices(mesh.barycentric_gradients, mesh.areas,
                                       mesh.tri_edge_signs, eps_t, coefficients.kappa)
 
-    points = _load_points(mesh)
+    points = np.matmul(_LOAD_RULE.points, mesh.vertices[mesh.triangles])
     f_vals = np.asarray(f(points), dtype=float)
     if f_vals.shape != points.shape:
         raise ValueError("f must map (..., 2) points to (..., 2) values")
@@ -387,28 +352,26 @@ def curl_uh(solution, tri_id):
     return float(solution.curls[tri_id])
 
 
-def _errors_at(solution, u, curl_u, rule, points):
+def _errors_at(solution, u, curl_u, rule):
     """``u - u_h`` (T, Q, 2) and ``curl u - curl u_h`` (T, Q) at the points
-    of ``rule``, given in Cartesian coordinates as ``points`` (T, Q, 2)."""
-    # each caller keeps its point formula: galerkin_residual's frozen digests
-    # need the rounding of _load_points; the matmul points of energy_error
-    # are about 5x faster, and the load formula would move its last bits
+    of ``rule`` on every element."""
+    mesh = solution.mesh
+    points = np.matmul(rule.points, mesh.vertices[mesh.triangles])
     u_vals = np.asarray(u(points), dtype=float)
     curl_vals = np.asarray(curl_u(points), dtype=float)
     return (u_vals - np.matmul(rule.points, solution.vertex_vectors),
             curl_vals - solution.curls[:, None])
 
 
-def energy_error(solution, coefficients, u_exact, curl_u_exact, quad_degree=6):
+def energy_error(solution, coefficients, u_exact, curl_u_exact):
     """Energy-norm distance between an analytic field and the discrete one:
-    ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u - u_h|^2)``."""
+    ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u - u_h|^2)``,
+    integrated with the degree-6 triangle rule."""
     mesh = solution.mesh
-    quad = triangle_rule(quad_degree)
     eps_t = coefficients.eps_by_region(mesh.regions)
-    points = np.matmul(quad.points, mesh.vertices[mesh.triangles])
-    du, dcurl = _errors_at(solution, u_exact, curl_u_exact, quad, points)
-    l2_part = (du ** 2).sum(-1) @ quad.weights * mesh.areas
-    curl_part = dcurl ** 2 @ quad.weights * mesh.areas
+    du, dcurl = _errors_at(solution, u_exact, curl_u_exact, _ERROR_RULE)
+    l2_part = (du ** 2).sum(-1) @ _ERROR_RULE.weights * mesh.areas
+    curl_part = dcurl ** 2 @ _ERROR_RULE.weights * mesh.areas
     return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))
 
 
@@ -421,7 +384,7 @@ def galerkin_residual(solution, problem):
     mesh = solution.mesh
     coeffs = problem.coefficients
     eps_t = coeffs.eps_by_region(mesh.regions)
-    du, dcurl = _errors_at(solution, problem.u, problem.curl_u, _LOAD_RULE, _load_points(mesh))
+    du, dcurl = _errors_at(solution, problem.u, problem.curl_u, _LOAD_RULE)
     basis_curls = _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs)
     mass_part = coeffs.kappa * _moments(mesh, du)
     curl_diff = np.einsum("q,tq->t", _LOAD_RULE.weights, dcurl)

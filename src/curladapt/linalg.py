@@ -142,13 +142,9 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None, x0=None,
 
     * Residual contract (``rel_tol`` a number).  Iterates until the
       recurrence residual satisfies ``||r|| <= rel_tol * ||b||``, then
-      checks the true residual ``||b - A x||`` in float64; if rounding has
-      detached the two, the solve restarts from the computed iterate (at
-      most twice) before raising :class:`CgNonConvergence`.  A restart
-      takes its residual ``b - A x`` in extended precision
-      (``np.longdouble``), so that the float64 rounding of that product
-      does not cap what the restart can reach; the acceptance check itself
-      stays in float64.
+      checks the true residual ``||b - A x||``; if rounding has detached
+      the two, the solve restarts from the computed iterate with that true
+      residual (at most twice) before raising :class:`CgNonConvergence`.
     * Energy stop (``rel_tol=None``).  Bounds the algebraic error in the
       A-norm instead.  Step j contributes ``alpha_j r_j . z_j``; at step k
       the delayed sum of the last d = ``ENERGY_DELAY`` contributions is the
@@ -238,8 +234,6 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None, x0=None,
             return CgResult(x, iterations, achieved)
         if iterations >= max_iter:
             break
-        # near the rounding floor the float64 b - A x is too inexact to restart from
-        r = (b - a.astype(np.longdouble) @ x).astype(float)
     raise CgNonConvergence(
         f"CG did not reach relative residual {rel_tol:g} in {iterations} "
         f"iterations (achieved {achieved:.3e})", x, iterations, achieved)

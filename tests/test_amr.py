@@ -140,36 +140,36 @@ def test_records_csv(tmp_path):
 # near-tie and silently grow a different mesh, so the counts are exact.
 # Every solve after the first starts from the prolongated previous field.
 FROZEN_INTERFACE_RUN = [
-    (32, 40, 1.1209505825172594, 0.2668974978676073, 11),
-    (46, 61, 0.8213791332085563, 0.18129599476330405, 18),
-    (80, 112, 0.6625840282881306, 0.14095465681087893, 19),
-    (107, 151, 0.5775527027529532, 0.13181006453832364, 37),
-    (158, 225, 0.48591691753696004, 0.10816124963437654, 45),
-    (215, 307, 0.40727629239938395, 0.09133581173000649, 67),
-    (301, 435, 0.3358884191532369, 0.07304928133575878, 91),
-    (416, 600, 0.29058488569964075, 0.06707581619724409, 151),
-    (608, 884, 0.2471719294549973, 0.05736686789880688, 171),
-    (806, 1181, 0.20571661523924378, 0.0458612809596048, 284),
-    (1188, 1754, 0.16936547380635736, 0.03626110206343003, 340),
-    (1572, 2314, 0.14870797776523745, 0.03370117584690328, 0),
+    (32, 40, 1.12095058252226, 0.2668974978676073, 11),
+    (46, 61, 0.8213791332024241, 0.18129599476330402, 18),
+    (80, 112, 0.6625840282760427, 0.14095465681087893, 19),
+    (107, 151, 0.5775527027370766, 0.1318100645383236, 37),
+    (158, 225, 0.48591691753604044, 0.10816124963437654, 45),
+    (215, 307, 0.4072762924056745, 0.09133581173000647, 67),
+    (301, 435, 0.3358884191835306, 0.07304928133575879, 91),
+    (416, 600, 0.29058488570037966, 0.06707581619724409, 151),
+    (608, 884, 0.24717192944315877, 0.057366867898806885, 171),
+    (806, 1181, 0.20571661525858656, 0.045861280959604796, 284),
+    (1188, 1754, 0.1693654737738503, 0.03626110206343002, 340),
+    (1572, 2314, 0.14870797775486133, 0.03370117584690328, 0),
 ]
 
 
 # The same run under the default energy stop: the meshes and marks are
 # identical, eta and the error moved by at most 3.6e-6 and 6.2e-7 relative.
 FROZEN_INTERFACE_ENERGY_RUN = [
-    (32, 40, 1.120950554020084, 0.2668974978683929, 11),
-    (46, 61, 0.8213791446142715, 0.18129599477228409, 18),
-    (80, 112, 0.6625840458809142, 0.14095465684008315, 19),
-    (107, 151, 0.5775547646072935, 0.1318100690850839, 37),
-    (158, 225, 0.4859169246754907, 0.108161250017339, 45),
-    (215, 307, 0.40727694049059443, 0.09133583175780237, 67),
-    (301, 435, 0.33588764516730735, 0.07304928361802965, 91),
-    (416, 600, 0.29058465694574326, 0.06707582033875108, 151),
-    (608, 884, 0.24717236876565016, 0.05736689821949385, 171),
-    (806, 1181, 0.20571711390323905, 0.04586130697451984, 284),
-    (1188, 1754, 0.16936515663581536, 0.03626112381948733, 340),
-    (1572, 2314, 0.14870779136587467, 0.03370119661543918, 0),
+    (32, 40, 1.1209505540250833, 0.2668974978683929, 11),
+    (46, 61, 0.8213791446123344, 0.18129599477228417, 18),
+    (80, 112, 0.6625840458788533, 0.1409546568400832, 19),
+    (107, 151, 0.5775547646146887, 0.13181006908508247, 37),
+    (158, 225, 0.485916924699306, 0.10816125001733781, 45),
+    (215, 307, 0.4072769405007413, 0.09133583175779303, 67),
+    (301, 435, 0.3358876451869589, 0.07304928361803278, 91),
+    (416, 600, 0.2905846569537483, 0.06707582033875326, 151),
+    (608, 884, 0.24717236884181237, 0.05736689821947569, 171),
+    (806, 1181, 0.20571711392449288, 0.045861306974547066, 284),
+    (1188, 1754, 0.16936515660063514, 0.03626112381946158, 340),
+    (1572, 2314, 0.1487077913568368, 0.03370119661546221, 0),
 ]
 # total CG iterations of the energy run: 604 when every solve started from zero
 FROZEN_INTERFACE_ENERGY_CG_ITERATIONS = 395

@@ -48,6 +48,21 @@ def solution_from_edge_values(mesh, edge_values):
     return DiscreteSolution(mesh, dofmap, np.asarray(edge_values, float)[free])
 
 
+def basis_values(g, signs, lam):
+    """Reference signed basis values (N, Q, 3, 2) from barycentric
+    gradients (N, 3, 2), orientation signs (N, 3) and barycentric points
+    lam, (Q, 3) shared by all elements or (N, Q, 3) per element:
+    ``s_k (lam_i grad(lam_j) - lam_j grad(lam_i))`` for local edge k from
+    vertex i to vertex j."""
+    if lam.ndim == 2:
+        lam = lam[None]
+    phi = np.empty((len(g), lam.shape[-2], 3, 2))
+    for k, (i, j) in enumerate([(0, 1), (1, 2), (2, 0)]):
+        phi[..., k, :] = (lam[..., i, None] * g[:, None, j, :]
+                          - lam[..., j, None] * g[:, None, i, :])
+    return phi * signs[:, None, :, None]
+
+
 # -- basis ------------------------------------------------------------
 
 
@@ -106,6 +121,22 @@ def test_whitney_divergence_free_gauss_identity():
             flux += length * np.einsum("q,q,qk->k", wts, q(edge_pts), values @ outward)
         scale = max(1.0, np.abs(flux).max())
         assert np.abs(flux - volume).max() < 1e-13 * scale
+
+
+def test_whitney_eval_matches_the_reference_basis():
+    rng = np.random.default_rng(4)
+    lam = triangle_rule(6).points
+    for _ in range(5):
+        coords = random_triangle(rng)
+        signs = rng.choice([-1.0, 1.0], size=3)
+        g = edge_fem._one_triangle(coords, signs)[0]
+        expected = basis_values(g, signs[None], lam)[0]
+        values, _ = whitney_eval(coords, lam, signs)
+        assert values.shape == expected.shape == (len(lam), 3, 2)
+        assert np.abs(values - expected).max() <= 1e-14 * np.abs(expected).max()
+        single, _ = whitney_eval(coords, lam[0], signs)
+        assert single.shape == (3, 2)
+        assert np.abs(single - expected[0]).max() <= 1e-14 * np.abs(expected).max()
 
 
 def test_whitney_rejects_outside_point():
@@ -221,17 +252,20 @@ def _sha256(*arrays):
     return h.hexdigest()
 
 
-# sha256 of (A.indptr, A.indices, A.data, b) from assemble_system and of
-# galerkin_residual for a fixed field.  The first two were frozen before the
+# sha256 of (A.indptr, A.indices, A.data) and of b from assemble_system, and
+# of galerkin_residual for a fixed field.  The matrix is unchanged since the
 # triplet sort and the np.add.at loops of the assembly were replaced by one
-# bincount scatter, "red_contrast_1e6" before the load and residual moments
-# stopped building the (T, Q, 3, 2) basis tensor
+# bincount scatter; b and the residual were frozen when the load became the
+# adjoint of the vertex vectors
 FROZEN_ASSEMBLY = {
-    "seed7_chain": ("2e7d3f28fab69b38b69c55be5e927d5dba5d22b12fc00be9abe76c8066b7973b",
-                    "a8364466ec6a041172c81deb6ecf4649c9f53d8b9b9c66cb4852984305e09c49"),
-    "two_region": ("0181c2edd15e4a70decd93d5624bd54311478f7550d6ee41c03e7b14b026408d",
+    "seed7_chain": ("90f71cf199979c784d2498eaf7807381bc5e6f5e8e743f1a9b05480cbad17fa1",
+                    "36935439d1620d93e8329a5c1c5295932cd8dcee147d0965bbfd3e63d2e757dc",
+                    "697053eb94135ad0d2d40a64064f4f1fafcb6ca0e103e212ef0ff7ac359ff8d9"),
+    "two_region": ("a08557b64fd3486e0a174274729e27f01f4b18d3a8cc110daa903388768bd6d4",
+                   "163a5704073712d382943d202c4f64207dcdda7c52d50d1bbf762659df85be2f",
                    "5cbd04c9e8389c0924bbb85f5cddef1567f639834464a8af5d9eb216a5e997ad"),
-    "red_contrast_1e6": ("4df854113a662716170ce8852f687bb275f28c384e2f7654a8f8b13ff417de51",
+    "red_contrast_1e6": ("7532ac2808c6d631fc37dda8abb05cc0f29ec9ef871bd05574c52e09fbd0f942",
+                         "986e2ecdd5a387ac2e79464023c2c4d87259f7616ba6fd7b5a4627bfd4f3df49",
                          "5808f348dc95e15ec53286bc9d6e6be2792cabdada3a23a43ff94be60dc0157a"),
 }
 
@@ -251,8 +285,8 @@ def test_assembly_is_frozen(case):
     field = DiscreteSolution(mesh, dofmap, np.sin(np.arange(dofmap.n_free) + 0.5))
     residual = galerkin_residual(field, problem)
     assert (_sha256(matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64),
-                    matrix.data, b),
-            _sha256(residual)) == FROZEN_ASSEMBLY[case]
+                    matrix.data),
+            _sha256(b), _sha256(residual)) == FROZEN_ASSEMBLY[case]
     # no matrix or load entry sums more than two element terms, so the
     # order of those sums cannot change a bit
     ed = dofmap.element_dofs
@@ -383,7 +417,7 @@ def test_vertex_vectors_match_the_basis_tensor():
     w = edge_fem._vertex_vectors(g, signs, coeffs)
 
     def reference(tris, lam):
-        phi = edge_fem._basis_values(g[tris], signs[tris], lam)
+        phi = basis_values(g[tris], signs[tris], lam)
         return np.einsum("nk,nqke->nqe", coeffs[tris], phi)
 
     def assert_close(actual, expected):
@@ -401,36 +435,43 @@ def test_vertex_vectors_match_the_basis_tensor():
     assert_close(np.matmul(lam, w[tris]), reference(tris, lam))
 
 
-@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["bisected", "jittered"])
-def test_load_kernels_match_the_einsum_bit_for_bit(jitter):
-    # the load and the Galerkin residual must keep the einsum's rounding.
-    # The bisected areas are powers of two, whose products are exact; the
-    # jittered mesh checks the order of the area factor as well
+def jittered_two_sign_mesh(jitter):
+    # the bisected areas are powers of two, whose products are exact; the
+    # jitter makes every area and gradient inexact
     mesh = two_sign_mesh()
     shift = np.random.default_rng(2).uniform(-jitter, jitter, mesh.vertices.shape)
     mesh = Mesh(mesh.vertices + shift, mesh.triangles, regions=mesh.regions)
-    g, signs = mesh.barycentric_gradients, mesh.tri_edge_signs
-    assert (signs == 1).any() and (signs == -1).any()
+    assert (mesh.tri_edge_signs == 1).any() and (mesh.tri_edge_signs == -1).any()
+    return mesh
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["bisected", "jittered"])
+def test_load_moments_are_the_adjoint_of_the_vertex_vectors(jitter):
+    # _moments(v) . c = sum_T |T| sum_q w_q v_q . u_c(x_q), where u_c is the
+    # field with local coefficients c, read from its vertex vectors
+    mesh = jittered_two_sign_mesh(jitter)
     rule = edge_fem._LOAD_RULE
-    assert rule.points.shape == (9, 3)
-    values = np.random.default_rng(5).standard_normal((mesh.num_triangles, 9, 2))
-    phi = edge_fem._basis_values(g, signs, rule.points)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((mesh.num_triangles, len(rule.weights), 2))
+    coeffs = rng.standard_normal((mesh.num_triangles, 3))
+    w = edge_fem._vertex_vectors(mesh.barycentric_gradients, mesh.tri_edge_signs, coeffs)
+    expected = mesh.areas * np.einsum("q,tqe,tqe->t", rule.weights, values,
+                                      np.matmul(rule.points, w))
+    actual = (edge_fem._moments(mesh, values) * coeffs).sum(axis=1)
+    assert np.abs(actual - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["bisected", "jittered"])
+def test_load_moments_match_the_basis_einsum(jitter):
+    mesh = jittered_two_sign_mesh(jitter)
+    rule = edge_fem._LOAD_RULE
+    values = np.random.default_rng(5).standard_normal((mesh.num_triangles, len(rule.weights), 2))
+    phi = basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, rule.points)
     expected = np.einsum("q,tqe,tqke,t->tk", rule.weights, values, phi, mesh.areas)
-    assert np.array_equal(edge_fem._moments(mesh, values), expected)
-    expected = np.einsum("qi,tie->tqe", rule.points, mesh.vertices[mesh.triangles])
-    assert np.array_equal(edge_fem._load_points(mesh), expected)
+    actual = edge_fem._moments(mesh, values)
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= 1e-14 * np.abs(expected).max()
 
-
-def test_load_and_residual_build_no_basis_tensor(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("_basis_values called")
-
-    monkeypatch.setattr(edge_fem, "_basis_values", refuse)
-    problem = interface_problem(1e4, 1.0, 1.0)
-    mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
-    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
-    field = DiscreteSolution(mesh, dofmap, np.sin(np.arange(dofmap.n_free)))
-    assert galerkin_residual(field, problem).shape == b.shape == (dofmap.n_free,)
 
 # -- energy error -------------------------------------------------------
 
@@ -483,12 +524,13 @@ def test_energy_error_reference_values():
     assert e == pytest.approx(0.83709, rel=1e-3)  # regression pin
 
 
-def test_energy_error_quadrature_degree_stable():
+def test_energy_error_quadrature_degree_stable(monkeypatch):
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1.0, 1.0)
     sol = solve(mesh, problem.coefficients, problem.f)
-    e6 = energy_error(sol, problem.coefficients, problem.u, problem.curl_u, 6)
-    e8 = energy_error(sol, problem.coefficients, problem.u, problem.curl_u, 8)
+    e6 = energy_error(sol, problem.coefficients, problem.u, problem.curl_u)
+    monkeypatch.setattr(edge_fem, "_ERROR_RULE", triangle_rule(8))
+    e8 = energy_error(sol, problem.coefficients, problem.u, problem.curl_u)
     assert e6 == pytest.approx(e8, rel=1e-8)
 
 

@@ -133,7 +133,7 @@ def test_interface_curl_jumps_present_on_interface():
     totals = []
     for ratio in (1.0, 1e2, 1e4):
         problem = interface_problem(ratio, 1.0, 1.0)
-        sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-10)
+        sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-9)
         total = sum(edge_jumps(sol, problem, e)[1] ** 2 for e in gamma_edges)
         totals.append(total)
     assert totals[0] == pytest.approx(2.4558e-05, rel=1e-3)
