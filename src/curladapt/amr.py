@@ -48,8 +48,7 @@ def doerfler_mark(indicators, theta):
     return set(int(t) for t in marked)
 
 
-def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
-                   solver_tol=None):
+def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000):
     """Run the adaptive loop from the 4x4 structured mesh until the free
     dof count reaches ``max_dofs``.
 
@@ -62,8 +61,8 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
     field, prolongated onto the bisected mesh (:func:`edge_fem.prolongate`),
     so CG only has to recover what refinement changed.
 
-    By default CG stops on its algebraic error, which only has to stay
-    well below the discretisation error that eta estimates: the A-norm
+    CG stops on its algebraic error, which only has to stay well below
+    the discretisation error that eta estimates: the A-norm
     error of every iterate should be at most ``ALGEBRAIC_FRACTION * eta``
     of its own iteration.  Iteration i stops CG once the delayed energy
     estimate (:func:`linalg.cg_solve`) reaches ``ALGEBRAIC_FRACTION *
@@ -77,32 +76,25 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000,
     eta_i / 2``; when the new estimate has fallen below that, CG resumes
     from the iterate with target ``ALGEBRAIC_FRACTION * eta_i / 4`` and eta
     is estimated again.
-
-    An explicit ``solver_tol`` stops every solve on the relative residual
-    ``solver_tol`` instead.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    if solver_tol is not None and not 0 < solver_tol < np.inf:
-        raise ValueError("solver_tol must be positive and finite")
     mesh = build_structured_unit_square(4)
     if problem.classifier is not None:
         if problem.interface_abscissa is not None:
             check_interface_alignment(mesh, problem.interface_abscissa)
         mesh = tag_regions(mesh, problem.classifier)
-    if max_dofs <= mesh.num_interior_edges:
-        raise ValueError("max_dofs must exceed the initial dof count")
+    if not mesh.num_interior_edges < max_dofs < np.inf:
+        raise ValueError("max_dofs must be finite and exceed the initial dof count")
 
     records = []
     iteration = 0
     eta_prev = None
     x0 = None
     while True:
-        target = None
-        if solver_tol is None and eta_prev is not None:
-            target = ALGEBRAIC_FRACTION * eta_prev / 4
+        target = None if eta_prev is None else ALGEBRAIC_FRACTION * eta_prev / 4
         solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
-                                  rel_tol=solver_tol, energy_target=target, x0=x0)
+                                  rel_tol=None, energy_target=target, x0=x0)
         x0 = None  # not needed past the solve; freed before the estimator's peak memory
         breakdown = indicator(solution, problem, kind)
         if target is not None and breakdown.global_estimate < eta_prev / 2:

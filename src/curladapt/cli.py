@@ -60,10 +60,6 @@ def build_parser():
     adaptive.add_argument("--max-dofs", type=int, default=2000)
     adaptive.add_argument("--estimator", choices=("robust", "classical"),
                           default="robust")
-    adaptive.add_argument("--solver-tol", type=float,
-                          help="stop CG at this relative residual; by default CG "
-                               "stops on its estimated energy-norm error, kept below "
-                               "1e-3 of eta (the energy stop)")
     adaptive.add_argument("--out")
     return parser
 
@@ -104,7 +100,7 @@ def _run_adaptive(args):
     problem = config.make_problem()
     kind = EstimatorKind(args.estimator)
     records = adaptive_solve(problem, kind=kind, theta=args.theta,
-                             max_dofs=args.max_dofs, solver_tol=args.solver_tol)
+                             max_dofs=args.max_dofs)
     print("iter  elements  dofs  eta        error      marked")
     for r in records:
         print(f"{r.iteration:4d}  {r.n_elements:8d}  {r.n_dofs:4d}  "

@@ -42,8 +42,8 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .mesh import (_LOCAL_EDGES, _cross2, _gradients, _parse_fields, _rot90,
-                   _signed_areas)
+from .mesh import (_LOCAL_EDGES, _check_id, _cross2, _gradients, _parse_fields,
+                   _rot90, _signed_areas)
 from .quadrature import triangle_rule
 
 # local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
@@ -341,6 +341,7 @@ def _barycentric(mesh, tri_id, point):
 
 def eval_uh(solution, tri_id, point):
     """Discrete field value at a Cartesian point inside the triangle."""
+    _check_id(tri_id, solution.mesh.num_triangles, "triangle")
     lam = _barycentric(solution.mesh, tri_id, point)
     if lam.min() < -1e-12:
         raise ValueError(f"point {point} lies outside triangle {tri_id}")
@@ -349,6 +350,7 @@ def eval_uh(solution, tri_id, point):
 
 def curl_uh(solution, tri_id):
     """Scalar curl of the discrete field on one element (constant there)."""
+    _check_id(tri_id, solution.mesh.num_triangles, "triangle")
     return float(solution.curls[tri_id])
 
 

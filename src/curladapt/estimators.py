@@ -49,6 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .edge_fem import _weighted_count
+from .mesh import _check_id
 from .quadrature import triangle_rule
 
 _QUAD = triangle_rule(6)
@@ -219,12 +220,14 @@ def _samples(solution, problem, tris=None, edges=None):
 
 def element_residuals(solution, problem, tri_id):
     """L2 norms of the two element residuals on one triangle."""
+    _check_id(tri_id, solution.mesh.num_triangles, "triangle")
     norms = _samples(solution, problem, tris=[tri_id], edges=[]).norms
     return float(np.sqrt(norms.r1[0])), float(np.sqrt(norms.r2[0]))
 
 
 def edge_jumps(solution, problem, edge_id):
     """L2 norms of the two jump terms on one interior edge."""
+    _check_id(edge_id, solution.mesh.num_edges, "edge")
     if solution.mesh.is_boundary_edge[edge_id]:
         raise ValueError(f"edge {edge_id} is a boundary edge; jumps are "
                          "defined on interior edges only")

@@ -373,11 +373,17 @@ def bisect_refine(mesh, marked):
 
 
 def tag_regions(mesh, classifier):
-    """Return a copy of the mesh re-tagged by applying ``classifier`` to
-    each element centroid."""
-    regions = np.array([classifier(c) for c in mesh.centroids], dtype=np.int64)
-    return Mesh(mesh.vertices, mesh.triangles, regions=regions,
+    """Return a copy of the mesh re-tagged by one call of ``classifier``,
+    which maps the element centroids (T, 2) to region tags (T,)."""
+    return Mesh(mesh.vertices, mesh.triangles, regions=classifier(mesh.centroids),
                 refinement_edges=mesh.refinement_edges, parent_ids=mesh.parent_ids)
+
+
+def _check_id(index, count, what):
+    """Refuse an element or edge id outside [0, count): numpy would wrap a
+    negative one around to the end."""
+    if not 0 <= index < count:
+        raise ValueError(f"{what} id {index} out of range [0, {count})")
 
 
 def edge_geometry(mesh, edge_id):
@@ -386,8 +392,7 @@ def edge_geometry(mesh, edge_id):
     T+ is the incident triangle with the smaller id; the normal points
     from T+ into T- (outward on boundary edges, where T- is None).
     """
-    if edge_id < 0 or edge_id >= mesh.num_edges:
-        raise ValueError("edge id out of range")
+    _check_id(edge_id, mesh.num_edges, "edge")
     t_plus = int(mesh.edge_tris[edge_id, 0])
     t_minus = int(mesh.edge_tris[edge_id, 1])
     return (float(mesh.edge_lengths[edge_id]), mesh.edge_normals[edge_id],

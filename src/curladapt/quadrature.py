@@ -1,4 +1,4 @@
-"""Gauss quadrature on the reference triangle and on edges.
+"""Gauss quadrature on the reference triangle.
 
 Triangle rules are built from tensor Gauss-Legendre rules collapsed onto
 the triangle (Duffy map), so exactness up to the requested polynomial
@@ -38,13 +38,3 @@ def triangle_rule(degree):
     weights = (ws * wt * (1.0 - ss)).ravel()  # sums to the reference area 1/2
     points = np.stack([1.0 - xs - ys, xs, ys], axis=1)
     return QuadratureRule(points=points, weights=2.0 * weights, degree=degree)
-
-
-def edge_rule(n_points=4):
-    """Gauss-Legendre points and unit-sum weights on [0, 1]; exact for
-    polynomials up to degree ``2*n_points - 1``.  Multiply by the edge
-    length when integrating."""
-    if n_points < 1:
-        raise ValueError("need at least one point")
-    x, w = np.polynomial.legendre.leggauss(n_points)
-    return 0.5 * (x + 1.0), 0.5 * w

@@ -16,13 +16,14 @@ from curladapt.amr import doerfler_mark
 from curladapt.edge_fem import (assemble_system, element_matrices, solve,
                                 whitney_eval)
 from curladapt.estimators import EstimatorKind, indicator
-from curladapt.linalg import cg_solve, from_triplet_arrays, from_triplets
+from curladapt.linalg import cg_solve
 from curladapt.mesh import (bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
 from curladapt.problems import (interface_problem, paper_problem,
                                 verify_consistency)
-from curladapt.quadrature import edge_rule, triangle_rule
+from curladapt.quadrature import triangle_rule
 from curladapt.report import RunConfig, run_robustness_sweep, run_table
+from reference import edge_rule, from_triplet_arrays, from_triplets
 
 # published reference values: (eps, kappa) -> per-level e, eta, eta_tilde
 REFERENCE_STUDY = {

@@ -13,7 +13,7 @@ from curladapt.mesh import (bisect_refine, build_structured_unit_square, red_ref
                             tag_regions)
 from curladapt.problems import (CoefficientField, ManufacturedProblem,
                                 interface_problem, paper_problem)
-from curladapt.quadrature import edge_rule
+from reference import edge_rule
 
 
 def zero_field_problem(eps=1.0, kappa=1.0):
@@ -40,7 +40,7 @@ def test_capped_size_hand_values():
 
 def test_weighted_sizes_invariants():
     mesh = tag_regions(build_structured_unit_square(4),
-                       lambda c: 1 if c[0] < 0.5 else 2)
+                       lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     coeffs = CoefficientField(eps={1: 1e4, 2: 1.0}, kappa=25.0)
     sizes = weighted_sizes(mesh, coeffs)
     assert (sizes.element_size == 0.5 * mesh.diameters).all()
@@ -55,7 +55,7 @@ def test_weighted_sizes_invariants():
 
 def test_weighted_sizes_interface_edge_takes_max_eps():
     mesh = tag_regions(build_structured_unit_square(4),
-                       lambda c: 1 if c[0] < 0.5 else 2)
+                       lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     coeffs = CoefficientField(eps={1: 1e4, 2: 1.0}, kappa=1.0)
     sizes = weighted_sizes(mesh, coeffs)
     on_gamma = [e for e in range(mesh.num_edges)
@@ -152,6 +152,21 @@ def test_jump_rejects_boundary_edge():
     boundary = int(np.nonzero(mesh.is_boundary_edge)[0][0])
     with pytest.raises(ValueError):
         edge_jumps(zero_solution(mesh), problem, boundary)
+
+
+@pytest.mark.parametrize("call, count", [
+    (lambda sol, problem, i: element_residuals(sol, problem, i), "num_triangles"),
+    (lambda sol, problem, i: edge_jumps(sol, problem, i), "num_edges"),
+    (lambda sol, problem, i: eval_uh(sol, i, (0.25, 0.25)), "num_triangles"),
+    (lambda sol, problem, i: curl_uh(sol, i), "num_triangles"),
+], ids=["element_residuals", "edge_jumps", "eval_uh", "curl_uh"])
+@pytest.mark.parametrize("bad", ["minus_one", "count"])
+def test_scalar_helpers_refuse_out_of_range_ids(call, count, bad):
+    # numpy indexing would wrap -1 around to the last element
+    mesh = build_structured_unit_square(2)
+    index = -1 if bad == "minus_one" else getattr(mesh, count)
+    with pytest.raises(ValueError, match="out of range"):
+        call(zero_solution(mesh), paper_problem(1.0, 1.0), index)
 
 
 def test_j2_constant_jump_integral():
@@ -379,7 +394,7 @@ def test_estimators_differ_when_kappa_branch_active():
 
 def test_as_kind_matches_a_fresh_call():
     mesh = tag_regions(build_structured_unit_square(4),
-                       lambda c: 1 if c[0] < 0.5 else 2)
+                       lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     problem = interface_problem(1e4, 1.0, 1e4)
     sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-6)
     fresh = {kind: indicator(sol, problem, kind) for kind in EstimatorKind}

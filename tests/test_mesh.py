@@ -96,7 +96,7 @@ def test_red_refine_counts_and_similarity():
 
 def test_red_refine_region_inheritance():
     mesh = build_structured_unit_square(4)
-    mesh = tag_regions(mesh, lambda c: 1 if c[0] < 0.5 else 2)
+    mesh = tag_regions(mesh, lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     fine = red_refine(mesh)
     assert np.array_equal(fine.regions, mesh.regions[fine.parent_ids])
     assert (fine.regions == 1).sum() == 4 * (mesh.regions == 1).sum()
@@ -136,7 +136,7 @@ def test_bisect_marked_elements_are_subdivided():
 
 def test_bisect_region_inheritance():
     mesh = tag_regions(build_structured_unit_square(4),
-                       lambda c: 1 if c[0] < 0.5 else 2)
+                       lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     fine = bisect_refine(mesh, {3, 11, 30})
     assert np.array_equal(fine.regions, mesh.regions[fine.parent_ids])
 
@@ -232,7 +232,7 @@ def test_bisect_matches_recursive_reference(seed):
     # tagged meshes with arbitrary refinement edges exercise every slot
     rng = np.random.default_rng(seed)
     mesh = tag_regions(build_structured_unit_square(3),
-                       lambda c: 1 if c[0] + c[1] < 1 else 2)
+                       lambda x: np.where(x.sum(axis=-1) < 1, 1, 2))
     mesh = Mesh(mesh.vertices, mesh.triangles, regions=mesh.regions,
                 refinement_edges=rng.integers(0, 3, mesh.num_triangles))
     for _ in range(4):
@@ -246,7 +246,8 @@ def test_bisect_matches_recursive_reference(seed):
 def test_edge_numbering_contract():
     # edges run low to high vertex id and are numbered in lexicographic
     # order of that pair, on a bisected two-region mesh
-    mesh = tag_regions(build_structured_unit_square(4), lambda c: 1 if c[0] < 0.5 else 2)
+    mesh = tag_regions(build_structured_unit_square(4),
+                       lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     mesh = bisect_refine(mesh, {0, 5, 17, 30})
     mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
     assert set(np.unique(mesh.regions)) == {1, 2}
@@ -265,11 +266,18 @@ def test_edge_numbering_contract():
 
 def test_tag_regions():
     mesh = build_structured_unit_square(4)
-    tagged = tag_regions(mesh, lambda c: 1)
+    tagged = tag_regions(mesh, lambda x: np.ones(x.shape[:-1], dtype=int))
     assert (tagged.regions == 1).all()
-    split = tag_regions(mesh, lambda c: 1 if c[0] < 0.5 else 2)
+    split = tag_regions(mesh, lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     assert (split.regions == 1).sum() == 16
     assert (split.regions == 2).sum() == 16
+
+
+def test_tag_regions_refuses_a_scalar_classifier():
+    # the classifier is called once on all centroids (T, 2) and must return
+    # one tag per triangle
+    with pytest.raises(ValueError, match="one tag per triangle"):
+        tag_regions(build_structured_unit_square(4), lambda x: 1)
 
 
 def test_edge_geometry_lengths():
@@ -327,7 +335,7 @@ def test_mesh_immutable():
 
 def test_save_load_roundtrip(tmp_path):
     mesh = tag_regions(build_structured_unit_square(3),
-                       lambda c: 1 if c[0] < 1 / 3 else 2)
+                       lambda x: np.where(x[..., 0] < 1 / 3, 1, 2))
     path = tmp_path / "mesh.txt"
     save_mesh(mesh, path)
     header = path.read_text().splitlines()[0].split()

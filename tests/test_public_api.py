@@ -12,9 +12,9 @@ PUBLIC_NAMES = [
     "Oscillations", "QuadratureRule", "RunConfig", "SweepRow", "TableRow",
     "WeightedSizes", "adaptive_solve", "assemble_system", "bisect_refine",
     "build_structured_unit_square", "cg_solve", "check_interface_alignment",
-    "curl_uh", "doerfler_mark", "edge_geometry", "edge_jumps", "edge_rule",
+    "curl_uh", "doerfler_mark", "edge_geometry", "edge_jumps",
     "element_matrices", "element_residuals", "emit", "energy_error", "eval_uh",
-    "from_triplets", "indicator", "interface_problem", "load_mesh",
+    "indicator", "interface_problem", "load_mesh",
     "oscillations", "paper_problem", "parse_table_csv", "red_refine",
     "run_robustness_sweep", "run_table", "save_mesh", "solve", "tag_regions",
     "triangle_rule", "verify_consistency", "weighted_sizes", "whitney_eval",
