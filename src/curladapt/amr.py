@@ -35,8 +35,8 @@ def doerfler_mark(indicators, theta):
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     indicators = np.asarray(indicators, dtype=float)
-    if (indicators < 0).any():
-        raise ValueError("indicators must be nonnegative")
+    if not (np.isfinite(indicators) & (indicators >= 0)).all():
+        raise ValueError("indicators must be nonnegative and finite")
     total = indicators.sum()
     if total == 0.0:
         return set()
@@ -110,11 +110,7 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
         else:
             error = float("nan")
         n_dofs = solution.dofmap.n_free
-        if n_dofs >= max_dofs:
-            records.append(AdaptiveRecord(iteration, mesh.num_triangles, n_dofs,
-                                          eta, error, 0))
-            return records
-        marked = doerfler_mark(breakdown.total, theta)
+        marked = doerfler_mark(breakdown.total, theta) if n_dofs < max_dofs else set()
         records.append(AdaptiveRecord(iteration, mesh.num_triangles, n_dofs,
                                       eta, error, len(marked)))
         if not marked:

@@ -51,7 +51,7 @@ _TAIL, _HEAD = np.array(_LOCAL_EDGES).T
 _PREV = np.array([2, 0, 1])  # edge i starts at vertex i, edge _PREV[i] ends there
 
 # the triangle rules of the load vector and galerkin_residual, and of
-# energy_error
+# energy_error and the estimators' element residuals
 _LOAD_RULE = triangle_rule(4)
 _ERROR_RULE = triangle_rule(6)
 
@@ -178,11 +178,12 @@ class DofMap:
     def scatter(self, local):
         """Sum local vectors (T, 3) into a free-dof vector, or local
         matrices (T, 3, 3) into a free-dof ``scipy.sparse.csr_matrix`` with
-        sorted, unique columns per row; boundary slots drop.
+        sorted, unique columns per row (scipy sums the duplicate triplets);
+        boundary slots drop.
 
         No entry sums more than two element terms (an edge has at most two
-        triangles, two edges share at most one), every sum starts from 0.0
-        and two-term float addition commutes: the order cannot change a bit.
+        triangles, two edges share at most one), and two-term float
+        addition commutes: the order cannot change a bit.
         """
         ed, n = self.element_dofs, self.n_free
         if local.ndim == 2:
@@ -190,11 +191,14 @@ class DofMap:
             return _weighted_count(ed[free], local[free], n)
         rows, cols = np.broadcast_arrays(ed[:, :, None], ed[:, None, :])
         keep = (rows >= 0) & (cols >= 0)
-        keys, inv = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return scipy.sparse.csr_matrix(
-            (_weighted_count(inv, local[keep], len(keys)), keys % n, indptr), shape=(n, n))
+        return scipy.sparse.csr_matrix((local[keep], (rows[keep], cols[keep])), shape=(n, n))
+
+
+def _element_norms_sq(weights, values, areas):
+    """Squared L2 norms per element of samples (T, Q) or (T, Q, 2) at the
+    points of a rule with ``weights``."""
+    squares = values ** 2 if values.ndim == 2 else (values ** 2).sum(-1)
+    return squares @ weights * areas
 
 
 def _weighted_count(index, weights, n):
@@ -372,8 +376,8 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact):
     mesh = solution.mesh
     eps_t = coefficients.eps_by_region(mesh.regions)
     du, dcurl = _errors_at(solution, u_exact, curl_u_exact, _ERROR_RULE)
-    l2_part = (du ** 2).sum(-1) @ _ERROR_RULE.weights * mesh.areas
-    curl_part = dcurl ** 2 @ _ERROR_RULE.weights * mesh.areas
+    l2_part = _element_norms_sq(_ERROR_RULE.weights, du, mesh.areas)
+    curl_part = _element_norms_sq(_ERROR_RULE.weights, dcurl, mesh.areas)
     return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))
 
 

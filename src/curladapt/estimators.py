@@ -48,11 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import _weighted_count
+from .edge_fem import _ERROR_RULE, _element_norms_sq, _weighted_count
 from .mesh import _check_id
-from .quadrature import triangle_rule
-
-_QUAD = triangle_rule(6)
 
 
 class EstimatorKind(enum.Enum):
@@ -88,8 +85,8 @@ class _Norms(NamedTuple):
 
 
 class _Samples(NamedTuple):
-    """R1 (T, Q) and R2 (T, Q, 2) at the points of ``_QUAD`` and J1 (E, 2)
-    at the two ends of each edge, with the squared norms of all four
+    """R1 (T, Q) and R2 (T, Q, 2) at the points of ``_ERROR_RULE`` and J1
+    (E, 2) at the two ends of each edge, with the squared norms of all four
     quantities."""
     r1: np.ndarray
     r2: np.ndarray
@@ -164,12 +161,6 @@ def weighted_sizes(mesh, coefficients):
     )
 
 
-def _element_norms_sq(weights, values, areas):
-    """Squared L2 norms per element of samples (T, Q) or (T, Q, 2)."""
-    squares = values ** 2 if values.ndim == 2 else (values ** 2).sum(-1)
-    return squares @ weights * areas
-
-
 def _samples(solution, problem, tris=None, edges=None):
     """One evaluation of the residuals on elements ``tris`` and of the
     jumps on interior edges ``edges`` (all of them when None).
@@ -188,13 +179,14 @@ def _samples(solution, problem, tris=None, edges=None):
     edges = np.asarray(edges, dtype=np.int64)
 
     w = solution.vertex_vectors
-    points = np.matmul(_QUAD.points, mesh.vertices[mesh.triangles[tris]])
+    lam = _ERROR_RULE.points
+    points = np.matmul(lam, mesh.vertices[mesh.triangles[tris]])
     r1 = np.zeros(points.shape[:-1])
     if len(tris):
         if problem.div_f is None:
             raise ValueError("problem must provide an analytic div f")
         r1 = -np.asarray(problem.div_f(points), dtype=float)
-    r2 = np.asarray(problem.f(points), dtype=float) - kappa * np.matmul(_QUAD.points, w[tris])
+    r2 = np.asarray(problem.f(points), dtype=float) - kappa * np.matmul(lam, w[tris])
 
     # u_h is w_i at local vertex i; side 0 traverses the edge tail -> head
     # and side 1 head -> tail
@@ -208,8 +200,8 @@ def _samples(solution, problem, tris=None, edges=None):
     lengths = mesh.edge_lengths[edges]
 
     areas = mesh.areas[tris]
-    norms = _Norms(r1=_element_norms_sq(_QUAD.weights, r1, areas),
-                   r2=_element_norms_sq(_QUAD.weights, r2, areas),
+    norms = _Norms(r1=_element_norms_sq(_ERROR_RULE.weights, r1, areas),
+                   r2=_element_norms_sq(_ERROR_RULE.weights, r2, areas),
                    j1=lengths * (a * a + a * b + b * b) / 3,
                    # the wedge of the scalar jump with n is tangential with
                    # constant magnitude, so the squared edge norm is jump^2 |S|
@@ -272,7 +264,7 @@ def oscillations(solution, problem):
     mesh = solution.mesh
     sizes = weighted_sizes(mesh, problem.coefficients)
     samples = _samples(solution, problem)
-    wts, r1, r2 = _QUAD.weights, samples.r1, samples.r2
+    wts, r1, r2 = _ERROR_RULE.weights, samples.r1, samples.r2
     r1_mean = r1 @ wts
     r2_mean = wts @ r2
     element_part1 = sizes.element_size ** 2 * _element_norms_sq(

@@ -17,7 +17,6 @@ Meshes are immutable after construction: every refinement or re-tagging
 operation returns a new ``Mesh``.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,29 +53,6 @@ def _gradients(coords, areas):
     return _rot90(opposite) / (2.0 * areas)[:, None, None]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: np.ndarray
-
-
-@dataclass(frozen=True)
-class Triangle:
-    id: int
-    vertex_ids: tuple
-    region: int
-    refinement_edge: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    vertex_ids: tuple
-    adjacent_triangles: tuple
-    is_boundary: bool
-    normal: np.ndarray
-
-
 class Mesh:
     """Conforming triangle mesh with oriented edge topology.
 
@@ -87,7 +63,7 @@ class Mesh:
     triangles : array_like, shape (T, 3)
         Vertex ids per triangle, counterclockwise.
     regions : array_like, shape (T,), optional
-        Region tag per triangle; defaults to ``OMEGA1`` everywhere.
+        Integer region tag per triangle; defaults to ``OMEGA1`` everywhere.
     refinement_edges : array_like, shape (T,), optional
         Local refinement-edge index (0..2) per triangle for
         newest-vertex bisection.  Defaults to the longest edge, ties
@@ -119,7 +95,11 @@ class Mesh:
 
         if regions is None:
             regions = np.full(nt, OMEGA1, dtype=np.int64)
-        self.regions = np.array(regions, dtype=np.int64)
+        regions = np.asarray(regions)
+        # checked before the cast, which would truncate 1.9 to 1
+        if not np.issubdtype(regions.dtype, np.integer):
+            raise ValueError(f"region tags must be integers, got dtype {regions.dtype}")
+        self.regions = regions.astype(np.int64)
         if self.regions.shape != (nt,):
             raise ValueError("regions must have one tag per triangle")
 
@@ -132,7 +112,7 @@ class Mesh:
         area = _signed_areas(vertices[triangles])
         if (area <= 0).any():
             raise ValueError("triangles must be counterclockwise with positive area")
-        self._areas = area
+        self.areas = area
 
         self._build_edges()
 
@@ -145,7 +125,7 @@ class Mesh:
             raise ValueError("refinement_edges entries must be 0, 1 or 2")
 
         for arr in (self.vertices, self.triangles, self.regions, self.parent_ids,
-                    self.refinement_edges, self._areas, self.edges, self.tri_edges,
+                    self.refinement_edges, self.areas, self.edges, self.tri_edges,
                     self.tri_edge_signs, self.edge_tris, self.edge_tri_local,
                     self.is_boundary_edge, self.edge_lengths, self.edge_normals):
             arr.flags.writeable = False
@@ -230,10 +210,6 @@ class Mesh:
         return self.num_vertices - self.num_edges + self.num_triangles
 
     @cached_property
-    def areas(self):
-        return self._areas
-
-    @cached_property
     def centroids(self):
         return self.vertices[self.triangles].mean(axis=1)
 
@@ -248,18 +224,6 @@ class Mesh:
         g = _gradients(self.vertices[self.triangles], self.areas)
         g.flags.writeable = False
         return g
-
-    def vertex(self, vertex_id):
-        return Vertex(int(vertex_id), self.vertices[vertex_id])
-
-    def triangle(self, tri_id):
-        return Triangle(int(tri_id), tuple(self.triangles[tri_id]),
-                        int(self.regions[tri_id]), int(self.refinement_edges[tri_id]))
-
-    def edge(self, edge_id):
-        adj = tuple(int(t) for t in self.edge_tris[edge_id] if t >= 0)
-        return Edge(int(edge_id), tuple(self.edges[edge_id]), adj,
-                    bool(self.is_boundary_edge[edge_id]), self.edge_normals[edge_id])
 
     def __repr__(self):
         return (f"Mesh({self.num_vertices} vertices, {self.num_edges} edges, "
@@ -330,9 +294,13 @@ def bisect_refine(mesh, marked):
     follow parent order, then slot order; midpoints are numbered after the
     existing vertices, in edge order.
     """
-    marked = np.unique(np.fromiter(marked, np.int64))
+    marked = np.array(list(marked))
     if marked.size == 0:
         return mesh
+    # refused, not truncated: an id of 1.7 must not mark triangle 1
+    if not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError(f"marked triangle ids must be integers, got dtype {marked.dtype}")
+    marked = np.unique(marked)
     if marked[0] < 0 or marked[-1] >= mesh.num_triangles:
         raise ValueError("marked triangle id out of range")
 
@@ -374,7 +342,7 @@ def bisect_refine(mesh, marked):
 
 def tag_regions(mesh, classifier):
     """Return a copy of the mesh re-tagged by one call of ``classifier``,
-    which maps the element centroids (T, 2) to region tags (T,)."""
+    which maps the element centroids (T, 2) to integer region tags (T,)."""
     return Mesh(mesh.vertices, mesh.triangles, regions=classifier(mesh.centroids),
                 refinement_edges=mesh.refinement_edges, parent_ids=mesh.parent_ids)
 

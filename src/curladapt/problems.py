@@ -66,10 +66,12 @@ class ManufacturedProblem:
     interface_abscissa: float = None   # x-coordinate of the phase interface, if any
 
 
-def _trig_solution():
-    """The smooth curl-free reference field on the unit square with zero
-    tangential boundary trace."""
+def _trig_fields(kappa):
+    """The smooth curl-free reference field u on the unit square, with zero
+    tangential boundary trace, its curl, and the source ``f = kappa u``
+    with its divergence."""
     pi = np.pi
+    kappa = float(kappa)
 
     def u(x):
         return np.stack([np.cos(pi * x[..., 0]) * np.sin(pi * x[..., 1]),
@@ -78,10 +80,13 @@ def _trig_solution():
     def curl_u(x):
         return np.zeros(np.asarray(x).shape[:-1])
 
-    def div_u(x):
-        return -2.0 * pi * np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1])
+    def f(x):
+        return kappa * u(x)
 
-    return u, curl_u, div_u
+    def div_f(x):
+        return kappa * (-2.0 * pi * np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1]))
+
+    return u, curl_u, f, div_f
 
 
 def paper_problem(eps, kappa):
@@ -91,13 +96,10 @@ def paper_problem(eps, kappa):
     is curl free, so the source reduces to ``f = kappa u`` with
     ``div f = -2 kappa pi sin(pi x1) sin(pi x2)``.
     """
-    u, curl_u, div_u = _trig_solution()
+    u, curl_u, f, div_f = _trig_fields(kappa)
     return ManufacturedProblem(
         coefficients=CoefficientField(eps={OMEGA1: float(eps)}, kappa=float(kappa)),
-        u=u,
-        curl_u=curl_u,
-        f=lambda x, k=float(kappa): k * u(x),
-        div_f=lambda x, k=float(kappa): k * div_u(x),
+        u=u, curl_u=curl_u, f=f, div_f=div_f,
         tag=f"paper(eps={eps:g},kappa={kappa:g})",
     )
 
@@ -111,17 +113,14 @@ def interface_problem(eps1, eps2, kappa, split=0.5):
     jumps across the interface, which is what exercises estimator
     robustness.
     """
-    u, curl_u, div_u = _trig_solution()
     split = float(split)
     if not 0 < split < 1:
         raise ValueError(f"split must lie in (0, 1), got {split}")
+    u, curl_u, f, div_f = _trig_fields(kappa)
     return ManufacturedProblem(
         coefficients=CoefficientField(eps={OMEGA1: float(eps1), OMEGA2: float(eps2)},
                                       kappa=float(kappa)),
-        u=u,
-        curl_u=curl_u,
-        f=lambda x, k=float(kappa): k * u(x),
-        div_f=lambda x, k=float(kappa): k * div_u(x),
+        u=u, curl_u=curl_u, f=f, div_f=div_f,
         tag=f"interface(eps1={eps1:g},eps2={eps2:g},kappa={kappa:g})",
         classifier=lambda x: np.where(x[..., 0] < split, OMEGA1, OMEGA2),
         interface_abscissa=split,

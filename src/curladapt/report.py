@@ -68,10 +68,10 @@ class RunConfig:
     def validate(self):
         """Refuse bad settings before any work; the coefficients are
         checked by building the problem."""
-        if self.levels < 1:
-            raise ValueError("levels must be at least 1")
-        if self.initial_n < 1:
-            raise ValueError("initial_n must be at least 1")
+        for name in ("levels", "initial_n"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.problem == "interface":
             if self.eps1 is None or self.eps2 is None:
                 raise ValueError("interface runs need eps1 and eps2")

@@ -35,6 +35,11 @@ def test_doerfler_rejects_bad_input():
         doerfler_mark([1.0, 2.0], theta=1.5)
     with pytest.raises(ValueError):
         doerfler_mark([1.0, -2.0], theta=0.5)
+    # a nan would drop out of the ranking, an inf would take all the bulk
+    with pytest.raises(ValueError):
+        doerfler_mark(np.array([np.nan, 1.0]), theta=0.5)
+    with pytest.raises(ValueError):
+        doerfler_mark(np.array([np.inf, 1.0]), theta=0.5)
 
 
 def test_doerfler_minimality_randomized():

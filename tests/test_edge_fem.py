@@ -256,8 +256,9 @@ def _sha256(*arrays):
 # sha256 of (A.indptr, A.indices, A.data) and of b from assemble_system, and
 # of galerkin_residual for a fixed field.  The matrix is unchanged since the
 # triplet sort and the np.add.at loops of the assembly were replaced by one
-# bincount scatter; b and the residual were frozen when the load became the
-# adjoint of the vertex vectors
+# bincount scatter, and again since scipy's COO-to-CSR conversion took over
+# that scatter's duplicate sums; b and the residual were frozen when the load
+# became the adjoint of the vertex vectors
 FROZEN_ASSEMBLY = {
     "seed7_chain": ("90f71cf199979c784d2498eaf7807381bc5e6f5e8e743f1a9b05480cbad17fa1",
                     "36935439d1620d93e8329a5c1c5295932cd8dcee147d0965bbfd3e63d2e757dc",

@@ -145,6 +145,11 @@ def test_bisect_rejects_bad_ids():
     mesh = build_structured_unit_square(2)
     with pytest.raises(ValueError):
         bisect_refine(mesh, {99})
+    # a cast would truncate 1.7 to triangle 1
+    with pytest.raises(ValueError, match="must be integers"):
+        bisect_refine(mesh, [1.7])
+    with pytest.raises(ValueError, match="must be integers"):
+        bisect_refine(mesh, np.array([0, 1.0]))
 
 
 def test_bisect_chain_keeps_invariants():
@@ -280,6 +285,15 @@ def test_tag_regions_refuses_a_scalar_classifier():
         tag_regions(build_structured_unit_square(4), lambda x: 1)
 
 
+def test_tag_regions_refuses_non_integer_tags():
+    # a cast would truncate 1.9 and 2.2 to the valid tags 1 and 2
+    mesh = build_structured_unit_square(2)
+    with pytest.raises(ValueError, match="region tags must be integers"):
+        tag_regions(mesh, lambda x: np.where(x[..., 0] < .5, 1.9, 2.2))
+    with pytest.raises(ValueError, match="region tags must be integers"):
+        tag_regions(mesh, lambda x: np.full(x.shape[:-1], np.nan))
+
+
 def test_edge_geometry_lengths():
     mesh = build_structured_unit_square(4)
     lengths = sorted(set(np.round(mesh.edge_lengths, 12)))
@@ -315,16 +329,6 @@ def test_refinement_edge_initialization_longest_edge():
     # all elements are right isosceles: the refinement edge is the diagonal
     ref_edge = mesh.tri_edges[np.arange(mesh.num_triangles), mesh.refinement_edges]
     assert np.allclose(mesh.edge_lengths[ref_edge], 0.25 * np.sqrt(2))
-
-
-def test_mesh_views():
-    mesh = build_structured_unit_square(2)
-    tri = mesh.triangle(0)
-    assert tri.id == 0 and len(tri.vertex_ids) == 3
-    edge = mesh.edge(0)
-    assert edge.id == 0 and len(edge.adjacent_triangles) in (1, 2)
-    vert = mesh.vertex(3)
-    assert vert.id == 3 and vert.x.shape == (2,)
 
 
 def test_mesh_immutable():

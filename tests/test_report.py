@@ -90,6 +90,11 @@ def test_run_config_validation():
         RunConfig(eps=-1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(fmt="xml").validate()
+    # refused up front, not by a TypeError in the middle of run_table
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        RunConfig(levels=2.5).validate()
+    with pytest.raises(ValueError, match="initial_n must be an integer"):
+        RunConfig(initial_n=2.5).validate()
     RunConfig(problem="interface", eps1=10.0, eps2=1.0, kappa=2.0).validate()
 
 
