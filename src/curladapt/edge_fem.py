@@ -42,16 +42,15 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .mesh import (_LOCAL_EDGES, _check_id, _cross2, _gradients, _parse_fields,
-                   _rot90, _signed_areas)
+from .mesh import _LOCAL_EDGES, _check_id, _cross2, _gradients, _rot90, _signed_areas
 from .quadrature import triangle_rule
 
 # local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
 _TAIL, _HEAD = np.array(_LOCAL_EDGES).T
 _PREV = np.array([2, 0, 1])  # edge i starts at vertex i, edge _PREV[i] ends there
 
-# the triangle rules of the load vector and galerkin_residual, and of
-# energy_error and the estimators' element residuals
+# the triangle rules of the load vector, and of energy_error and the
+# estimators' element residuals
 _LOAD_RULE = triangle_rule(4)
 _ERROR_RULE = triangle_rule(6)
 
@@ -247,17 +246,16 @@ class DiscreteSolution:
     iterations: int = None
     residual: float = None
 
-    def edge_values(self):
-        """Coefficients indexed by edge id, zero on boundary edges."""
+    def element_coefficients(self):
+        """(T, 3) restriction of the global dof values to each element's
+        edges, zero on boundary edges; these multiply the
+        orientation-signed local basis."""
+        # through a zero-filled edge vector: a mesh without free edges has
+        # no coefficient for the -1 of a boundary slot to index
         full = np.zeros(self.mesh.num_edges)
         free = self.dofmap.edge_dof >= 0
         full[free] = self.coefficients[self.dofmap.edge_dof[free]]
-        return full
-
-    def element_coefficients(self):
-        """(T, 3) restriction of the global dof values to each element's
-        edges; these multiply the orientation-signed local basis."""
-        return self.edge_values()[self.mesh.tri_edges]
+        return full[self.mesh.tri_edges]
 
     @cached_property
     def vertex_vectors(self):
@@ -358,73 +356,16 @@ def curl_uh(solution, tri_id):
     return float(solution.curls[tri_id])
 
 
-def _errors_at(solution, u, curl_u, rule):
-    """``u - u_h`` (T, Q, 2) and ``curl u - curl u_h`` (T, Q) at the points
-    of ``rule`` on every element."""
-    mesh = solution.mesh
-    points = np.matmul(rule.points, mesh.vertices[mesh.triangles])
-    u_vals = np.asarray(u(points), dtype=float)
-    curl_vals = np.asarray(curl_u(points), dtype=float)
-    return (u_vals - np.matmul(rule.points, solution.vertex_vectors),
-            curl_vals - solution.curls[:, None])
-
-
 def energy_error(solution, coefficients, u_exact, curl_u_exact):
     """Energy-norm distance between an analytic field and the discrete one:
     ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u - u_h|^2)``,
     integrated with the degree-6 triangle rule."""
     mesh = solution.mesh
     eps_t = coefficients.eps_by_region(mesh.regions)
-    du, dcurl = _errors_at(solution, u_exact, curl_u_exact, _ERROR_RULE)
+    lam = _ERROR_RULE.points
+    points = np.matmul(lam, mesh.vertices[mesh.triangles])
+    du = np.asarray(u_exact(points), dtype=float) - np.matmul(lam, solution.vertex_vectors)
+    dcurl = np.asarray(curl_u_exact(points), dtype=float) - solution.curls[:, None]
     l2_part = _element_norms_sq(_ERROR_RULE.weights, du, mesh.areas)
     curl_part = _element_norms_sq(_ERROR_RULE.weights, dcurl, mesh.areas)
     return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))
-
-
-def galerkin_residual(solution, problem):
-    """Residual of the discrete variational identity tested against every
-    free basis function, computed by quadrature against the analytic
-    solution: ``eps (curl u - curl u_h, curl phi) + kappa (u - u_h, phi)``,
-    at the points of the load rule and with its moment kernel.  Vanishes up
-    to quadrature and roundoff after a converged solve."""
-    mesh = solution.mesh
-    coeffs = problem.coefficients
-    eps_t = coeffs.eps_by_region(mesh.regions)
-    du, dcurl = _errors_at(solution, problem.u, problem.curl_u, _LOAD_RULE)
-    basis_curls = _basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs)
-    mass_part = coeffs.kappa * _moments(mesh, du)
-    curl_diff = np.einsum("q,tq->t", _LOAD_RULE.weights, dcurl)
-    curl_part = (eps_t * mesh.areas * curl_diff)[:, None] * basis_curls
-    return solution.dofmap.scatter(mass_part + curl_part)
-
-
-def save_solution(solution, path):
-    """Write (edge id, coefficient) pairs in plain text, boundary edges
-    included with value zero."""
-    values = solution.edge_values()
-    with open(path, "w") as fh:
-        for edge_id, value in enumerate(values):
-            fh.write(f"{edge_id} {float(value)!r}\n")
-
-
-def load_solution(mesh, path):
-    """Rebuild a solution saved by :func:`save_solution` against a mesh."""
-    values = np.zeros(mesh.num_edges)
-    seen = np.zeros(mesh.num_edges, dtype=bool)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            edge_id, value = _parse_fields(line, lineno, "edge_id value", (int, float))
-            if not np.isfinite(value):
-                raise ValueError(f"line {lineno}: value {value} is not finite")
-            if not 0 <= edge_id < mesh.num_edges:
-                raise ValueError(f"line {lineno}: edge id {edge_id} not in [0, {mesh.num_edges})")
-            if seen[edge_id]:
-                raise ValueError(f"line {lineno}: edge id {edge_id} given twice")
-            seen[edge_id] = True
-            values[edge_id] = value
-    dofmap = DofMap(mesh)
-    if np.abs(values[mesh.is_boundary_edge]).max(initial=0.0) > 0:
-        raise ValueError("stored solution has nonzero boundary coefficients")
-    return DiscreteSolution(mesh, dofmap, values[dofmap.edge_dof >= 0])

@@ -31,6 +31,17 @@ _LOCAL_EDGES = [(0, 1), (1, 2), (2, 0)]
 _CANONICAL_ROT = np.array([(2, 0, 1), (0, 1, 2), (1, 2, 0)])
 
 
+def _integers(values, what):
+    """``values`` as int64, refused unless their dtype is an integer one
+    (bool is not): the cast would truncate 1.9 to 1 and read True as 1."""
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        if values.ndim == 0:
+            raise ValueError(f"{what} must be an integer, got {values.item()!r}")
+        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64)
+
+
 def _cross2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
@@ -76,7 +87,7 @@ class Mesh:
     def __init__(self, vertices, triangles, regions=None, refinement_edges=None,
                  parent_ids=None):
         vertices = np.array(vertices, dtype=float)
-        triangles = np.array(triangles, dtype=np.int64)
+        triangles = _integers(triangles, "triangle vertex ids")
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (V, 2)")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -95,17 +106,13 @@ class Mesh:
 
         if regions is None:
             regions = np.full(nt, OMEGA1, dtype=np.int64)
-        regions = np.asarray(regions)
-        # checked before the cast, which would truncate 1.9 to 1
-        if not np.issubdtype(regions.dtype, np.integer):
-            raise ValueError(f"region tags must be integers, got dtype {regions.dtype}")
-        self.regions = regions.astype(np.int64)
+        self.regions = _integers(regions, "region tags")
         if self.regions.shape != (nt,):
             raise ValueError("regions must have one tag per triangle")
 
         if parent_ids is None:
             parent_ids = np.full(nt, -1, dtype=np.int64)
-        self.parent_ids = np.array(parent_ids, dtype=np.int64)
+        self.parent_ids = _integers(parent_ids, "parent_ids")
         if self.parent_ids.shape != (nt,):
             raise ValueError("parent_ids must have one entry per triangle")
 
@@ -118,7 +125,7 @@ class Mesh:
 
         if refinement_edges is None:
             refinement_edges = self._longest_edge_init()
-        self.refinement_edges = np.array(refinement_edges, dtype=np.int64)
+        self.refinement_edges = _integers(refinement_edges, "refinement_edges")
         if self.refinement_edges.shape != (nt,):
             raise ValueError("refinement_edges must have one entry per triangle")
         if not np.isin(self.refinement_edges, (0, 1, 2)).all():
@@ -297,10 +304,7 @@ def bisect_refine(mesh, marked):
     marked = np.array(list(marked))
     if marked.size == 0:
         return mesh
-    # refused, not truncated: an id of 1.7 must not mark triangle 1
-    if not np.issubdtype(marked.dtype, np.integer):
-        raise ValueError(f"marked triangle ids must be integers, got dtype {marked.dtype}")
-    marked = np.unique(marked)
+    marked = np.unique(_integers(marked, "marked triangle ids"))
     if marked[0] < 0 or marked[-1] >= mesh.num_triangles:
         raise ValueError("marked triangle id out of range")
 
@@ -348,8 +352,9 @@ def tag_regions(mesh, classifier):
 
 
 def _check_id(index, count, what):
-    """Refuse an element or edge id outside [0, count): numpy would wrap a
-    negative one around to the end."""
+    """Refuse an element or edge id that is not an integer in [0, count):
+    numpy would wrap a negative one around to the end."""
+    _integers(index, f"{what} id")
     if not 0 <= index < count:
         raise ValueError(f"{what} id {index} out of range [0, {count})")
 

@@ -185,7 +185,8 @@ def verify_consistency(problem):
     """Check that the problem data actually solves its own equation.
 
     Verifies ``f = eps * curl*(curl u) + kappa * u`` at 100 random
-    interior points with the adjoint curl ``curl* w = (-dw/dx2, dw/dx1)``
+    interior points with ``curl* w = (dw/dx2, -dw/dx1)``, the adjoint of
+    ``curl v = dv2/dx1 - dv1/dx2`` under zero tangential trace,
     approximated by central differences of the analytic ``curl_u`` with
     step 1e-5, to 1e-6 relative to the largest |f|; verifies the
     tangential trace of ``u`` vanishes on the boundary of the unit square,
@@ -214,7 +215,7 @@ def verify_consistency(problem):
 
     dx, dy = derivative((fd_step, 0.0)), derivative((0.0, fd_step))
     eps = coeffs.eps_by_region(tags[keep, 0])
-    f_check = eps[:, None] * np.stack([-dy, dx], axis=-1) + coeffs.kappa * problem.u(pts)
+    f_check = eps[:, None] * np.stack([dy, -dx], axis=-1) + coeffs.kappa * problem.u(pts)
     f_val = problem.f(pts)
     scale = max(1.0, float(np.abs(f_val).max()))
     worst, worst_point = _largest(np.abs(f_check - f_val).max(axis=1), pts)

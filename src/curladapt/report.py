@@ -8,8 +8,8 @@ import numpy as np
 from . import edge_fem
 from .estimators import EstimatorKind, dump_indicators, indicator
 from .linalg import CgNonConvergence
-from .mesh import (_parse_fields, build_structured_unit_square, red_refine, save_mesh,
-                   tag_regions)
+from .mesh import (_integers, _parse_fields, build_structured_unit_square, red_refine,
+                   save_mesh, tag_regions)
 from .problems import (check_interface_alignment, default_solver_tol,
                        interface_problem, paper_problem)
 
@@ -70,7 +70,7 @@ class RunConfig:
         checked by building the problem."""
         for name in ("levels", "initial_n"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if _integers(value, name).ndim or value < 1:
                 raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.problem == "interface":
             if self.eps1 is None or self.eps2 is None:

@@ -160,12 +160,16 @@ def test_jump_rejects_boundary_edge():
     (lambda sol, problem, i: eval_uh(sol, i, (0.25, 0.25)), "num_triangles"),
     (lambda sol, problem, i: curl_uh(sol, i), "num_triangles"),
 ], ids=["element_residuals", "edge_jumps", "eval_uh", "curl_uh"])
-@pytest.mark.parametrize("bad", ["minus_one", "count"])
+@pytest.mark.parametrize("bad", ["minus_one", "count", "fraction", "bool"])
 def test_scalar_helpers_refuse_out_of_range_ids(call, count, bad):
-    # numpy indexing would wrap -1 around to the last element
+    # numpy indexing would wrap -1 around to the last element, and a cast
+    # would read 1.5 and True as id 1
     mesh = build_structured_unit_square(2)
-    index = -1 if bad == "minus_one" else getattr(mesh, count)
-    with pytest.raises(ValueError, match="out of range"):
+    index, message = {"minus_one": (-1, "out of range"),
+                      "count": (getattr(mesh, count), "out of range"),
+                      "fraction": (1.5, "id must be an integer, got 1.5"),
+                      "bool": (True, "id must be an integer, got True")}[bad]
+    with pytest.raises(ValueError, match=message):
         call(zero_solution(mesh), paper_problem(1.0, 1.0), index)
 
 

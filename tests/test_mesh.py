@@ -63,11 +63,16 @@ def test_constructor_rejects_bad_input():
         Mesh([[0, 0], [1, 0], [0, 1]], [[0, 2, 1]])  # clockwise
     with pytest.raises(ValueError):
         Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]])  # id out of range
+    # a cast would truncate 2.5 to vertex 2
+    with pytest.raises(ValueError, match="triangle vertex ids must be integers"):
+        Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2.5]])
 
 
 def test_constructor_rejects_bad_refinement_edges():
     v, t = [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
-    for bad in ([5, 0], [0, -1]):
+    # a cast would truncate [1.5, 0.2] to the valid [1, 0] and read
+    # [True, False] as [1, 0]
+    for bad in ([5, 0], [0, -1], [1.5, 0.2], [True, False]):
         with pytest.raises(ValueError, match="refinement_edges"):
             Mesh(v, t, refinement_edges=bad)
 
@@ -76,6 +81,9 @@ def test_constructor_rejects_bad_parent_ids():
     v, t = [[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]]
     with pytest.raises(ValueError, match="parent_ids"):
         Mesh(v, t, parent_ids=[0, 0, 0, 0, 0])
+    # a cast would store the parents [0, 1]
+    with pytest.raises(ValueError, match="parent_ids must be integers"):
+        Mesh(v, t, parent_ids=[0.7, 1.9])
 
 
 def test_red_refine_counts_and_similarity():

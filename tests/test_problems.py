@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from curladapt.edge_fem import assemble_system, solve
+from curladapt.edge_fem import assemble_system, energy_error, solve
 from curladapt.estimators import edge_jumps
-from curladapt.mesh import build_structured_unit_square, tag_regions
+from curladapt.mesh import build_structured_unit_square, red_refine, tag_regions
 from curladapt.problems import (CoefficientField, ManufacturedProblem,
                                 check_interface_alignment, interface_problem,
                                 paper_problem, verify_consistency)
@@ -90,6 +90,60 @@ def test_verify_consistency_detects_perturbed_source():
     assert report.max_interior_residual == pytest.approx(1e-3, rel=1e-6)
     # any change to the sampling of the check points moves the worst point
     assert report.worst_point == (0.5488583059261819, 0.5983387433850835)
+
+
+def _curl_carrying_problem(sign):
+    """u = (0, phi(x1) sin(pi x2)) with phi = x1^2 (1 - x1)^2 and eps = kappa
+    = 1: curl u = phi' sin(pi x2), and with curl* w = (dw/dx2, -dw/dx1) the
+    source is f = (pi phi' cos(pi x2), -phi'' sin(pi x2)) + u.  ``sign=-1``
+    builds f with the opposite curl*."""
+    pi = np.pi
+
+    def phi(x):
+        return x ** 2 * (1 - x) ** 2
+
+    def dphi(x):
+        return 2 * x - 6 * x ** 2 + 4 * x ** 3
+
+    def ddphi(x):
+        return 2 - 12 * x + 12 * x ** 2
+
+    def u(p):
+        return np.stack([np.zeros(p.shape[:-1]), phi(p[..., 0]) * np.sin(pi * p[..., 1])],
+                        axis=-1)
+
+    def curl_u(p):
+        return dphi(p[..., 0]) * np.sin(pi * p[..., 1])
+
+    def f(p):
+        x, y = p[..., 0], p[..., 1]
+        return sign * np.stack([pi * dphi(x) * np.cos(pi * y),
+                                -ddphi(x) * np.sin(pi * y)], axis=-1) + u(p)
+
+    def div_f(p):
+        return pi * phi(p[..., 0]) * np.cos(pi * p[..., 1])
+
+    return ManufacturedProblem(CoefficientField(eps={1: 1.0}, kappa=1.0), u, curl_u, f,
+                               div_f, tag=f"curl-carrying(sign={sign})")
+
+
+def test_verify_consistency_uses_the_adjoint_curl():
+    # both shipped problems are curl free, so only a field with curl sees
+    # the sign of curl*
+    right, wrong = _curl_carrying_problem(1), _curl_carrying_problem(-1)
+    report = verify_consistency(right)
+    assert report.passed, str(report)
+    assert not verify_consistency(wrong).passed
+    # the FEM solves the equation with this curl*: the error of the right
+    # source halves under red refinement, that of the wrong one stalls
+    for problem, low, high in ((right, 1.8, 2.2), (wrong, 0.9, 1.1)):
+        mesh, errors = build_structured_unit_square(4), []
+        for _ in range(4):
+            sol = solve(mesh, problem.coefficients, problem.f)
+            errors.append(energy_error(sol, problem.coefficients, problem.u, problem.curl_u))
+            mesh = red_refine(mesh)
+        ratios = np.array(errors[:-1]) / errors[1:]
+        assert ((low < ratios) & (ratios < high)).all(), (problem.tag, errors)
 
 
 def test_interface_reduces_to_constant_coefficients():

@@ -1,8 +1,11 @@
 """The public names of ``curladapt`` (submodules excluded) and the public
 attributes of a ``Mesh``, frozen: any addition or removal shows up as a
-diff of these lists."""
+diff of these lists.  Package code outside the public names must have a
+caller in the package."""
 
+import ast
 import types
+from pathlib import Path
 
 import curladapt
 from curladapt.mesh import build_structured_unit_square
@@ -41,3 +44,29 @@ MESH_ATTRIBUTES = [
 def test_mesh_attributes_are_frozen():
     mesh = build_structured_unit_square(1)
     assert sorted(name for name in dir(mesh) if not name.startswith("_")) == MESH_ATTRIBUTES
+
+
+def _referenced_names(node):
+    """Names a syntax tree reads: plain names, attributes and imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # a top-level function or class that is not public must be used by
+    # other package code; one that only tests call belongs in the tests
+    statements = [node for path in sorted(Path(curladapt.__file__).parent.glob("*.py"))
+                  for node in ast.parse(path.read_text(), str(path)).body]
+    names = [_referenced_names(node) for node in statements]
+    uncalled = [node.name for i, node in enumerate(statements)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in curladapt.__all__
+                and not any(node.name in other for j, other in enumerate(names) if j != i)]
+    assert uncalled == []

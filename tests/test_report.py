@@ -95,6 +95,9 @@ def test_run_config_validation():
         RunConfig(levels=2.5).validate()
     with pytest.raises(ValueError, match="initial_n must be an integer"):
         RunConfig(initial_n=2.5).validate()
+    # bool is an int subclass, but True is no level count
+    with pytest.raises(ValueError, match="levels must be an integer, got True"):
+        RunConfig(levels=True).validate()
     RunConfig(problem="interface", eps1=10.0, eps2=1.0, kappa=2.0).validate()
 
 
