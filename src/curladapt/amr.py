@@ -45,7 +45,7 @@ def doerfler_mark(indicators, theta):
     cutoff = int(np.searchsorted(csum, theta * total, side="left"))
     marked = order[:cutoff + 1]
     marked = marked[indicators[marked] > 0]
-    return set(int(t) for t in marked)
+    return set(marked.tolist())
 
 
 def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000):
@@ -96,19 +96,21 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
         solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
                                   rel_tol=None, energy_target=target, x0=x0)
         x0 = None  # not needed past the solve; freed before the estimator's peak memory
-        breakdown = indicator(solution, problem, kind)
+        sample = problem.sample(edge_fem.error_points(mesh))
+        breakdown = indicator(solution, problem, kind, sample)
         if target is not None and breakdown.global_estimate < eta_prev / 2:
             solution = edge_fem.solve(
                 mesh, problem.coefficients, problem.f, rel_tol=None,
                 energy_target=ALGEBRAIC_FRACTION * breakdown.global_estimate / 4,
                 x0=solution.coefficients)
-            breakdown = indicator(solution, problem, kind)
+            breakdown = indicator(solution, problem, kind, sample)
         eta = breakdown.global_estimate
         if problem.u is not None:
             error = edge_fem.energy_error(solution, problem.coefficients,
-                                          problem.u, problem.curl_u)
+                                          sample.u, sample.curl_u)
         else:
             error = float("nan")
+        sample = None  # freed before bisection
         n_dofs = solution.dofmap.n_free
         marked = doerfler_mark(breakdown.total, theta) if n_dofs < max_dofs else set()
         records.append(AdaptiveRecord(iteration, mesh.num_triangles, n_dofs,

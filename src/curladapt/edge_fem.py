@@ -25,6 +25,11 @@ tolerances, not bit patterns, relate the two.
 Homogeneous tangential boundary conditions are imposed by eliminating the
 boundary-edge unknowns.
 
+The problem is read at two point sets per mesh: f at the degree-4 points
+of the load (:func:`assemble_system`), and u and curl u at the degree-6
+points of :func:`error_points` (:func:`energy_error`), from the sample
+that the drivers share with the estimators.
+
 A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
 (:func:`prolongate`).  On each coarse element P it is linear with a
 constant curl, ``u = w_0 + (curl_P / 2) (x - x_0)^perp`` about P's first
@@ -196,7 +201,7 @@ class DofMap:
 def _element_norms_sq(weights, values, areas):
     """Squared L2 norms per element of samples (T, Q) or (T, Q, 2) at the
     points of a rule with ``weights``."""
-    squares = values ** 2 if values.ndim == 2 else (values ** 2).sum(-1)
+    squares = values ** 2 if values.ndim == 2 else values[..., 0] ** 2 + values[..., 1] ** 2
     return squares @ weights * areas
 
 
@@ -356,16 +361,27 @@ def curl_uh(solution, tri_id):
     return float(solution.curls[tri_id])
 
 
+def error_points(mesh):
+    """The points (T, Q, 2) of the degree-6 rule on every element, where
+    the drivers sample the problem once per mesh for :func:`energy_error`
+    and the estimators."""
+    return np.matmul(_ERROR_RULE.points, mesh.vertices[mesh.triangles])
+
+
 def energy_error(solution, coefficients, u_exact, curl_u_exact):
     """Energy-norm distance between an analytic field and the discrete one:
     ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u - u_h|^2)``,
-    integrated with the degree-6 triangle rule."""
+    integrated with the degree-6 triangle rule.  ``u_exact`` and
+    ``curl_u_exact`` are callables of points (..., 2), or their values at
+    :func:`error_points` (a problem's ``sample`` there)."""
     mesh = solution.mesh
     eps_t = coefficients.eps_by_region(mesh.regions)
+    if callable(u_exact):
+        points = error_points(mesh)
+        u_exact, curl_u_exact = u_exact(points), curl_u_exact(points)
     lam = _ERROR_RULE.points
-    points = np.matmul(lam, mesh.vertices[mesh.triangles])
-    du = np.asarray(u_exact(points), dtype=float) - np.matmul(lam, solution.vertex_vectors)
-    dcurl = np.asarray(curl_u_exact(points), dtype=float) - solution.curls[:, None]
+    du = np.asarray(u_exact, dtype=float) - np.matmul(lam, solution.vertex_vectors)
+    dcurl = np.asarray(curl_u_exact, dtype=float) - solution.curls[:, None]
     l2_part = _element_norms_sq(_ERROR_RULE.weights, du, mesh.areas)
     curl_part = _element_norms_sq(_ERROR_RULE.weights, dcurl, mesh.areas)
     return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))

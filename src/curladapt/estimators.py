@@ -32,8 +32,11 @@ of the elementwise indicators.
 
 One pass reduces the residuals and jumps to the squared norms of R1, R2
 per element and J1, J2 per interior edge, reading f and div f only at the
-element quadrature points and u_h from ``DiscreteSolution.vertex_vectors``
-and ``.curls``, built once per field.  The jumps need no edge quadrature:
+degree-6 element points, from the problem's sample there
+(``ManufacturedProblem.sample`` at ``edge_fem.error_points``; the drivers
+take one per mesh and share it with ``edge_fem.energy_error``), and u_h
+from ``DiscreteSolution.vertex_vectors`` and ``.curls``, built once per
+field.  The jumps need no edge quadrature:
 u_h is linear on each element and f is single-valued on an edge, so
 J1 = -kappa [[u_h]] . n is linear along the edge and fixed by its two end
 values, and J2 is constant.  The norms do not depend on the estimator
@@ -48,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import _ERROR_RULE, _element_norms_sq, _weighted_count
+from .edge_fem import _ERROR_RULE, _element_norms_sq, _weighted_count, error_points
 from .mesh import _check_id
 
 
@@ -86,11 +89,11 @@ class _Norms(NamedTuple):
 
 class _Samples(NamedTuple):
     """R1 (T, Q) and R2 (T, Q, 2) at the points of ``_ERROR_RULE`` and J1
-    (E, 2) at the two ends of each edge, with the squared norms of all four
-    quantities."""
+    at the two ends of each edge, a pair of (E,) arrays, with the squared
+    norms of all four quantities."""
     r1: np.ndarray
     r2: np.ndarray
-    j1: np.ndarray
+    j1: tuple
     norms: _Norms
 
 
@@ -161,45 +164,52 @@ def weighted_sizes(mesh, coefficients):
     )
 
 
-def _samples(solution, problem, tris=None, edges=None):
+def _samples(solution, problem, tris=None, edges=None, sample=None):
     """One evaluation of the residuals on elements ``tris`` and of the
     jumps on interior edges ``edges`` (all of them when None).
 
-    f and div f are read at the element quadrature points only, div f
-    only when ``tris`` is not empty.  Both jumps are exact per edge: f is
-    single-valued on an edge, so J1 = -kappa [[u_h]] . n, which is linear
-    along the edge and fixed by its values at the two ends; J2 is constant.
+    f and div f are read at the element quadrature points only, from
+    ``sample``, the problem's sample at ``edge_fem.error_points`` of the
+    whole mesh, or from a sample taken here when ``sample`` is None or
+    only some elements are asked for; div f must exist when ``tris`` is
+    not empty.  Both jumps are exact per edge: f is single-valued on an
+    edge, so J1 = -kappa [[u_h]] . n, which is linear along the edge and
+    fixed by its values at the two ends; J2 is constant.
     """
     mesh = solution.mesh
     coeffs = problem.coefficients
     kappa = coeffs.kappa
-    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, dtype=np.int64)
     if edges is None:
         edges = np.nonzero(~mesh.is_boundary_edge)[0]
     edges = np.asarray(edges, dtype=np.int64)
 
     w = solution.vertex_vectors
     lam = _ERROR_RULE.points
-    points = np.matmul(lam, mesh.vertices[mesh.triangles[tris]])
-    r1 = np.zeros(points.shape[:-1])
-    if len(tris):
-        if problem.div_f is None:
-            raise ValueError("problem must provide an analytic div f")
-        r1 = -np.asarray(problem.div_f(points), dtype=float)
-    r2 = np.asarray(problem.f(points), dtype=float) - kappa * np.matmul(lam, w[tris])
+    if tris is None:
+        w_t, areas = w, mesh.areas
+        if sample is None:
+            sample = problem.sample(error_points(mesh))
+    else:
+        tris = np.asarray(tris, dtype=np.int64)
+        w_t, areas = w[tris], mesh.areas[tris]
+        sample = problem.sample(np.matmul(lam, mesh.vertices[mesh.triangles[tris]]))
+    if len(areas) and sample.div_f is None:
+        raise ValueError("problem must provide an analytic div f")
+    r1 = -sample.div_f if len(areas) else np.zeros((0, len(lam)))
+    r2 = sample.f - kappa * np.matmul(lam, w_t)
 
-    # u_h is w_i at local vertex i; side 0 traverses the edge tail -> head
-    # and side 1 head -> tail
+    # u_h is w_i at local vertex i, row 3 t + i of the flat components;
+    # side 0 traverses the edge tail -> head and side 1 head -> tail
     (t0, t1), (k0, k1) = mesh.edge_tris[edges].T, mesh.edge_tri_local[edges].T
-    jumps = np.stack([w[t0, k0] - w[t1, (k1 + 1) % 3],
-                      w[t0, (k0 + 1) % 3] - w[t1, k1]], axis=1)
-    j1 = -kappa * (jumps * mesh.edge_normals[edges][:, None, :]).sum(-1)
-    a, b = j1.T
+    nx, ny = mesh.edge_normals[edges].T
+    wx, wy = w[..., 0].ravel(), w[..., 1].ravel()
+    a, b = (-kappa * ((wx[i] - wx[j]) * nx + (wy[i] - wy[j]) * ny)
+            for i, j in ((3 * t0 + k0, 3 * t1 + (k1 + 1) % 3),
+                         (3 * t0 + (k0 + 1) % 3, 3 * t1 + k1)))
     eps_curl = coeffs.eps_by_region(mesh.regions) * solution.curls
     curl_jump = eps_curl[t0] - eps_curl[t1]
     lengths = mesh.edge_lengths[edges]
 
-    areas = mesh.areas[tris]
     norms = _Norms(r1=_element_norms_sq(_ERROR_RULE.weights, r1, areas),
                    r2=_element_norms_sq(_ERROR_RULE.weights, r2, areas),
                    j1=lengths * (a * a + a * b + b * b) / 3,
@@ -207,7 +217,7 @@ def _samples(solution, problem, tris=None, edges=None):
                    # constant magnitude, so the squared edge norm is jump^2 |S|
                    j2=curl_jump ** 2 * lengths,
                    edges=edges, mesh=mesh, coefficients=coeffs)
-    return _Samples(r1, r2, j1, norms)
+    return _Samples(r1, r2, (a, b), norms)
 
 
 def element_residuals(solution, problem, tri_id):
@@ -249,10 +259,12 @@ def _weigh(norms, kind):
                               r2=r2_weight * norms.r2, j1=j1, j2=j2, norms=norms)
 
 
-def indicator(solution, problem, kind=EstimatorKind.ROBUST):
+def indicator(solution, problem, kind=EstimatorKind.ROBUST, sample=None):
     """Per-element indicator breakdown for either estimator kind; the
-    other kind of the same solution is ``indicator(...).as_kind(other)``."""
-    return _weigh(_samples(solution, problem).norms, kind)
+    other kind of the same solution is ``indicator(...).as_kind(other)``.
+    ``sample`` is the problem's sample at ``edge_fem.error_points`` of the
+    solution's mesh, taken here when None."""
+    return _weigh(_samples(solution, problem, sample=sample).norms, kind)
 
 
 def oscillations(solution, problem):
@@ -274,7 +286,7 @@ def oscillations(solution, problem):
 
     # J1 is linear along each edge, from a to b: its distance from the
     # mean (a + b)/2 has squared norm |S| (a - b)^2 / 12
-    e, (a, b) = samples.norms.edges, samples.j1.T
+    e, (a, b) = samples.norms.edges, samples.j1
     edge_part1 = np.zeros(mesh.num_edges)
     edge_part1[e] = sizes.edge_size[e] * mesh.edge_lengths[e] * (a - b) ** 2 / 12
     edge_part2 = np.zeros(mesh.num_edges)  # J2 is constant per edge: projection exact

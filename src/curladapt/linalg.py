@@ -137,7 +137,7 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None, x0=None,
             return r / diag
     else:
         g = gradient
-        gt = g.T.tocsr()
+        gt = g.T
         diag_g = np.asarray(g.multiply(a @ g).sum(axis=0)).ravel()
         if (diag_g <= 0).any():
             raise ValueError("gradient has an empty column or A is not definite on it")

@@ -139,52 +139,52 @@ class Mesh:
 
     def _build_edges(self):
         tris = self.triangles
-        nt = len(tris)
-        pairs = np.stack([tris[:, [i, j]] for i, j in _LOCAL_EDGES], axis=1)  # (T,3,2)
-        # the integer key lo * V + hi sorts like the pair (lo, hi)
-        lo, hi = np.sort(pairs.reshape(-1, 2), axis=1).T
-        nv = len(self.vertices)
-        keys, inverse = np.unique(lo * nv + hi, return_inverse=True)
-        edges = np.stack([keys // nv, keys % nv], axis=1)
-        self.edges = edges
-        self.tri_edges = inverse.reshape(nt, 3).astype(np.int64)
-        # +1 where the local traversal k -> k+1 runs from low to high vertex id
-        self.tri_edge_signs = np.where(pairs[:, :, 0] < pairs[:, :, 1], 1, -1).astype(np.int64)
-
-        ne = len(edges)
-        counts = np.bincount(self.tri_edges.ravel(), minlength=ne)
+        nt, nv = len(tris), len(self.vertices)
+        head = tris[:, [1, 2, 0]]  # local edge k runs from tris[:, k] to head[:, k]
+        # slot 3 t + k is local edge k of triangle t; its integer key
+        # lo * V + hi sorts like the vertex pair (lo, hi), so one sort of
+        # the slot keys numbers the edges and groups the slots of each
+        keys = (np.minimum(tris, head) * nv + np.maximum(tris, head)).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)  # the first slot of each edge
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.nonzero(first)[0]
+        counts = np.diff(starts, append=len(keys))
         if counts.max(initial=0) > 2:
             raise ValueError("non-manifold mesh: edge shared by more than two triangles")
+        lo, hi = np.divmod(keys[starts], nv)
+        self.edges = np.stack([lo, hi], axis=1)
+        tri_edges = np.empty(3 * nt, dtype=np.int64)
+        tri_edges[order] = np.cumsum(first) - 1
+        self.tri_edges = tri_edges.reshape(nt, 3)
+        # +1 where the local traversal k -> k+1 runs from low to high vertex id
+        self.tri_edge_signs = np.where(tris < head, 1, -1).astype(np.int64)
         self.is_boundary_edge = counts == 1
 
-        order = np.argsort(self.tri_edges.ravel(), kind="stable")
-        tri_of = (order // 3).astype(np.int64)
-        loc_of = (order % 3).astype(np.int64)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        self.edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        self.edge_tri_local = np.full((ne, 2), -1, dtype=np.int64)
-        self.edge_tris[:, 0] = tri_of[starts]
-        self.edge_tri_local[:, 0] = loc_of[starts]
+        # the smaller slot of an interior edge belongs to the triangle with
+        # the smaller id; slot1 is -1 on the boundary
         interior = counts == 2
-        self.edge_tris[interior, 1] = tri_of[starts[interior] + 1]
-        self.edge_tri_local[interior, 1] = loc_of[starts[interior] + 1]
+        slot, next_slot = order[starts], order[np.minimum(starts + 1, len(keys) - 1)]
+        slot0 = np.where(interior, np.minimum(slot, next_slot), slot)
+        slot1 = np.where(interior, np.maximum(slot, next_slot), -1)
+        self.edge_tris = np.stack([slot0 // 3, slot1 // 3], axis=1)  # -1 // 3 is -1
+        self.edge_tri_local = np.stack([slot0 % 3, np.where(interior, slot1 % 3, -1)], axis=1)
 
         # conformity: the two incident triangles traverse a shared edge in
         # opposite directions, i.e. their orientation signs cancel
-        s0 = self.tri_edge_signs[self.edge_tris[interior, 0], self.edge_tri_local[interior, 0]]
-        s1 = self.tri_edge_signs[self.edge_tris[interior, 1], self.edge_tri_local[interior, 1]]
-        if ((s0 + s1) != 0).any():
+        signs = self.tri_edge_signs.ravel()
+        if (interior & (signs[slot0] + signs[slot1] != 0)).any():
             raise ValueError("non-conforming mesh: inconsistent edge traversal")
 
-        tang = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
+        tang = self.vertices[hi] - self.vertices[lo]
         self.edge_lengths = np.linalg.norm(tang, axis=1)
         if (self.edge_lengths <= 0).any():
             raise ValueError("zero-length edge")
         # traversal direction within the first incident triangle; its outward
         # normal (clockwise quarter turn) points into the second triangle or
         # out of the domain on the boundary
-        sgn = self.tri_edge_signs[self.edge_tris[:, 0], self.edge_tri_local[:, 0]]
-        d = tang * sgn[:, None]
+        d = tang * signs[slot0][:, None]
         self.edge_normals = -_rot90(d) / self.edge_lengths[:, None]
 
     def _longest_edge_init(self):
@@ -321,7 +321,8 @@ def bisect_refine(mesh, marked):
             break
         split[e_m[need]] = True
 
-    vertices = np.vstack([mesh.vertices, mesh.vertices[mesh.edges[split]].mean(axis=1)])
+    tail, head = mesh.vertices[mesh.edges[split].T]
+    vertices = np.vstack([mesh.vertices, (tail + head) / 2])
     # vertex id of each split edge's midpoint
     mid = mesh.num_vertices - 1 + np.cumsum(split)
 

@@ -4,9 +4,18 @@ Analytic fields are plain callables vectorised over numpy arrays: vector
 fields (u, f) map points of shape (..., 2) to values of shape (..., 2),
 scalar fields (curl u, div f and the region classifier) to shape (...,).
 They must be pure, so problems can be shared freely across threads.
+
+Where the fields are read: the load takes f at the degree-4 points of
+``edge_fem.assemble_system``; the drivers take one
+:meth:`ManufacturedProblem.sample` per mesh at the degree-6 points
+(``edge_fem.error_points``), from which the estimators read f and div f
+and ``edge_fem.energy_error`` reads u and curl u.  The trig fields of
+:func:`paper_problem` and :func:`interface_problem` share one set of
+sines and cosines per sample.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +61,16 @@ class CoefficientField:
         return max(values) / min(values)
 
 
+class _Sample(NamedTuple):
+    """The fields of a problem at one set of points (..., 2): u and f
+    (..., 2), curl u and div f (...); None where the problem has no such
+    field."""
+    u: np.ndarray
+    curl_u: np.ndarray
+    f: np.ndarray
+    div_f: np.ndarray
+
+
 @dataclass(frozen=True)
 class ManufacturedProblem:
     """Analytic solution bundle: u, its scalar curl, the source f = eps
@@ -65,28 +84,71 @@ class ManufacturedProblem:
     classifier: object = None          # points (..., 2) -> region tags (...), None = one region
     interface_abscissa: float = None   # x-coordinate of the phase interface, if any
 
+    def sample(self, points):
+        """u, curl u, f and div f at ``points`` (..., 2), each evaluated
+        once: the four trig fields of one :class:`_TrigField` together,
+        any other fields by one call each."""
+        fields = (self.u, self.curl_u, self.f, self.div_f)
+        trig = getattr(self.u, "__self__", None)
+        if isinstance(trig, _TrigField) and fields == (trig.u, trig.curl_u, trig.f, trig.div_f):
+            return trig.sample(points)
+        return _Sample(*(None if field is None else np.asarray(field(points), dtype=float)
+                         for field in fields))
 
-def _trig_fields(kappa):
+
+class _TrigSample(NamedTuple):
+    """A sample of :class:`_TrigField` that holds u and div f only: f =
+    kappa u and curl u = 0 are formed where they are read."""
+    u: np.ndarray
+    div_f: np.ndarray
+    kappa: float
+
+    @property
+    def f(self):
+        return self.kappa * self.u
+
+    @property
+    def curl_u(self):
+        return np.broadcast_to(0.0, self.u.shape[:-1])
+
+
+@dataclass(frozen=True)
+class _TrigField:
     """The smooth curl-free reference field u on the unit square, with zero
     tangential boundary trace, its curl, and the source ``f = kappa u``
-    with its divergence."""
-    pi = np.pi
-    kappa = float(kappa)
+    with its divergence; :meth:`sample` forms all four from one set of
+    sines and cosines."""
+    kappa: float
 
-    def u(x):
-        return np.stack([np.cos(pi * x[..., 0]) * np.sin(pi * x[..., 1]),
-                         np.sin(pi * x[..., 0]) * np.cos(pi * x[..., 1])], axis=-1)
+    def sample(self, x):
+        # in place where the values allow: on the finest mesh of an
+        # adaptive run this sample is the largest set of arrays alive
+        px = np.pi * x[..., 0]
+        sx, cx = np.sin(px), np.cos(px)
+        del px
+        py = np.pi * x[..., 1]
+        sy, cy = np.sin(py), np.cos(py)
+        del py
+        u = np.empty(np.shape(sx) + (2,))
+        np.multiply(cx, sy, out=u[..., 0])
+        np.multiply(sx, cy, out=u[..., 1])
+        del cx, cy
+        div_f = -2.0 * np.pi * sx
+        div_f *= sy
+        div_f *= self.kappa
+        return _TrigSample(u, div_f, self.kappa)
 
-    def curl_u(x):
+    def u(self, x):
+        return self.sample(x).u
+
+    def curl_u(self, x):
         return np.zeros(np.asarray(x).shape[:-1])
 
-    def f(x):
-        return kappa * u(x)
+    def f(self, x):
+        return self.kappa * self.u(x)
 
-    def div_f(x):
-        return kappa * (-2.0 * pi * np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1]))
-
-    return u, curl_u, f, div_f
+    def div_f(self, x):
+        return self.sample(x).div_f
 
 
 def paper_problem(eps, kappa):
@@ -96,10 +158,10 @@ def paper_problem(eps, kappa):
     is curl free, so the source reduces to ``f = kappa u`` with
     ``div f = -2 kappa pi sin(pi x1) sin(pi x2)``.
     """
-    u, curl_u, f, div_f = _trig_fields(kappa)
+    trig = _TrigField(float(kappa))
     return ManufacturedProblem(
         coefficients=CoefficientField(eps={OMEGA1: float(eps)}, kappa=float(kappa)),
-        u=u, curl_u=curl_u, f=f, div_f=div_f,
+        u=trig.u, curl_u=trig.curl_u, f=trig.f, div_f=trig.div_f,
         tag=f"paper(eps={eps:g},kappa={kappa:g})",
     )
 
@@ -116,11 +178,11 @@ def interface_problem(eps1, eps2, kappa, split=0.5):
     split = float(split)
     if not 0 < split < 1:
         raise ValueError(f"split must lie in (0, 1), got {split}")
-    u, curl_u, f, div_f = _trig_fields(kappa)
+    trig = _TrigField(float(kappa))
     return ManufacturedProblem(
         coefficients=CoefficientField(eps={OMEGA1: float(eps1), OMEGA2: float(eps2)},
                                       kappa=float(kappa)),
-        u=u, curl_u=curl_u, f=f, div_f=div_f,
+        u=trig.u, curl_u=trig.curl_u, f=trig.f, div_f=trig.div_f,
         tag=f"interface(eps1={eps1:g},eps2={eps2:g},kappa={kappa:g})",
         classifier=lambda x: np.where(x[..., 0] < split, OMEGA1, OMEGA2),
         interface_abscissa=split,

@@ -185,9 +185,11 @@ def run_table(config):
         for level in range(config.levels):
             solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
                                       rel_tol=solver_tol)
+            sample = problem.sample(edge_fem.error_points(mesh))
             error = edge_fem.energy_error(solution, problem.coefficients,
-                                          problem.u, problem.curl_u)
-            robust = indicator(solution, problem, EstimatorKind.ROBUST)
+                                          sample.u, sample.curl_u)
+            robust = indicator(solution, problem, EstimatorKind.ROBUST, sample)
+            sample = None  # freed before refinement
             classical = robust.as_kind(EstimatorKind.CLASSICAL)
             rows.append(TableRow(mesh.num_triangles, error,
                                  robust.global_estimate, classical.global_estimate))

@@ -1,5 +1,11 @@
 """Reference builders the tests compare the package against.
 
+:func:`edge_table` builds the edge topology of a triangle list with a row
+sort, ``np.unique`` and a stable argsort, where ``Mesh`` sorts the slot
+keys once.
+:func:`records_digest` pins driver records bit for bit, and
+:func:`counting_trig_problem` records where a trig problem is sampled.
+
 :func:`from_triplets` canonicalises the entry order (row, column, then
 value) before summing duplicates, so its result is bit-identical for any
 permutation of the input.  The package builds its matrices without it:
@@ -15,10 +21,13 @@ quadrature against the analytic solution, where the package only solves
 it.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import scipy.sparse
 
-from curladapt import edge_fem
+from curladapt import edge_fem, problems
 
 
 def from_triplets(n_rows, n_cols, entries):
@@ -95,3 +104,57 @@ def galerkin_residual(solution, problem):
     curl_diff = np.einsum("q,tq->t", rule.weights, dcurl)
     curl_part = (eps_t * mesh.areas * curl_diff)[:, None] * basis_curls
     return solution.dofmap.scatter(mass_part + curl_part)
+
+
+def edge_table(triangles, num_vertices):
+    """Edges (E, 2) oriented low to high and numbered in lexicographic
+    order, tri_edges (T, 3), and edge_tris, edge_tri_local (E, 2) with the
+    smaller triangle id first and -1 in the second column of a boundary
+    edge: the ``Mesh`` edge topology, through ``np.unique`` and a stable
+    argsort of the edge ids."""
+    triangles = np.asarray(triangles)
+    pairs = np.stack([triangles[:, [i, j]] for i, j in ((0, 1), (1, 2), (2, 0))], axis=1)
+    lo, hi = np.sort(pairs.reshape(-1, 2), axis=1).T
+    keys, inverse = np.unique(lo * num_vertices + hi, return_inverse=True)
+    edges = np.stack([keys // num_vertices, keys % num_vertices], axis=1)
+    counts = np.bincount(inverse, minlength=len(keys))
+    order = np.argsort(inverse, kind="stable")  # slots 3 t + k, grouped by edge
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    slots = np.full((len(keys), 2), -1, dtype=np.int64)
+    slots[:, 0] = order[starts]
+    interior = counts == 2
+    slots[interior, 1] = order[starts[interior] + 1]
+    edge_tris = np.where(slots >= 0, slots // 3, -1)
+    edge_tri_local = np.where(slots >= 0, slots % 3, -1)
+    return edges, inverse.reshape(-1, 3), edge_tris, edge_tri_local
+
+
+def records_digest(records):
+    """sha256 of driver records (``AdaptiveRecord`` or ``TableRow``), with
+    every float written as ``float.hex``: equal digests mean records equal
+    bit for bit."""
+    h = hashlib.sha256()
+    for record in records:
+        values = dataclasses.astuple(record) if dataclasses.is_dataclass(record) else record
+        h.update(repr([float(v).hex() if isinstance(v, float) else int(v)
+                       for v in values]).encode())
+    return h.hexdigest()
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingTrigField(problems._TrigField):
+    shapes: list = dataclasses.field(default_factory=list, compare=False)
+
+    def sample(self, x):
+        self.shapes.append(np.shape(x)[:-1])
+        return super().sample(x)
+
+
+def counting_trig_problem(problem):
+    """``problem`` (a paper or interface problem) with its trig field
+    replaced by one that records the shape (N, Q) of every point set its
+    fields are evaluated at, jointly or one at a time; returns the problem
+    and that list."""
+    trig = _CountingTrigField(problem.coefficients.kappa)
+    return dataclasses.replace(problem, u=trig.u, curl_u=trig.curl_u, f=trig.f,
+                               div_f=trig.div_f), trig.shapes

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from curladapt.amr import adaptive_solve, doerfler_mark, records_to_csv
 from curladapt.estimators import EstimatorKind, indicator
 from curladapt.mesh import bisect_refine, build_structured_unit_square, tag_regions
 from curladapt.problems import interface_problem, paper_problem
+from reference import counting_trig_problem, records_digest
 
 
 def test_doerfler_theta_one_marks_all_nonzero():
@@ -184,6 +186,48 @@ def test_adaptive_interface_energy_stop_is_frozen(monkeypatch):
     assert sum(iterations) == FROZEN_INTERFACE_ENERGY_CG_ITERATIONS
 
 
+# records_digest of adaptive_solve(paper_problem(1e-5, 1e5), max_dofs=5000),
+# frozen from a verified run: 15 iterations to 3,804 elements and 5,646
+# dofs, the mass-dominated regime where CG is cheap and the estimator, the
+# energy error and bisection set the cost.
+FROZEN_SMOOTH_RUN_DIGEST = "e99e39f1e05726406f5e7907c70a002079c244fed5423bc0a890009f7a93e64e"
+
+
+def test_adaptive_smooth_run_is_frozen():
+    records = adaptive_solve(paper_problem(1e-5, 1e5), max_dofs=5000)
+    assert (len(records), records[-1].n_elements, records[-1].n_dofs) == (15, 3804, 5646)
+    assert records_digest(records) == FROZEN_SMOOTH_RUN_DIGEST
+
+
+def test_adaptive_solve_samples_the_problem_once_per_mesh(monkeypatch):
+    # per mesh: one sample at the 16 degree-6 points, which every estimate
+    # (the resumed one too) and the energy error read, and one load of f at
+    # the 9 degree-4 points per solve
+    problem, shapes = counting_trig_problem(interface_problem(1e4, 1.0, 1.0))
+    solves = []
+    solve, estimate = edge_fem.solve, amr.indicator
+
+    def solve_spy(mesh, *args, **kwargs):
+        solves.append(mesh.num_triangles)
+        return solve(mesh, *args, **kwargs)
+
+    def indicator_spy(solution, problem, kind, sample):
+        breakdown = estimate(solution, problem, kind, sample)
+        if len(solves) == 2:  # first estimate on the second mesh: force a resume
+            breakdown = dataclasses.replace(breakdown, r1=breakdown.r1 / 100,
+                                            r2=breakdown.r2 / 100, j1=breakdown.j1 / 100,
+                                            j2=breakdown.j2 / 100)
+        return breakdown
+
+    monkeypatch.setattr(edge_fem, "solve", solve_spy)
+    monkeypatch.setattr(amr, "indicator", indicator_spy)
+    records = adaptive_solve(problem, max_dofs=300)
+    assert len(solves) == len(records) + 1 and len(records) >= 4
+    expected = Counter((n, 9) for n in solves)
+    expected.update((r.n_elements, 16) for r in records)
+    assert Counter(shapes) == expected
+
+
 def test_adaptive_solve_warm_starts_from_the_prolongated_field(monkeypatch):
     solves = []
     solve = edge_fem.solve
@@ -207,8 +251,8 @@ def test_resume_branch_restarts_from_the_iterate_and_reports_the_new_eta(monkeyp
         solves.append((kwargs, solve(mesh, coefficients, f, **kwargs)))
         return solves[-1][1]
 
-    def indicator_spy(solution, problem, kind):
-        breakdown = estimate(solution, problem, kind)
+    def indicator_spy(solution, problem, kind, sample):
+        breakdown = estimate(solution, problem, kind, sample)
         if len(etas) == 1:  # first estimate on the second mesh: eta drops by 10x
             breakdown = dataclasses.replace(breakdown, r1=breakdown.r1 / 100,
                                             r2=breakdown.r2 / 100, j1=breakdown.j1 / 100,
@@ -238,8 +282,8 @@ def test_energy_stop_keeps_algebraic_error_below_eta(monkeypatch, problem):
     final = {}
     estimate = amr.indicator
 
-    def spy(solution, problem, kind):
-        breakdown = estimate(solution, problem, kind)
+    def spy(solution, problem, kind, sample):
+        breakdown = estimate(solution, problem, kind, sample)
         final[id(solution.mesh)] = solution, breakdown.global_estimate
         return breakdown
 

@@ -6,6 +6,7 @@ import pytest
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
                             edge_geometry, load_mesh, red_refine, save_mesh,
                             tag_regions)
+from reference import edge_table
 
 
 def check_invariants(mesh):
@@ -275,6 +276,53 @@ def test_edge_numbering_contract():
                                return_inverse=True)
     assert np.array_equal(mesh.edges, edges)
     assert np.array_equal(mesh.tri_edges, inverse.reshape(-1, 3))
+
+
+def _bisected(seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_structured_unit_square(3)
+    for _ in range(5):
+        mesh = bisect_refine(mesh, set(rng.choice(mesh.num_triangles,
+                                                  size=mesh.num_triangles // 3,
+                                                  replace=False)))
+    return mesh
+
+
+def _renumbered(mesh, seed):
+    # random vertex ids and triangle order, each triangle's vertices rotated
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    tris = new_id[mesh.triangles][rng.permutation(mesh.num_triangles)]
+    shift = rng.integers(0, 3, len(tris))
+    tris = tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
+    return Mesh(vertices, tris)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: red_refine(red_refine(build_structured_unit_square(3))),
+    lambda: _bisected(0),
+    lambda: _renumbered(_bisected(1), 2),
+    lambda: _renumbered(red_refine(build_structured_unit_square(4)), 3),
+], ids=["red", "bisected", "bisected-renumbered", "red-renumbered"])
+def test_edge_table_matches_the_unique_reference(make):
+    mesh = make()
+    edges, tri_edges, edge_tris, edge_tri_local = edge_table(mesh.triangles,
+                                                             mesh.num_vertices)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tri_edges, tri_edges)
+    assert np.array_equal(mesh.edge_tris, edge_tris)
+    assert np.array_equal(mesh.edge_tri_local, edge_tri_local)
+    check_invariants(mesh)
+
+
+def test_constructor_refuses_non_manifold_and_non_conforming_meshes():
+    v = [[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2], [0.3, 0.5]]
+    with pytest.raises(ValueError, match="non-manifold"):
+        Mesh(v, [[0, 1, 2], [1, 0, 3], [0, 1, 4]])  # edge (0, 1) in three triangles
+    with pytest.raises(ValueError, match="non-conforming"):
+        Mesh(v, [[0, 1, 2], [0, 1, 5]])  # both traverse edge (0, 1) from 0 to 1
 
 
 def test_tag_regions():

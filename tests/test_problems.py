@@ -127,6 +127,33 @@ def _curl_carrying_problem(sign):
                                div_f, tag=f"curl-carrying(sign={sign})")
 
 
+@pytest.mark.parametrize("problem", [paper_problem(1e-3, 1e3),
+                                     interface_problem(1e4, 1.0, 2.0),
+                                     _curl_carrying_problem(1)],
+                         ids=["paper", "interface", "plain-callables"])
+@pytest.mark.parametrize("shape", [(2,), (5, 2), (7, 16, 2)])
+def test_sample_matches_the_fields_bit_for_bit(problem, shape):
+    points = np.random.default_rng(3).random(shape)
+    sample = problem.sample(points)
+    for name in ("u", "curl_u", "f", "div_f"):
+        assert np.array_equal(getattr(sample, name), getattr(problem, name)(points)), name
+
+
+def test_sample_calls_plain_callables_once_each():
+    base = _curl_carrying_problem(1)
+    calls = []
+
+    def counted(name):
+        field = getattr(base, name)
+        return lambda x: calls.append(name) or field(x)
+
+    problem = ManufacturedProblem(base.coefficients, *(counted(name) for name in
+                                                       ("u", "curl_u", "f", "div_f")),
+                                  tag="counted")
+    problem.sample(np.zeros((3, 2)))
+    assert sorted(calls) == ["curl_u", "div_f", "f", "u"]
+
+
 def test_verify_consistency_uses_the_adjoint_curl():
     # both shipped problems are curl free, so only a field with curl sees
     # the sign of curl*

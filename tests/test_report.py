@@ -1,13 +1,15 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from curladapt import edge_fem
-from curladapt.problems import interface_problem
+from curladapt.problems import interface_problem, paper_problem
 from curladapt.report import (ConvergenceTable, RunConfig, TableRow, emit,
                               parse_table_csv, run_robustness_sweep, run_table,
                               table_to_csv, table_to_markdown)
+from reference import counting_trig_problem
 
 
 def test_effectivity_is_arithmetic_mean():
@@ -110,6 +112,15 @@ def test_run_table_progression_and_footer():
     assert all(1.8 <= r <= 2.1 for r in ratios)
     mean = np.mean([r.error / r.eta for r in table.rows])
     assert table.eff_eta == pytest.approx(mean, abs=1e-15)
+
+
+def test_run_table_samples_the_problem_once_per_level(monkeypatch):
+    # per level: the load of f at the 9 degree-4 points, and one sample at
+    # the 16 degree-6 points for the energy error and both estimators
+    problem, shapes = counting_trig_problem(paper_problem(1.0, 1.0))
+    monkeypatch.setattr(RunConfig, "make_problem", lambda self: problem)
+    table = run_table(RunConfig(eps=1.0, kappa=1.0, levels=3))
+    assert Counter(shapes) == Counter((r.elements, q) for r in table.rows for q in (9, 16))
 
 
 def test_run_table_deterministic_output(tmp_path):
