@@ -93,14 +93,14 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
     x0 = None
     while True:
         target = None if eta_prev is None else ALGEBRAIC_FRACTION * eta_prev / 4
-        solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
+        sample = problem.sample(edge_fem.error_points(mesh))
+        solution = edge_fem.solve(mesh, problem.coefficients, sample.f,
                                   rel_tol=None, energy_target=target, x0=x0)
         x0 = None  # not needed past the solve; freed before the estimator's peak memory
-        sample = problem.sample(edge_fem.error_points(mesh))
         breakdown = indicator(solution, problem, kind, sample)
         if target is not None and breakdown.global_estimate < eta_prev / 2:
             solution = edge_fem.solve(
-                mesh, problem.coefficients, problem.f, rel_tol=None,
+                mesh, problem.coefficients, sample.f, rel_tol=None,
                 energy_target=ALGEBRAIC_FRACTION * breakdown.global_estimate / 4,
                 x0=solution.coefficients)
             breakdown = indicator(solution, problem, kind, sample)

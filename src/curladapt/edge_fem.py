@@ -25,10 +25,9 @@ tolerances, not bit patterns, relate the two.
 Homogeneous tangential boundary conditions are imposed by eliminating the
 boundary-edge unknowns.
 
-The problem is read at two point sets per mesh: f at the degree-4 points
-of the load (:func:`assemble_system`), and u and curl u at the degree-6
-points of :func:`error_points` (:func:`energy_error`), from the sample
-that the drivers share with the estimators.
+The problem is read at one point set per mesh, :func:`error_points`: the
+load, :func:`energy_error` and the estimators read the drivers' one sample
+there, and values of any other shape are refused.
 
 A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
 (:func:`prolongate`).  On each coarse element P it is linear with a
@@ -54,9 +53,8 @@ from .quadrature import triangle_rule
 _TAIL, _HEAD = np.array(_LOCAL_EDGES).T
 _PREV = np.array([2, 0, 1])  # edge i starts at vertex i, edge _PREV[i] ends there
 
-# the triangle rules of the load vector, and of energy_error and the
-# estimators' element residuals
-_LOAD_RULE = triangle_rule(4)
+# the one triangle rule of the package: the load vector, energy_error and
+# the estimators' element residuals all integrate at its points
 _ERROR_RULE = triangle_rule(6)
 
 
@@ -71,12 +69,12 @@ def _vertex_vectors(g, signs, coeffs):
 
 def _moments(mesh, values):
     """Moments ``int_T v . phi_k`` (T, 3) of values v (T, Q, 2) at the
-    load-rule points against the signed basis: the adjoint of
+    points of ``_ERROR_RULE`` against the signed basis: the adjoint of
     :func:`_vertex_vectors`.  With ``y_i = |T| sum_q w_q lam_qi v_q`` the
     moment of local edge k from vertex i to vertex j is
     ``s_k (y_i . grad(lam_j) - y_j . grad(lam_i))``."""
     g = mesh.barycentric_gradients
-    y = np.matmul(_LOAD_RULE.weights * _LOAD_RULE.points.T, values)
+    y = np.matmul(_ERROR_RULE.weights * _ERROR_RULE.points.T, values)
     y *= mesh.areas[:, None, None]
     return mesh.tri_edge_signs * (np.einsum("tke,tke->tk", y, g[:, _HEAD])
                                   - np.einsum("tke,tke->tk", y[:, _HEAD], g))
@@ -285,27 +283,21 @@ def assemble_system(mesh, coefficients, f):
 
     The bilinear form is ``eps * (curl u, curl v) + kappa * (u, v)`` with
     elementwise-constant eps taken from the coefficient field by region
-    tag.  The load ``int f . phi`` is integrated with the degree-4 triangle
-    rule, as the adjoint of the vertex vectors (:func:`_moments`); ``f``
-    must accept points of shape (..., 2) and return values of the same
-    shape.
+    tag.  ``f`` holds the source's values (T, Q, 2) at :func:`error_points`
+    of ``mesh``; the load ``int f . phi`` is integrated at those points, as
+    the adjoint of the vertex vectors (:func:`_moments`).
     """
+    load = _moments(mesh, _at_error_points(mesh, f, "f", (2,)))
     eps_t = coefficients.eps_by_region(mesh.regions)
     stiffness, mass = _local_matrices(mesh.barycentric_gradients, mesh.areas,
                                       mesh.tri_edge_signs, eps_t, coefficients.kappa)
-
-    points = np.matmul(_LOAD_RULE.points, mesh.vertices[mesh.triangles])
-    f_vals = np.asarray(f(points), dtype=float)
-    if f_vals.shape != points.shape:
-        raise ValueError("f must map (..., 2) points to (..., 2) values")
-    load = _moments(mesh, f_vals)
-
     dofmap = DofMap(mesh)
     return dofmap.scatter(stiffness + mass), dofmap.scatter(load), dofmap
 
 
 def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None):
-    """Solve the discrete problem and return a :class:`DiscreteSolution`.
+    """Solve the discrete problem for the source values ``f`` of
+    :func:`assemble_system` and return a :class:`DiscreteSolution`.
 
     CG is preconditioned with Jacobi plus a diagonal solve on the
     gradients of interior nodal functions (:func:`discrete_gradient`),
@@ -363,25 +355,31 @@ def curl_uh(solution, tri_id):
 
 def error_points(mesh):
     """The points (T, Q, 2) of the degree-6 rule on every element, where
-    the drivers sample the problem once per mesh for :func:`energy_error`
-    and the estimators."""
+    the drivers sample the problem once per mesh."""
     return np.matmul(_ERROR_RULE.points, mesh.vertices[mesh.triangles])
+
+
+def _at_error_points(mesh, values, name, value_shape=()):
+    """``values`` as floats, refused unless shaped (T, Q) + ``value_shape``
+    for the T triangles of ``mesh`` and the Q points of :func:`error_points`."""
+    values = np.asarray(values, dtype=float)
+    expected = (mesh.num_triangles, len(_ERROR_RULE.weights)) + value_shape
+    if values.shape != expected:
+        raise ValueError(f"{name} must hold the values at error_points(mesh), shape "
+                         f"{expected}, got shape {values.shape}")
+    return values
 
 
 def energy_error(solution, coefficients, u_exact, curl_u_exact):
     """Energy-norm distance between an analytic field and the discrete one:
     ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u - u_h|^2)``,
-    integrated with the degree-6 triangle rule.  ``u_exact`` and
-    ``curl_u_exact`` are callables of points (..., 2), or their values at
-    :func:`error_points` (a problem's ``sample`` there)."""
+    integrated at :func:`error_points` of the solution's mesh, where
+    ``u_exact`` (T, Q, 2) and ``curl_u_exact`` (T, Q) hold the values."""
     mesh = solution.mesh
+    du = (_at_error_points(mesh, u_exact, "u", (2,))
+          - np.matmul(_ERROR_RULE.points, solution.vertex_vectors))
+    dcurl = _at_error_points(mesh, curl_u_exact, "curl u") - solution.curls[:, None]
     eps_t = coefficients.eps_by_region(mesh.regions)
-    if callable(u_exact):
-        points = error_points(mesh)
-        u_exact, curl_u_exact = u_exact(points), curl_u_exact(points)
-    lam = _ERROR_RULE.points
-    du = np.asarray(u_exact, dtype=float) - np.matmul(lam, solution.vertex_vectors)
-    dcurl = np.asarray(curl_u_exact, dtype=float) - solution.curls[:, None]
     l2_part = _element_norms_sq(_ERROR_RULE.weights, du, mesh.areas)
     curl_part = _element_norms_sq(_ERROR_RULE.weights, dcurl, mesh.areas)
     return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))

@@ -5,11 +5,10 @@ fields (u, f) map points of shape (..., 2) to values of shape (..., 2),
 scalar fields (curl u, div f and the region classifier) to shape (...,).
 They must be pure, so problems can be shared freely across threads.
 
-Where the fields are read: the load takes f at the degree-4 points of
-``edge_fem.assemble_system``; the drivers take one
-:meth:`ManufacturedProblem.sample` per mesh at the degree-6 points
-(``edge_fem.error_points``), from which the estimators read f and div f
-and ``edge_fem.energy_error`` reads u and curl u.  The trig fields of
+Where the fields are read: the drivers take one
+:meth:`ManufacturedProblem.sample` per mesh, at ``edge_fem.error_points``
+and before the solve; the load reads f from it, the estimators f and div
+f, and ``edge_fem.energy_error`` u and curl u.  The trig fields of
 :func:`paper_problem` and :func:`interface_problem` share one set of
 sines and cosines per sample.
 """
@@ -19,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import OMEGA1, OMEGA2
+from .mesh import OMEGA1, OMEGA2, _integers
 
 
 @dataclass(frozen=True)
@@ -36,6 +35,7 @@ class CoefficientField:
         if not 0 < self.kappa < np.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         for region, value in self.eps.items():
+            _integers(region, "region tag")
             if not 0 < value < np.inf:
                 raise ValueError(f"eps must be positive and finite, got {value} "
                                  f"for region {region}")
@@ -45,7 +45,7 @@ class CoefficientField:
 
     def eps_of(self, region):
         try:
-            return self.eps[int(region)]
+            return self.eps[int(_integers(region, "region tag"))]
         except KeyError:
             raise ValueError(f"no eps value for region tag {region}") from None
 

@@ -1,5 +1,6 @@
 """Convergence studies and robustness sweeps with CSV/markdown output."""
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -159,8 +160,7 @@ def parse_table_csv(path):
 def _sibling_path(base, suffix):
     if base is None:
         return suffix
-    stem = base.rsplit(".", 1)[0]
-    return f"{stem}_{suffix}"
+    return f"{os.path.splitext(base)[0]}_{suffix}"
 
 
 def run_table(config):
@@ -183,9 +183,9 @@ def run_table(config):
     rows = []
     try:
         for level in range(config.levels):
-            solution = edge_fem.solve(mesh, problem.coefficients, problem.f,
-                                      rel_tol=solver_tol)
             sample = problem.sample(edge_fem.error_points(mesh))
+            solution = edge_fem.solve(mesh, problem.coefficients, sample.f,
+                                      rel_tol=solver_tol)
             error = edge_fem.energy_error(solution, problem.coefficients,
                                           sample.u, sample.curl_u)
             robust = indicator(solution, problem, EstimatorKind.ROBUST, sample)

@@ -89,13 +89,13 @@ def galerkin_residual(solution, problem):
     """Residual of the discrete variational identity tested against every
     free basis function, computed by quadrature against the analytic
     solution: ``eps (curl u - curl u_h, curl phi) + kappa (u - u_h, phi)``,
-    at the points of the load rule and with its moment kernel.  Vanishes up
-    to quadrature and roundoff after a converged solve."""
+    at the points of the load and with its moment kernel.  Vanishes up to
+    quadrature and roundoff after a converged solve."""
     mesh = solution.mesh
     coeffs = problem.coefficients
     eps_t = coeffs.eps_by_region(mesh.regions)
-    rule = edge_fem._LOAD_RULE
-    points = np.matmul(rule.points, mesh.vertices[mesh.triangles])
+    rule = edge_fem._ERROR_RULE
+    points = edge_fem.error_points(mesh)
     du = np.asarray(problem.u(points), dtype=float) - np.matmul(rule.points,
                                                                 solution.vertex_vectors)
     dcurl = np.asarray(problem.curl_u(points), dtype=float) - solution.curls[:, None]

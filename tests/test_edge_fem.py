@@ -7,8 +7,8 @@ import scipy.sparse
 from curladapt import edge_fem
 from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
                                 curl_uh, discrete_gradient,
-                                element_matrices, energy_error, eval_uh,
-                                prolongate, solve, whitney_eval)
+                                element_matrices, energy_error, error_points,
+                                eval_uh, prolongate, solve, whitney_eval)
 from curladapt.estimators import indicator
 from curladapt.linalg import CgNonConvergence, cg_solve
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
@@ -203,7 +203,7 @@ def constant_coeffs(eps=1.0, kappa=1.0):
 
 def test_assemble_zero_rhs():
     mesh = build_structured_unit_square(4)
-    zero = lambda x: np.zeros_like(x)
+    zero = np.zeros_like(error_points(mesh))
     matrix, b, dofmap = assemble_system(mesh, constant_coeffs(), zero)
     assert np.array_equal(b, np.zeros(dofmap.n_free))
     sol = solve(mesh, constant_coeffs(), zero)
@@ -214,7 +214,8 @@ def test_assemble_without_free_edges():
     # every edge of a lone triangle is on the boundary; the empty sums stay float
     mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
     problem = paper_problem(1.0, 1.0)
-    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients,
+                                        problem.f(error_points(mesh)))
     assert dofmap.n_free == 0 and matrix.shape == (0, 0)
     assert matrix.indptr.tolist() == [0]
     assert matrix.data.dtype == b.dtype == np.float64 and b.shape == (0,)
@@ -226,7 +227,8 @@ def test_assemble_without_free_edges():
 def test_assemble_dimensions_and_symmetry():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients,
+                                        problem.f(error_points(mesh)))
     assert matrix.shape == (40, 40)  # interior edges of the 4x4 mesh
     assert isinstance(matrix, scipy.sparse.csr_matrix) and matrix.has_canonical_format
     transpose = matrix.T.tocsr()
@@ -259,17 +261,20 @@ def _sha256(*arrays):
 # conversion took over that scatter's duplicate sums; b and the residual
 # were frozen when the load became the adjoint of the vertex vectors, and
 # the residual kept its digests when it moved out of the package into the
-# test oracle, operation for operation
+# test oracle, operation for operation.  Both were re-frozen when the load
+# moved from the degree-4 points onto those of error_points: b moved by at
+# most 2.2e-5 of its largest entry (seed7_chain; 1.3e-5 two_region, 7.0e-8
+# red_contrast_1e6), the residual by at most 1.3e-7 of its largest entry
 FROZEN_ASSEMBLY = {
     "seed7_chain": ("90f71cf199979c784d2498eaf7807381bc5e6f5e8e743f1a9b05480cbad17fa1",
-                    "36935439d1620d93e8329a5c1c5295932cd8dcee147d0965bbfd3e63d2e757dc",
-                    "697053eb94135ad0d2d40a64064f4f1fafcb6ca0e103e212ef0ff7ac359ff8d9"),
+                    "cae4a455268cb34fdde2818e4b42cd1bc693adcb2d2f4aee03fe0fc2c72f9c46",
+                    "623e2fb12d0200f5147dbd595021b50ad8de6233a315ccc96b48e817c818c88f"),
     "two_region": ("a08557b64fd3486e0a174274729e27f01f4b18d3a8cc110daa903388768bd6d4",
-                   "163a5704073712d382943d202c4f64207dcdda7c52d50d1bbf762659df85be2f",
-                   "5cbd04c9e8389c0924bbb85f5cddef1567f639834464a8af5d9eb216a5e997ad"),
+                   "1d8eecf6b479b1807eabeba858eb2c732a211270c13f7e8693aed9fcbb59bb52",
+                   "03727e85be09fbebbd7ea18474a36c387f39c6768e222aee09d3ac306a551fb2"),
     "red_contrast_1e6": ("7532ac2808c6d631fc37dda8abb05cc0f29ec9ef871bd05574c52e09fbd0f942",
-                         "986e2ecdd5a387ac2e79464023c2c4d87259f7616ba6fd7b5a4627bfd4f3df49",
-                         "5808f348dc95e15ec53286bc9d6e6be2792cabdada3a23a43ff94be60dc0157a"),
+                         "e7118a9547a100cde164cdbcb7dee48ed91edcac221cf9ef83fe31c64d0954f7",
+                         "973e38dafb375ea9446e2c7b052f52a2ca41c433f3504efec196534d9d580fdd"),
 }
 
 
@@ -284,7 +289,8 @@ def test_assembly_is_frozen(case):
     else:
         problem = interface_problem(1e4, 1.0, 1.0)
         mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
-    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients,
+                                        problem.f(error_points(mesh)))
     field = DiscreteSolution(mesh, dofmap, np.sin(np.arange(dofmap.n_free) + 0.5))
     residual = galerkin_residual(field, problem)
     assert (_sha256(matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64),
@@ -305,7 +311,31 @@ def test_assemble_rejects_missing_region():
     coeffs = CoefficientField(eps={2: 1.0}, kappa=1.0)  # mesh is tagged 1
     problem = paper_problem(1.0, 1.0)
     with pytest.raises(ValueError):
-        assemble_system(mesh, coeffs, problem.f)
+        assemble_system(mesh, coeffs, problem.f(error_points(mesh)))
+
+
+def test_values_at_other_points_are_refused():
+    # a sample of one triangle would broadcast over the 4x4 mesh (energy
+    # error 2.697 instead of 0.837); one of the red-refined mesh, or at
+    # the degree-4 points, has the wrong count of triangles or points
+    mesh = build_structured_unit_square(4)
+    problem = paper_problem(0.1, 10.0)
+    exact = problem.sample(error_points(mesh))
+    sol = solve(mesh, problem.coefficients, exact.f)
+    for points in (error_points(mesh)[:1], error_points(red_refine(mesh)),
+                   np.matmul(triangle_rule(4).points, mesh.vertices[mesh.triangles])):
+        wrong = problem.sample(points)
+        with pytest.raises(ValueError, match="f must hold the values at error_points"):
+            assemble_system(mesh, problem.coefficients, wrong.f)
+        with pytest.raises(ValueError, match="u must hold the values at error_points"):
+            energy_error(sol, problem.coefficients, wrong.u, exact.curl_u)
+        with pytest.raises(ValueError, match="curl u must hold the values at error_points"):
+            energy_error(sol, problem.coefficients, exact.u, wrong.curl_u)
+    # a vector field is no curl, a scalar one no load
+    with pytest.raises(ValueError, match="curl u"):
+        energy_error(sol, problem.coefficients, exact.u, exact.u)
+    with pytest.raises(ValueError, match="f must"):
+        assemble_system(mesh, problem.coefficients, exact.div_f)
 
 
 def test_dofmap_layout():
@@ -320,8 +350,9 @@ def test_dofmap_layout():
 def test_galerkin_orthogonality_algebraic_and_quadrature():
     mesh = build_structured_unit_square(8)
     problem = paper_problem(0.1, 10.0)
-    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    f = problem.f(error_points(mesh))
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, f)
+    sol = solve(mesh, problem.coefficients, f)
     algebraic = b - matrix @ sol.coefficients
     assert np.abs(algebraic).max() <= 1e-10 * np.linalg.norm(b)
     # same identity via quadrature against the analytic solution
@@ -453,7 +484,7 @@ def test_load_moments_are_the_adjoint_of_the_vertex_vectors(jitter):
     # _moments(v) . c = sum_T |T| sum_q w_q v_q . u_c(x_q), where u_c is the
     # field with local coefficients c, read from its vertex vectors
     mesh = jittered_two_sign_mesh(jitter)
-    rule = edge_fem._LOAD_RULE
+    rule = edge_fem._ERROR_RULE
     rng = np.random.default_rng(5)
     values = rng.standard_normal((mesh.num_triangles, len(rule.weights), 2))
     coeffs = rng.standard_normal((mesh.num_triangles, 3))
@@ -467,7 +498,7 @@ def test_load_moments_are_the_adjoint_of_the_vertex_vectors(jitter):
 @pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["bisected", "jittered"])
 def test_load_moments_match_the_basis_einsum(jitter):
     mesh = jittered_two_sign_mesh(jitter)
-    rule = edge_fem._LOAD_RULE
+    rule = edge_fem._ERROR_RULE
     values = np.random.default_rng(5).standard_normal((mesh.num_triangles, len(rule.weights), 2))
     phi = basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, rule.points)
     expected = np.einsum("q,tqe,tqke,t->tk", rule.weights, values, phi, mesh.areas)
@@ -515,14 +546,16 @@ def test_energy_error_exact_for_field_in_discrete_space():
                - (mesh.edges[:, 0] == centre).astype(float))
     sol = solution_from_edge_values(mesh, moments)
     coeffs = constant_coeffs(eps=2.0, kappa=3.0)
-    assert energy_error(sol, coeffs, u, curl_u) <= 1e-12
+    points = error_points(mesh)
+    assert energy_error(sol, coeffs, u(points), curl_u(points)) <= 1e-12
 
 
 def test_energy_error_reference_values():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
-    e = energy_error(sol, problem.coefficients, problem.u, problem.curl_u)
+    exact = problem.sample(error_points(mesh))
+    sol = solve(mesh, problem.coefficients, exact.f)
+    e = energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
     assert e == pytest.approx(8.42e-1, rel=0.10)
     assert e == pytest.approx(0.83709, rel=1e-3)  # regression pin
 
@@ -530,17 +563,19 @@ def test_energy_error_reference_values():
 def test_energy_error_quadrature_degree_stable(monkeypatch):
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
-    e6 = energy_error(sol, problem.coefficients, problem.u, problem.curl_u)
+    exact = problem.sample(error_points(mesh))
+    sol = solve(mesh, problem.coefficients, exact.f)
+    e6 = energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
     monkeypatch.setattr(edge_fem, "_ERROR_RULE", triangle_rule(8))
-    e8 = energy_error(sol, problem.coefficients, problem.u, problem.curl_u)
+    exact = problem.sample(error_points(mesh))
+    e8 = energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
     assert e6 == pytest.approx(e8, rel=1e-8)
 
 
 def test_element_curls_matches_scalar_api():
     mesh = build_structured_unit_square(3)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     curls = sol.curls
     for t in (0, 5, 11):
         assert curls[t] == pytest.approx(curl_uh(sol, t), abs=1e-14)
@@ -549,7 +584,7 @@ def test_element_curls_matches_scalar_api():
 def test_vertex_vectors_and_curls_are_read_only():
     mesh = build_structured_unit_square(2)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     with pytest.raises(ValueError):
         sol.vertex_vectors[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -615,7 +650,7 @@ def test_discrete_gradient_without_interior_vertices():
     mesh = build_structured_unit_square(1)  # one free edge, the diagonal
     assert discrete_gradient(DofMap(mesh)).shape == (1, 0)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     assert sol.residual <= 1e-12
 
 
@@ -701,9 +736,10 @@ def uniform_3008_dof_mesh(problem):
 ], ids=["contrast-1e4", "mass-dominated"])
 def test_gradient_correction_iterations_against_jacobi(problem, rel_tol, max_ratio):
     mesh = uniform_3008_dof_mesh(problem)
-    sol = solve(mesh, problem.coefficients, problem.f, rel_tol=rel_tol)
+    f = problem.f(error_points(mesh))
+    sol = solve(mesh, problem.coefficients, f, rel_tol=rel_tol)
     assert sol.dofmap.n_free == 3008
-    matrix, b, _ = assemble_system(mesh, problem.coefficients, problem.f)
+    matrix, b, _ = assemble_system(mesh, problem.coefficients, f)
     jacobi = cg_solve(matrix, b, rel_tol=rel_tol)
     assert sol.iterations <= max_ratio * jacobi.iterations
     assert sol.residual <= rel_tol
@@ -715,4 +751,4 @@ def test_residual_contract_unchanged_at_contrast_1e6():
     problem = interface_problem(1e6, 1.0, 1e-2)
     mesh = uniform_3008_dof_mesh(problem)
     with pytest.raises(CgNonConvergence):
-        solve(mesh, problem.coefficients, problem.f, rel_tol=1e-6)
+        solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6)

@@ -5,7 +5,7 @@ import pytest
 
 from curladapt import edge_fem
 from curladapt.edge_fem import (DiscreteSolution, DofMap, curl_uh, energy_error,
-                                eval_uh, solve)
+                                error_points, eval_uh, solve)
 from curladapt.estimators import (EstimatorKind, capped_size, edge_jumps,
                                   element_residuals, indicator, oscillations,
                                   weighted_sizes)
@@ -195,7 +195,7 @@ def test_j2_constant_jump_integral():
 def test_j1_against_two_sided_evaluation_oracle():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     pts, wts = edge_rule(4)
     kappa = problem.coefficients.kappa
     for e in np.nonzero(~mesh.is_boundary_edge)[0][::7]:
@@ -221,7 +221,7 @@ def test_j1_against_two_sided_evaluation_oracle():
     mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
     mesh = bisect_refine(mesh, {0, 5, 17, 30})
     mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
-    sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-6)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6)
     interior = np.nonzero(~mesh.is_boundary_edge)[0]
     for e in interior:
         samples = _j1_oracle_samples(sol, problem, int(e))
@@ -266,7 +266,7 @@ def test_indicator_evaluates_f_once():
     # f enters the estimators at element points only: J1 reads no f
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     calls = []
 
     def counted_f(x):
@@ -280,7 +280,7 @@ def test_indicator_evaluates_f_once():
 def test_every_reader_shares_one_build_of_the_vertex_vectors(monkeypatch):
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     calls = []
     build = edge_fem._vertex_vectors
 
@@ -291,7 +291,8 @@ def test_every_reader_shares_one_build_of_the_vertex_vectors(monkeypatch):
     monkeypatch.setattr(edge_fem, "_vertex_vectors", counted)
     indicator(sol, problem).as_kind(EstimatorKind.CLASSICAL)
     oscillations(sol, problem)
-    energy_error(sol, problem.coefficients, problem.u, problem.curl_u)
+    exact = problem.sample(error_points(mesh))
+    energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
     eval_uh(sol, 3, mesh.centroids[3])
     curl_uh(sol, 3)
     assert len(calls) == 1
@@ -301,7 +302,7 @@ def test_edge_jumps_do_not_need_div_f():
     # the jumps never read div f, so a problem without it still has them
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     no_div_f = ManufacturedProblem(coefficients=problem.coefficients, u=problem.u,
                                    curl_u=problem.curl_u, f=problem.f, div_f=None,
                                    tag="no-divf")
@@ -315,7 +316,7 @@ def test_edge_jumps_do_not_need_div_f():
 def test_indicator_zero_for_zero_source():
     mesh = build_structured_unit_square(2)
     problem = zero_field_problem()
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     for kind in EstimatorKind:
         breakdown = indicator(sol, problem, kind)
         assert breakdown.global_estimate == 0.0
@@ -324,7 +325,7 @@ def test_indicator_zero_for_zero_source():
 def test_indicator_positive_iff_source_nonzero():
     mesh = build_structured_unit_square(2)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     breakdown = indicator(sol, problem, EstimatorKind.ROBUST)
     assert breakdown.global_estimate > 0.1
 
@@ -332,7 +333,7 @@ def test_indicator_positive_iff_source_nonzero():
 def test_indicator_parts_nonnegative_and_sum_exact():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     for kind in EstimatorKind:
         b = indicator(sol, problem, kind)
         for part in (b.r1, b.r2, b.j1, b.j2):
@@ -343,7 +344,7 @@ def test_indicator_parts_nonnegative_and_sum_exact():
 def test_indicator_reference_values_32_elements():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     eta = indicator(sol, problem, EstimatorKind.ROBUST).global_estimate
     eta_tilde = indicator(sol, problem, EstimatorKind.CLASSICAL).global_estimate
     assert eta == pytest.approx(3.72, rel=0.10)
@@ -353,7 +354,7 @@ def test_indicator_reference_values_32_elements():
 def test_indicator_extreme_column_32_elements():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1e-5, 1e5)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     eta = indicator(sol, problem, EstimatorKind.ROBUST).global_estimate
     eta_tilde = indicator(sol, problem, EstimatorKind.CLASSICAL).global_estimate
     assert eta == pytest.approx(3.72e2, rel=0.10)
@@ -363,7 +364,7 @@ def test_indicator_extreme_column_32_elements():
 def test_edge_terms_credited_to_both_neighbours():
     mesh = build_structured_unit_square(1)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     breakdown = indicator(sol, problem, EstimatorKind.ROBUST)
     diagonal = int(np.nonzero(~mesh.is_boundary_edge)[0][0])
     j1, j2 = edge_jumps(sol, problem, diagonal)
@@ -378,7 +379,7 @@ def test_estimators_coincide_in_constant_eps_small_mesh_regime():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1.0, 1.0)
     for _ in range(2):
-        sol = solve(mesh, problem.coefficients, problem.f)
+        sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
         robust = indicator(sol, problem, EstimatorKind.ROBUST)
         classical = indicator(sol, problem, EstimatorKind.CLASSICAL)
         scale = np.maximum(robust.total, 1e-300)
@@ -390,7 +391,7 @@ def test_estimators_coincide_in_constant_eps_small_mesh_regime():
 def test_estimators_differ_when_kappa_branch_active():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1.0, 1e4)  # 1/sqrt(kappa) = 0.01 < element sizes
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     robust = indicator(sol, problem, EstimatorKind.ROBUST).global_estimate
     classical = indicator(sol, problem, EstimatorKind.CLASSICAL).global_estimate
     assert classical > 2.0 * robust
@@ -400,7 +401,7 @@ def test_as_kind_matches_a_fresh_call():
     mesh = tag_regions(build_structured_unit_square(4),
                        lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     problem = interface_problem(1e4, 1.0, 1e4)
-    sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-6)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6)
     fresh = {kind: indicator(sol, problem, kind) for kind in EstimatorKind}
     assert not np.array_equal(fresh[EstimatorKind.ROBUST].total,
                               fresh[EstimatorKind.CLASSICAL].total)
@@ -418,7 +419,7 @@ def test_as_kind_matches_a_fresh_call():
 def test_oscillations_zero_for_zero_source():
     mesh = build_structured_unit_square(2)
     problem = zero_field_problem()
-    sol = solve(mesh, problem.coefficients, problem.f)
+    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
     osc = oscillations(sol, problem)
     assert osc.osc1 == 0.0 and osc.osc2 == 0.0
 
@@ -443,7 +444,7 @@ def test_oscillations_superconverge():
     mesh = build_structured_unit_square(4)
     values = []
     for _ in range(3):
-        sol = solve(mesh, problem.coefficients, problem.f)
+        sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
         osc = oscillations(sol, problem)
         values.append(osc.osc1 + osc.osc2)
         mesh = red_refine(mesh)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curladapt.edge_fem import assemble_system, energy_error, solve
+from curladapt.edge_fem import assemble_system, energy_error, error_points, solve
 from curladapt.estimators import edge_jumps
 from curladapt.mesh import build_structured_unit_square, red_refine, tag_regions
 from curladapt.problems import (CoefficientField, ManufacturedProblem,
@@ -56,8 +56,16 @@ def test_coefficient_field_validation():
             CoefficientField(eps={1: eps}, kappa=kappa)
     field = CoefficientField(eps={1: 10.0, 2: 1.0}, kappa=1.0)
     assert field.eps_of(1) == 10.0
+    assert field.eps_of(np.int64(2)) == 1.0
     with pytest.raises(ValueError):
         field.eps_of(3)
+    # tags are integers: 1.9, True and 2.5 would truncate to regions 1 and 2
+    for tag in (1.9, True, 2.5, np.float64(1.0)):
+        with pytest.raises(ValueError, match="region tag must be an integer"):
+            field.eps_of(tag)
+    for region in (1.5, True):
+        with pytest.raises(ValueError, match="region tag must be an integer"):
+            CoefficientField(eps={region: 1.0}, kappa=1.0)
 
 
 def test_paper_problem_rejects_bad_parameters():
@@ -166,8 +174,9 @@ def test_verify_consistency_uses_the_adjoint_curl():
     for problem, low, high in ((right, 1.8, 2.2), (wrong, 0.9, 1.1)):
         mesh, errors = build_structured_unit_square(4), []
         for _ in range(4):
-            sol = solve(mesh, problem.coefficients, problem.f)
-            errors.append(energy_error(sol, problem.coefficients, problem.u, problem.curl_u))
+            exact = problem.sample(error_points(mesh))
+            sol = solve(mesh, problem.coefficients, exact.f)
+            errors.append(energy_error(sol, problem.coefficients, exact.u, exact.curl_u))
             mesh = red_refine(mesh)
         ratios = np.array(errors[:-1]) / errors[1:]
         assert ((low < ratios) & (ratios < high)).all(), (problem.tag, errors)
@@ -178,8 +187,8 @@ def test_interface_reduces_to_constant_coefficients():
     const = paper_problem(1.0, 2.0)
     iface = interface_problem(1.0, 1.0, 2.0)
     tagged = tag_regions(mesh, iface.classifier)
-    a1, b1, _ = assemble_system(mesh, const.coefficients, const.f)
-    a2, b2, _ = assemble_system(tagged, iface.coefficients, iface.f)
+    a1, b1, _ = assemble_system(mesh, const.coefficients, const.f(error_points(mesh)))
+    a2, b2, _ = assemble_system(tagged, iface.coefficients, iface.f(error_points(tagged)))
     assert np.array_equal(a1.indptr, a2.indptr)
     assert np.array_equal(a1.indices, a2.indices)
     assert np.array_equal(a1.data, a2.data)
@@ -216,7 +225,7 @@ def test_interface_curl_jumps_present_on_interface():
     totals = []
     for ratio in (1.0, 1e2, 1e4):
         problem = interface_problem(ratio, 1.0, 1.0)
-        sol = solve(mesh, problem.coefficients, problem.f, rel_tol=1e-9)
+        sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-9)
         total = sum(edge_jumps(sol, problem, e)[1] ** 2 for e in gamma_edges)
         totals.append(total)
     assert totals[0] == pytest.approx(2.4558e-05, rel=1e-3)
