@@ -35,8 +35,10 @@ constant curl, ``u = w_0 + (curl_P / 2) (x - x_0)^perp`` about P's first
 vertex x_0, where it takes the vertex vector w_0.  The moment of a fine
 edge, which lies in its first incident triangle and hence in that
 triangle's parent, is therefore exactly ``u(midpoint) . (head - tail)``.
-The prolongated field is the coarse one; no prolongation matrix and no
-vertex history are needed.
+The prolongated field is the coarse one; no vertex history is needed.
+The same formula, linear in the three coefficients of the parent, is the
+prolongation matrix (:func:`prolongation`) that carries the smoothers of
+coarser meshes into the multilevel preconditioner of :func:`solve`.
 """
 
 from dataclasses import dataclass
@@ -295,40 +297,132 @@ def assemble_system(mesh, coefficients, f):
     return dofmap.scatter(stiffness + mass), dofmap.scatter(load), dofmap
 
 
-def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None):
+def _mass_dominated(mesh, coefficients):
+    """True when ``kappa diam_T^2 > eps_T`` on every element T of ``mesh``."""
+    eps_t = coefficients.eps_by_region(mesh.regions)
+    return bool((coefficients.kappa * mesh.diameters ** 2 > eps_t).all())
+
+
+class Hierarchy:
+    """The nested meshes of one uniform-refinement run, for the multilevel
+    preconditioner of :func:`solve`.
+
+    Create one per run and hand it to every solve, coarsest mesh first.
+    It keeps, per coarser level, the :class:`linalg.Level` (diagonal, G,
+    diag(G^T A G) and the prolongation onto the next mesh), and the
+    dofmap and smoother of the last mesh solved on until the next solve
+    builds that prolongation; no assembled matrix.
+    """
+
+    def __init__(self):
+        self._levels = []
+        self._last = None  # (dofmap, smoother) of the last mesh solved on
+
+    def _descend(self, dofmap, smoother, restart):
+        """The coarser levels of a solve on ``dofmap``'s mesh, a refinement
+        of the last one, coarsest first; then records that mesh as the
+        last.  ``restart`` makes the mesh the coarsest level."""
+        if restart or self._last is None:
+            self._levels = []
+        else:
+            coarse_dofmap, coarse_smoother = self._last
+            self._levels.append(linalg.Level(coarse_smoother,
+                                             prolongation(coarse_dofmap, dofmap)))
+        self._last = dofmap, smoother
+        return tuple(self._levels)
+
+
+def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None,
+          hierarchy=None):
     """Solve the discrete problem for the source values ``f`` of
     :func:`assemble_system` and return a :class:`DiscreteSolution`.
 
-    CG is preconditioned with Jacobi plus a diagonal solve on the
-    gradients of interior nodal functions (:func:`discrete_gradient`),
-    which keeps it converging when eps is large against kappa.  It starts
-    from the free-dof vector ``x0`` (zero if None) and stops on the
-    relative residual ``rel_tol``, or with ``rel_tol=None`` on the energy
-    estimate against ``energy_target`` (see :func:`linalg.cg_solve`).
+    CG is preconditioned with Hiptmair's hybrid smoother: Jacobi plus a
+    diagonal solve on the gradients of interior nodal functions
+    (:func:`discrete_gradient`), which keeps it converging when eps is
+    large against kappa.  On one mesh its iteration count still grows
+    like 1/h.  Given the :class:`Hierarchy` of a uniform-refinement run,
+    whose last mesh ``mesh`` refines, the solve adds the smoothers of the
+    coarser meshes through :func:`prolongation`, the additive multilevel
+    sum of :func:`linalg.cg_solve`, and records ``mesh`` for the next
+    solve.  The hierarchy restarts at ``mesh`` when ``kappa diam_T^2 >
+    eps_T`` on every element: there the mass term dominates, and the
+    smoother of the mesh alone is already h-independent, so coarse levels
+    only add work; at 48,896 dofs on paper(1e-3, 1e3) they took CG from
+    28 to 50 iterations.  ``amr.adaptive_solve`` passes no hierarchy: its
+    many locally refined meshes would cost more per level than their
+    iterations save.
+
+    CG starts from the free-dof vector ``x0`` (zero if None) and stops on
+    the relative residual ``rel_tol``, or with ``rel_tol=None`` on the
+    energy estimate against ``energy_target`` (see
+    :func:`linalg.cg_solve`).
     """
     matrix, b, dofmap = assemble_system(mesh, coefficients, f)
-    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, gradient=discrete_gradient(dofmap),
-                             x0=x0, energy_target=energy_target)
+    smoother = linalg.hybrid_smoother(matrix, discrete_gradient(dofmap))
+    coarse = () if hierarchy is None else hierarchy._descend(
+        dofmap, smoother, _mass_dominated(mesh, coefficients))
+    result = linalg.cg_solve(matrix, b, rel_tol=rel_tol, smoother=smoother, x0=x0,
+                             energy_target=energy_target, coarse=coarse)
     return DiscreteSolution(mesh, dofmap, result.x, result.iterations, result.residual)
+
+
+def _fine_edges(coarse, mesh):
+    """Per free edge of ``mesh``, a refinement of ``coarse`` whose
+    ``parent_ids`` index its triangles: the coarse triangle p the edge lies
+    in, the offset of its midpoint from p's first vertex, and its tangent
+    ``head - tail``."""
+    parents = mesh.parent_ids
+    if ((parents < 0) | (parents >= coarse.num_triangles)).any():
+        raise ValueError("mesh.parent_ids do not index the triangles of the coarse mesh")
+    free = ~mesh.is_boundary_edge
+    p = parents[mesh.edge_tris[free, 0]]
+    tail, head = mesh.vertices[mesh.edges[free].T]
+    offset = 0.5 * (tail + head) - coarse.vertices[coarse.triangles[p, 0]]
+    return p, offset, head - tail
 
 
 def prolongate(solution, mesh):
     """Free-dof vector of the field ``solution`` on ``mesh``, a refinement
     of ``solution.mesh`` whose ``parent_ids`` index that mesh's triangles.
 
-    Exact: the result is the coarse field itself (module docstring).
+    Exact: the result is the coarse field itself (module docstring).  It
+    agrees with ``prolongation(solution.dofmap, DofMap(mesh)) @
+    solution.coefficients`` up to rounding, without building the matrix.
     """
-    coarse = solution.mesh
-    parents = mesh.parent_ids
-    if ((parents < 0) | (parents >= coarse.num_triangles)).any():
-        raise ValueError("mesh.parent_ids do not index the triangles of the solution's mesh")
-    free = ~mesh.is_boundary_edge
-    p = parents[mesh.edge_tris[free, 0]]
-    tail, head = mesh.vertices[mesh.edges[free].T]
+    p, offset, tangent = _fine_edges(solution.mesh, mesh)
     # u at the midpoint, from its value w_0 at the parent's first vertex
-    offset = 0.5 * (tail + head) - coarse.vertices[coarse.triangles[p, 0]]
     u = solution.vertex_vectors[p, 0] + 0.5 * solution.curls[p, None] * _rot90(offset)
-    return np.einsum("ie,ie->i", u, head - tail)
+    return np.einsum("ie,ie->i", u, tangent)
+
+
+def prolongation(coarse_dofmap, fine_dofmap):
+    """The matrix of :func:`prolongate`: a ``scipy.sparse.csr_matrix``
+    (fine free dofs, coarse free dofs) with the weights of the three edges
+    of each fine free edge's parent in its row, sorted by column; the
+    parent's boundary edges drop.
+
+    The fine moment ``(w_0 + (curl / 2) offset^perp) . t`` is linear in the
+    parent's coefficients: the weight of its edge k takes w_0 and the curl
+    of its basis function k.
+    """
+    coarse = coarse_dofmap.mesh
+    p, offset, tangent = _fine_edges(coarse, fine_dofmap.mesh)
+    g, signs = coarse.barycentric_gradients, coarse.tri_edge_signs
+    # per coarse triangle, basis functions in the order of their dofs
+    order = np.argsort(coarse_dofmap.element_dofs, axis=1)
+    basis = np.eye(3)[order]
+    w0 = np.stack([_vertex_vectors(g, signs, basis[:, k])[:, 0] for k in range(3)], axis=1)
+    half_curls = 0.5 * np.take_along_axis(_basis_curls(g, signs), order, axis=1)
+    cols = np.take_along_axis(coarse_dofmap.element_dofs, order, axis=1)[p]
+    # offset^perp . t is the cross product offset x t
+    weights = (np.einsum("ike,ie->ik", w0[p], tangent)
+               + half_curls[p] * _cross2(offset, tangent)[:, None])
+    keep = cols >= 0
+    indptr = np.zeros(len(p) + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return scipy.sparse.csr_matrix((weights[keep], cols[keep], indptr),
+                                   shape=(fine_dofmap.n_free, coarse_dofmap.n_free))
 
 
 def _barycentric(mesh, tri_id, point):

@@ -3,12 +3,22 @@
 Every matrix is a ``scipy.sparse.csr_matrix`` with sorted, unique column
 indices per row; products, the diagonal and the transpose are scipy's.
 
-:func:`cg_solve` preconditions with the diagonal of the matrix (Jacobi).
-Given a discrete gradient G, it adds a diagonal solve on the gradient
-space, ``B r = r / diag(A) + G ((G^T r) / diag(G^T A G))``: the
-gradient-space half of Hiptmair's hybrid smoother for H(curl) (SIAM J.
-Numer. Anal. 36, 1999).  Gradients are the near-kernel of the curl-curl
-operator when kappa is small against eps, where Jacobi alone stalls.
+Each level of the preconditioner is Hiptmair's hybrid smoother for
+H(curl) (SIAM J. Numer. Anal. 36, 1999), ``S r = r / diag(A) + G ((G^T r)
+/ diag(G^T A G))``: Jacobi plus a diagonal solve on the gradient space
+spanned by the columns of a discrete gradient G, or Jacobi alone without
+one (:func:`hybrid_smoother`).  Gradients are the near-kernel of the
+curl-curl operator when kappa is small against eps, where Jacobi alone
+stalls.  On one level the work of the smoother still grows like 1/h.
+Given the coarser levels of a nested hierarchy, :func:`cg_solve` adds
+their smoothers through the prolongations P_l from each level to the
+next: ``B = sum_l P_{L<-l} S_l P_{L<-l}^T``, the additive multilevel
+(BPX) preconditioner (Bramble, Pasciak and Xu, Math. Comp. 55, 1990).  It
+is symmetric positive definite as every S_l is, and one application costs
+one restriction sweep down the levels and one prolongation sweep up.
+``edge_fem.solve`` builds the levels from the red refinements of a
+uniform run and decides where they start; the adaptive driver runs on
+one level (see there).
 
 It stops by one of two rules.  The residual contract asks for a fixed
 relative residual ``||b - A x|| <= rel_tol * ||b||``; near the float64
@@ -73,17 +83,88 @@ def _cg_steps(a, precondition, x, r):
         rz = rz_next
 
 
-def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None, x0=None,
-             energy_target=None):
+class Smoother(NamedTuple):
+    """Hiptmair's hybrid smoother of one level, ``S r = r / diag +
+    gradient ((gradient^T r) / gradient_diag)``; Jacobi alone where
+    ``gradient`` is None.  Built by :func:`hybrid_smoother`."""
+    diag: np.ndarray
+    gradient: object = None
+    gradient_diag: np.ndarray = None
+
+
+class Level(NamedTuple):
+    """A coarser level of the multilevel preconditioner: its smoother and
+    its prolongation, a ``scipy.sparse.csr_matrix`` from its unknowns to
+    those of the next finer level.  No matrix is kept."""
+    smoother: Smoother
+    prolongation: object
+
+
+def hybrid_smoother(matrix, gradient=None):
+    """The :class:`Smoother` of ``matrix``: diag(A), and with an (n, m)
+    ``scipy.sparse.csr_matrix`` ``gradient`` G whose columns span
+    near-kernel directions (the discrete gradients of an edge-element
+    space) also diag(G^T A G).  Refuses a nonpositive diagonal entry of
+    either, where S would not be positive definite."""
+    diag = matrix.diagonal()
+    if (diag <= 0).any():
+        raise ValueError("matrix has a zero or negative diagonal entry")
+    if gradient is None:
+        return Smoother(diag)
+    if gradient.shape[0] != matrix.shape[0]:
+        raise ValueError("gradient must have one row per unknown")
+    gradient_diag = np.asarray(gradient.multiply(matrix @ gradient).sum(axis=0)).ravel()
+    if (gradient_diag <= 0).any():
+        raise ValueError("gradient has an empty column or A is not definite on it")
+    return Smoother(diag, gradient, gradient_diag)
+
+
+def _smoothing(smoother):
+    """``r -> S r`` of one level, with the transpose view built once:
+    scipy builds a new object on every ``.T``."""
+    diag, g, diag_g = smoother
+    if g is None:
+        return lambda r: r / diag
+    gt = g.T
+    return lambda r: r / diag + g @ ((gt @ r) / diag_g)
+
+
+def _preconditioner(smoother, coarse):
+    """``r -> B r`` for the finest level's ``smoother`` and the ``coarse``
+    levels of :func:`cg_solve`: the residual is restricted down the levels,
+    then each level's smoothed residual is added on the way back up."""
+    smooth = [_smoothing(level.smoother) for level in coarse] + [_smoothing(smoother)]
+    prolong = [level.prolongation for level in coarse]
+    restrict = [p.T for p in prolong]
+
+    def precondition(r):
+        residuals = [r]
+        for pt in reversed(restrict):
+            residuals.append(pt @ residuals[-1])
+        z = smooth[0](residuals.pop())
+        for s, p in zip(smooth[1:], prolong):
+            z = s(residuals.pop()) + p @ z
+        return z
+
+    return precondition
+
+
+def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, smoother=None, x0=None,
+             energy_target=None, coarse=()):
     """Preconditioned conjugate gradients for symmetric positive definite A.
 
-    Without ``gradient`` the preconditioner is Jacobi, ``B r = r /
-    diag(A)``.  ``gradient`` is an (n, m) ``scipy.sparse.csr_matrix`` G
-    whose columns span a subspace of near-kernel directions (the discrete
-    gradients of an edge-element space); the preconditioner then becomes
-    ``B r = r / diag(A) + G ((G^T r) / diag(G^T A G))``, which is also
-    symmetric positive definite.  CG starts from ``x0`` (zero if None), so
-    a solve can be resumed from an earlier iterate.
+    The preconditioner is the :class:`Smoother` ``smoother`` of ``matrix``
+    (:func:`hybrid_smoother`; Jacobi, ``B r = r / diag(A)``, if None) plus,
+    for every :class:`Level` of ``coarse``, that level's smoother carried
+    to and from the unknowns of ``matrix`` through the prolongations:
+    ``B = sum_l P_{L<-l} S_l P_{L<-l}^T`` over the levels l = 0..L, the
+    coarsest first and ``matrix`` the finest, L, with ``P_{L<-l}`` the
+    product of the prolongations of the levels l..L-1.  One application
+    restricts the residual down the levels by ``P_l^T``, then adds each
+    level's ``S_l`` on the way back up by ``P_l``.  Without coarse levels
+    B is the smoother alone.  B is symmetric positive definite.  CG starts
+    from ``x0`` (zero if None), so a solve can be resumed from an earlier
+    iterate.
 
     Two stopping rules:
 
@@ -110,8 +191,12 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None, x0=None,
     n = matrix.shape[0]
     if matrix.shape != (n, n) or b.shape != (n,):
         raise ValueError("matrix must be square and match the right-hand side")
-    if gradient is not None and gradient.shape[0] != n:
-        raise ValueError("gradient must have one row per unknown")
+    if smoother is not None and smoother.diag.shape != (n,):
+        raise ValueError("smoother must have one diagonal entry per unknown")
+    sizes = [level.smoother.diag.shape[0] for level in coarse] + [n]
+    if any(level.prolongation.shape != shape
+           for level, shape in zip(coarse, zip(sizes[1:], sizes))):
+        raise ValueError("each coarse prolongation must map its level onto the next")
     if x0 is not None and np.shape(x0) != (n,):
         raise ValueError("x0 must have one entry per unknown")
     if rel_tol is not None:
@@ -127,24 +212,11 @@ def cg_solve(matrix, b, rel_tol=1e-12, max_iter=None, gradient=None, x0=None,
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return CgResult(np.zeros(n), 0, 0.0)
-    diag = matrix.diagonal()
-    if (diag <= 0).any():
-        raise ValueError("matrix has a zero or negative diagonal entry")
+    if smoother is None:
+        smoother = hybrid_smoother(matrix)
 
     a = matrix
-    if gradient is None:
-        def precondition(r):
-            return r / diag
-    else:
-        g = gradient
-        gt = g.T
-        diag_g = np.asarray(g.multiply(a @ g).sum(axis=0)).ravel()
-        if (diag_g <= 0).any():
-            raise ValueError("gradient has an empty column or A is not definite on it")
-
-        def precondition(r):
-            return r / diag + g @ ((gt @ r) / diag_g)
-
+    precondition = _preconditioner(smoother, coarse)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - a @ x
     iterations = 0

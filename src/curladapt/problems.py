@@ -23,7 +23,8 @@ from .mesh import OMEGA1, OMEGA2, _integers
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Piecewise-constant eps per region tag and a constant kappa > 0.
+    """Piecewise-constant eps per region tag, for at least one tag, and a
+    constant kappa > 0.
 
     With the two standard regions present the convention eps(OMEGA1) >=
     eps(OMEGA2) > 0 is enforced.
@@ -34,6 +35,8 @@ class CoefficientField:
     def __post_init__(self):
         if not 0 < self.kappa < np.inf:
             raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not self.eps:
+            raise ValueError("eps must give the value of at least one region")
         for region, value in self.eps.items():
             _integers(region, "region tag")
             if not 0 < value < np.inf:
@@ -51,10 +54,14 @@ class CoefficientField:
 
     def eps_by_region(self, regions):
         """Vectorised lookup: eps value per element for a region-tag array."""
-        out = np.empty(len(regions))
-        for tag in np.unique(regions):
-            out[regions == tag] = self.eps_of(tag)
-        return out
+        regions = _integers(regions, "region tags")
+        tags = np.array(sorted(self.eps), dtype=np.int64)
+        values = np.array([self.eps[tag] for tag in tags], dtype=float)
+        slot = np.searchsorted(tags, regions).clip(max=len(tags) - 1)
+        missing = tags[slot] != regions
+        if missing.any():
+            raise ValueError(f"no eps value for region tag {regions[missing].min()}")
+        return values[slot]
 
     def max_contrast(self):
         values = list(self.eps.values())

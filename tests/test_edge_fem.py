@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from curladapt import edge_fem
-from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system,
+from curladapt import edge_fem, linalg
+from curladapt.edge_fem import (DiscreteSolution, DofMap, Hierarchy, assemble_system,
                                 curl_uh, discrete_gradient,
                                 element_matrices, energy_error, error_points,
-                                eval_uh, prolongate, solve, whitney_eval)
+                                eval_uh, prolongate, prolongation, solve, whitney_eval)
 from curladapt.estimators import indicator
-from curladapt.linalg import CgNonConvergence, cg_solve
+from curladapt.linalg import CgNonConvergence, Level, cg_solve, hybrid_smoother
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
 from curladapt.problems import (CoefficientField, interface_problem,
@@ -717,10 +717,106 @@ def test_prolongation_commutes_with_the_discrete_gradient(case):
 def test_prolongation_refuses_a_mesh_not_refined_from_the_solution_mesh():
     coarse = gradient_test_mesh(True)
     solution = random_solution(coarse, 3)
-    with pytest.raises(ValueError, match="parent_ids"):
-        prolongate(solution, build_structured_unit_square(4))  # root mesh: -1
-    with pytest.raises(ValueError, match="parent_ids"):
-        prolongate(solution, red_refine(red_refine(coarse)))  # ids of the middle mesh
+    for mesh in (build_structured_unit_square(4),  # root mesh: -1
+                 red_refine(red_refine(coarse))):   # ids of the middle mesh
+        with pytest.raises(ValueError, match="parent_ids"):
+            prolongate(solution, mesh)
+        with pytest.raises(ValueError, match="parent_ids"):
+            prolongation(solution.dofmap, DofMap(mesh))
+
+
+@pytest.mark.parametrize("case", REFINEMENTS)
+def test_prolongation_matrix_is_prolongate(case):
+    coarse, fine = refinement_pair(case)
+    solution = random_solution(coarse, 17)
+    matrix = prolongation(solution.dofmap, DofMap(fine))
+    assert matrix.shape == (DofMap(fine).n_free, solution.dofmap.n_free)
+    assert matrix.has_sorted_indices and np.diff(matrix.indptr).max() == 3
+    expected = prolongate(solution, fine)
+    assert np.abs(matrix @ solution.coefficients - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def red_levels(problem, levels):
+    """The first ``levels`` red-refined meshes of the drivers' 4x4 start."""
+    mesh = build_structured_unit_square(4)
+    meshes = [tag_regions(mesh, problem.classifier) if problem.classifier else mesh]
+    for _ in range(levels - 1):
+        meshes.append(red_refine(meshes[-1]))
+    return meshes
+
+
+def matrix_of(mesh, problem):
+    return assemble_system(mesh, problem.coefficients, problem.f(error_points(mesh)))[0]
+
+
+@pytest.mark.parametrize("problem", [paper_problem(0.1, 10.0), interface_problem(1e4, 1.0, 1.0)],
+                         ids=["paper-0.1-10", "interface-1e4"])
+def test_galerkin_product_of_the_prolongation_is_the_coarse_matrix(problem):
+    # nested spaces: rediscretising on the coarse mesh is P^T A_fine P
+    _, coarse, fine = red_levels(problem, 3)
+    p = prolongation(DofMap(coarse), DofMap(fine))
+    expected = matrix_of(coarse, problem).toarray()
+    galerkin = (p.T @ matrix_of(fine, problem) @ p).toarray()
+    assert np.abs(galerkin - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_multilevel_preconditioner_is_symmetric():
+    problem = interface_problem(1e4, 1.0, 1.0)
+    meshes = red_levels(problem, 3)
+    dofmaps = [DofMap(mesh) for mesh in meshes]
+    smoothers = [hybrid_smoother(matrix_of(mesh, problem), discrete_gradient(dofmap))
+                 for mesh, dofmap in zip(meshes, dofmaps)]
+    coarse = [Level(smoother, prolongation(dofmap, finer))
+              for smoother, dofmap, finer in zip(smoothers, dofmaps, dofmaps[1:])]
+    apply_b = linalg._preconditioner(smoothers[-1], coarse)
+    x, y = np.random.default_rng(8).standard_normal((2, dofmaps[-1].n_free))
+    assert x @ apply_b(y) == pytest.approx(y @ apply_b(x), rel=1e-12)
+    assert x @ apply_b(x) > 0
+
+
+# sha256 of the solution x of cg_solve with the hybrid smoother of the
+# matrix and no coarse level, on the 736-dof meshes of paper(0.1, 10) (at
+# rel_tol 1e-12) and interface(1e4, 1, 1) (at 1e-6) and under the energy
+# stop: the digests of the solver before it took coarse levels.
+FROZEN_SINGLE_LEVEL = {
+    ("paper", 1e-12): (68, "cf62290664c809429fdb44e37ee2d1a501d47cacf7d119dd7f8a1874ca0f2eb5"),
+    ("paper", None): (36, "65e106a1125f96e52271be04a624b59ac09361d5755b6bc26a67d820d3722e21"),
+    ("interface", 1e-6): (137, "88785ff9bbdd8aecb2d956e0a7cd0aa05633c43b81d90eea34e1233e79f3b4b1"),
+    ("interface", None): (71, "992298becefb4728e5c322e175b3ca6de21df7b4bd40b4d8f01d0491b7a5cd6f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_SINGLE_LEVEL, key=str))
+def test_cg_without_coarse_levels_is_frozen(case):
+    name, rel_tol = case
+    problem = paper_problem(0.1, 10.0) if name == "paper" else interface_problem(1e4, 1.0, 1.0)
+    mesh = red_levels(problem, 3)[-1]
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    result = cg_solve(matrix, b, rel_tol=rel_tol,
+                      smoother=hybrid_smoother(matrix, discrete_gradient(dofmap)))
+    assert (result.iterations, _sha256(result.x)) == FROZEN_SINGLE_LEVEL[case]
+
+
+@pytest.mark.parametrize("problem, coarse_levels", [
+    (paper_problem(0.1, 10.0), [0, 0, 1, 2]),  # kappa diam^2 > eps up to level 1
+    (paper_problem(1e-3, 1e3), [0, 0, 0, 0]),
+    (interface_problem(1e4, 1.0, 1.0), [0, 1, 2, 3]),
+], ids=["paper-0.1-10", "paper-1e-3-1e3", "interface-1e4"])
+def test_hierarchy_restarts_at_the_finest_mass_dominated_mesh(monkeypatch, problem,
+                                                              coarse_levels):
+    seen = []
+    cg = linalg.cg_solve
+
+    def counting(*args, coarse=(), **kwargs):
+        seen.append(len(coarse))
+        return cg(*args, coarse=coarse, **kwargs)
+
+    monkeypatch.setattr(linalg, "cg_solve", counting)
+    hierarchy = Hierarchy()
+    for mesh in red_levels(problem, 4):
+        solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6,
+              hierarchy=hierarchy)
+    assert seen == coarse_levels
 
 
 def uniform_3008_dof_mesh(problem):

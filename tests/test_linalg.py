@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from curladapt.linalg import (ENERGY_DELAY, ENERGY_RELATIVE_TOL, CgNonConvergence,
-                              CgResult, cg_solve)
+                              CgResult, Level, cg_solve, hybrid_smoother)
 from reference import from_triplet_arrays, from_triplets
 
 
@@ -250,7 +251,8 @@ def test_cg_gradient_correction_on_generic_spd():
     gradient = from_triplet_arrays(64, 20, np.concatenate([cols, (cols + 1) % 64]),
                                    np.tile(np.arange(20), 2),
                                    np.repeat([1.0, -1.0], 20))
-    x, iterations, residual = cg_solve(m, b, rel_tol=1e-12, gradient=gradient)
+    x, iterations, residual = cg_solve(m, b, rel_tol=1e-12,
+                                       smoother=hybrid_smoother(m, gradient))
     oracle = np.linalg.solve(m.toarray(), b)
     assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-10
     assert residual <= 1e-12
@@ -259,6 +261,12 @@ def test_cg_gradient_correction_on_generic_spd():
 def test_cg_rejects_mismatched_gradient():
     m = poisson_5point(2)
     with pytest.raises(ValueError):
-        cg_solve(m, np.ones(4), gradient=from_triplets(3, 1, [(0, 0, 1.0)]))
+        hybrid_smoother(m, from_triplets(3, 1, [(0, 0, 1.0)]))
     with pytest.raises(ValueError):  # empty column: nothing to correct with
-        cg_solve(m, np.ones(4), gradient=from_triplets(4, 2, [(0, 0, 1.0)]))
+        hybrid_smoother(m, from_triplets(4, 2, [(0, 0, 1.0)]))
+    with pytest.raises(ValueError, match="one diagonal entry per unknown"):
+        cg_solve(m, np.ones(4), smoother=hybrid_smoother(poisson_5point(3)))
+    coarse = hybrid_smoother(poisson_5point(1))
+    for shape in ((4, 2), (3, 1)):  # a level of 1 unknown onto the 4 of m
+        with pytest.raises(ValueError, match="onto the next"):
+            cg_solve(m, np.ones(4), coarse=[Level(coarse, scipy.sparse.csr_matrix(shape))])

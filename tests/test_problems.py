@@ -66,6 +66,27 @@ def test_coefficient_field_validation():
     for region in (1.5, True):
         with pytest.raises(ValueError, match="region tag must be an integer"):
             CoefficientField(eps={region: 1.0}, kappa=1.0)
+    with pytest.raises(ValueError, match="at least one region"):
+        CoefficientField(eps={}, kappa=1.0)
+
+
+def test_eps_by_region_is_the_per_tag_lookup():
+    field = CoefficientField(eps={7: 3, 1: 10.0, 2: 0.1, -4: 1e-5}, kappa=1.0)
+    regions = np.random.default_rng(2).choice([-4, 1, 2, 7], size=500)
+    eps = field.eps_by_region(regions)
+    assert eps.dtype == float
+    assert np.array_equal(eps, [field.eps_of(tag) for tag in regions])
+    empty = field.eps_by_region(np.array([], dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == float
+    # the smallest missing tag is named, whether below, between or above the keys
+    for regions, missing in (([-5, 1], -5), ([2, 3, 0, 99], 0), ([8, 7], 8)):
+        with pytest.raises(ValueError, match=f"no eps value for region tag {missing}$"):
+            field.eps_by_region(np.array(regions))
+    with pytest.raises(ValueError, match="region tags must be integers"):
+        field.eps_by_region(np.array([1.0, 2.0]))
+    # both lookups read the dict as it is now
+    field.eps[2] = 0.5
+    assert field.eps_by_region(np.array([2]))[0] == field.eps_of(2) == 0.5
 
 
 def test_paper_problem_rejects_bad_parameters():

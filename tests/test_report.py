@@ -123,6 +123,37 @@ def test_run_table_samples_the_problem_once_per_level(monkeypatch):
     assert Counter(shapes) == Counter((r.elements, 16) for r in table.rows)
 
 
+def run_table_iterations(monkeypatch, config):
+    """(free dofs, CG iterations) of every solve of ``run_table(config)``."""
+    counts = []
+    solve = edge_fem.solve
+
+    def counting(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        counts.append((solution.dofmap.n_free, solution.iterations))
+        return solution
+
+    monkeypatch.setattr(edge_fem, "solve", counting)
+    run_table(config)
+    return counts
+
+
+@pytest.mark.parametrize("config, dofs, max_iterations", [
+    (RunConfig(eps=0.1, kappa=10.0, levels=4), 3008, 60),  # measured 51, 141 on one level
+    (RunConfig(problem="interface", eps1=1e4, eps2=1.0, kappa=1.0, levels=5),
+     12160, 75),                                           # measured 60, 563 on one level
+], ids=["paper-0.1-10", "interface-1e4"])
+def test_run_table_solves_on_the_red_hierarchy(monkeypatch, config, dofs, max_iterations):
+    n_free, iterations = run_table_iterations(monkeypatch, config)[-1]
+    assert n_free == dofs and iterations <= max_iterations
+
+
+def test_run_table_keeps_mass_dominated_columns_on_one_level(monkeypatch):
+    # kappa diam^2 > eps on every level: the hierarchy restarts each time
+    counts = run_table_iterations(monkeypatch, RunConfig(eps=1e-5, kappa=1e5, levels=4))
+    assert [iterations for _, iterations in counts] == [12, 27, 32, 32]
+
+
 def test_run_table_deterministic_output(tmp_path):
     paths = []
     for name in ("a.csv", "b.csv"):
