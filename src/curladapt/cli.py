@@ -101,10 +101,14 @@ def _run_adaptive(args):
     kind = EstimatorKind(args.estimator)
     records = adaptive_solve(problem, kind=kind, theta=args.theta,
                              max_dofs=args.max_dofs)
-    print("iter  elements  dofs  eta        error      marked")
-    for r in records:
-        print(f"{r.iteration:4d}  {r.n_elements:8d}  {r.n_dofs:4d}  "
-              f"{r.eta:.3e}  {r.error:.3e}  {r.n_marked:6d}")
+    header = ("iter", "elements", "dofs", "eta", "error", "marked")
+    cells = [(str(r.iteration), str(r.n_elements), str(r.n_dofs), f"{r.eta:.3e}",
+              f"{r.error:.3e}", str(r.n_marked)) for r in records]
+    # each column as wide as its header or its widest entry, two spaces apart
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    print("  ".join(map(str.ljust, header, widths)))
+    for row in cells:
+        print("  ".join(map(str.rjust, row, widths)))
     if args.out:
         records_to_csv(records, args.out)
         print(f"wrote {args.out}")

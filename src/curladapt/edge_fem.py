@@ -27,7 +27,15 @@ boundary-edge unknowns.
 
 The problem is read at one point set per mesh, :func:`error_points`: the
 load, :func:`energy_error` and the estimators read the drivers' one sample
-there, and values of any other shape are refused.
+there, and values of any other shape are refused.  The kernels over those
+points (the load moments, :func:`energy_error`, the estimators' element
+residuals) and the local matrices run over blocks of ``mesh._BLOCK``
+triangles, so their temporaries take one block's memory, not the whole
+mesh's.  The block size is a power of two, so every block starts at a
+multiple of 4 rows, as the gemv of OpenBLAS that reduces ``squares @
+weights`` in :func:`_element_norms_sq` groups them: every blocked result
+is then bit-identical to one pass over the whole mesh, where blocks of a
+row count that is not a multiple of 4 move some norms in the last bit.
 
 A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
 (:func:`prolongate`).  On each coarse element P it is linear with a
@@ -48,7 +56,8 @@ import numpy as np
 import scipy.sparse
 
 from . import linalg
-from .mesh import _LOCAL_EDGES, _check_id, _cross2, _gradients, _rot90, _signed_areas
+from .mesh import (_LOCAL_EDGES, _blocks, _check_id, _cross2, _gradients, _rot90,
+                   _signed_areas)
 from .quadrature import triangle_rule
 
 # local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
@@ -75,11 +84,14 @@ def _moments(mesh, values):
     :func:`_vertex_vectors`.  With ``y_i = |T| sum_q w_q lam_qi v_q`` the
     moment of local edge k from vertex i to vertex j is
     ``s_k (y_i . grad(lam_j) - y_j . grad(lam_i))``."""
-    g = mesh.barycentric_gradients
-    y = np.matmul(_ERROR_RULE.weights * _ERROR_RULE.points.T, values)
-    y *= mesh.areas[:, None, None]
-    return mesh.tri_edge_signs * (np.einsum("tke,tke->tk", y, g[:, _HEAD])
-                                  - np.einsum("tke,tke->tk", y[:, _HEAD], g))
+    g, signs, areas = mesh.barycentric_gradients, mesh.tri_edge_signs, mesh.areas
+    moments = np.empty((mesh.num_triangles, 3))
+    for rows in _blocks(mesh.num_triangles):
+        y = np.matmul(_ERROR_RULE.weights * _ERROR_RULE.points.T, values[rows])
+        y *= areas[rows, None, None]
+        moments[rows] = signs[rows] * (np.einsum("tke,tke->tk", y, g[rows, _HEAD])
+                                       - np.einsum("tke,tke->tk", y[:, _HEAD], g[rows]))
+    return moments
 
 
 def _basis_curls(g, signs):
@@ -291,10 +303,14 @@ def assemble_system(mesh, coefficients, f):
     """
     load = _moments(mesh, _at_error_points(mesh, f, "f", (2,)))
     eps_t = coefficients.eps_by_region(mesh.regions)
-    stiffness, mass = _local_matrices(mesh.barycentric_gradients, mesh.areas,
-                                      mesh.tri_edge_signs, eps_t, coefficients.kappa)
+    g, areas, signs = mesh.barycentric_gradients, mesh.areas, mesh.tri_edge_signs
+    local = np.empty((mesh.num_triangles, 3, 3))
+    for rows in _blocks(mesh.num_triangles):
+        stiffness, mass = _local_matrices(g[rows], areas[rows], signs[rows], eps_t[rows],
+                                          coefficients.kappa)
+        np.add(stiffness, mass, out=local[rows])
     dofmap = DofMap(mesh)
-    return dofmap.scatter(stiffness + mass), dofmap.scatter(load), dofmap
+    return dofmap.scatter(local), dofmap.scatter(load), dofmap
 
 
 def _mass_dominated(mesh, coefficients):
@@ -470,10 +486,14 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact):
     integrated at :func:`error_points` of the solution's mesh, where
     ``u_exact`` (T, Q, 2) and ``curl_u_exact`` (T, Q) hold the values."""
     mesh = solution.mesh
-    du = (_at_error_points(mesh, u_exact, "u", (2,))
-          - np.matmul(_ERROR_RULE.points, solution.vertex_vectors))
-    dcurl = _at_error_points(mesh, curl_u_exact, "curl u") - solution.curls[:, None]
+    u = _at_error_points(mesh, u_exact, "u", (2,))
+    curl_u = _at_error_points(mesh, curl_u_exact, "curl u")
+    w, curls, areas = solution.vertex_vectors, solution.curls, mesh.areas
+    l2_part, curl_part = np.empty(mesh.num_triangles), np.empty(mesh.num_triangles)
+    for rows in _blocks(mesh.num_triangles):
+        du = u[rows] - np.matmul(_ERROR_RULE.points, w[rows])
+        l2_part[rows] = _element_norms_sq(_ERROR_RULE.weights, du, areas[rows])
+        curl_part[rows] = _element_norms_sq(_ERROR_RULE.weights,
+                                            curl_u[rows] - curls[rows, None], areas[rows])
     eps_t = coefficients.eps_by_region(mesh.regions)
-    l2_part = _element_norms_sq(_ERROR_RULE.weights, du, mesh.areas)
-    curl_part = _element_norms_sq(_ERROR_RULE.weights, dcurl, mesh.areas)
     return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))

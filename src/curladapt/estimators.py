@@ -36,7 +36,11 @@ degree-6 element points, from the problem's sample there
 (``ManufacturedProblem.sample`` at ``edge_fem.error_points``; the drivers
 take one per mesh and share it with the load and the energy error), and u_h
 from ``DiscreteSolution.vertex_vectors`` and ``.curls``, built once per
-field.  The jumps need no edge quadrature:
+field.  R1 and R2 are formed one block of ``mesh._BLOCK`` elements at a
+time, from a row slice of the sample (:func:`_residual_blocks`, which the
+oscillations read too), so neither they nor f is ever held for the whole
+mesh; the block size is a power of two so that the norms round as in one
+pass over the mesh (see ``edge_fem``).  The jumps need no edge quadrature:
 u_h is linear on each element and f is single-valued on an edge, so
 J1 = -kappa [[u_h]] . n is linear along the edge and fixed by its two end
 values, and J2 is constant.  The norms do not depend on the estimator
@@ -52,7 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .edge_fem import _ERROR_RULE, _element_norms_sq, _weighted_count, error_points
-from .mesh import _check_id
+from .mesh import _blocks, _check_id
+from .problems import _sample_rows
 
 
 class EstimatorKind(enum.Enum):
@@ -85,16 +90,6 @@ class _Norms(NamedTuple):
     edges: np.ndarray          # ids of the interior edges of j1, j2
     mesh: object
     coefficients: object
-
-
-class _Samples(NamedTuple):
-    """R1 (T, Q) and R2 (T, Q, 2) at the points of ``_ERROR_RULE`` and J1
-    at the two ends of each edge, a pair of (E,) arrays, with the squared
-    norms of all four quantities."""
-    r1: np.ndarray
-    r2: np.ndarray
-    j1: tuple
-    norms: _Norms
 
 
 @dataclass(frozen=True)
@@ -164,27 +159,53 @@ def weighted_sizes(mesh, coefficients):
     )
 
 
-def _samples(solution, problem, tris=None, edges=None, sample=None):
-    """One evaluation of the residuals on elements ``tris`` and of the
+def _residual_blocks(sample, w, kappa):
+    """R1 (B, Q) and R2 (B, Q, 2) at the points of ``_ERROR_RULE``, one
+    block of B elements at a time (``mesh._blocks``), each with its rows:
+    from ``sample``, the problem's sample at those points of N elements,
+    and the vertex vectors w (N, 3, 2) of u_h there.  div f must exist
+    when N is not zero."""
+    if len(w) and sample.div_f is None:
+        raise ValueError("problem must provide an analytic div f")
+    for rows in _blocks(len(w)):
+        block = _sample_rows(sample, rows)
+        yield rows, -block.div_f, block.f - kappa * np.matmul(_ERROR_RULE.points, w[rows])
+
+
+def _jump_ends(solution, kappa, edges):
+    """J1 at the two ends of each interior edge of ``edges``, a pair of
+    (E,) arrays: f is single-valued on an edge, so J1 = -kappa [[u_h]] . n,
+    which is linear along the edge."""
+    mesh = solution.mesh
+    # u_h is w_i at local vertex i, row 3 t + i of the flat components;
+    # side 0 traverses the edge tail -> head and side 1 head -> tail
+    (t0, t1), (k0, k1) = mesh.edge_tris[edges].T, mesh.edge_tri_local[edges].T
+    nx, ny = mesh.edge_normals[edges].T
+    w = solution.vertex_vectors
+    wx, wy = w[..., 0].ravel(), w[..., 1].ravel()
+    return tuple(-kappa * ((wx[i] - wx[j]) * nx + (wy[i] - wy[j]) * ny)
+                 for i, j in ((3 * t0 + k0, 3 * t1 + (k1 + 1) % 3),
+                              (3 * t0 + (k0 + 1) % 3, 3 * t1 + k1)))
+
+
+def _norms(solution, problem, tris=None, edges=None, sample=None):
+    """The squared norms of the residuals on elements ``tris`` and of the
     jumps on interior edges ``edges`` (all of them when None).
 
     f and div f are read at the element quadrature points only, from
     ``sample``, the problem's sample at ``edge_fem.error_points`` of the
     whole mesh, or from a sample taken here when ``sample`` is None or
-    only some elements are asked for; div f must exist when ``tris`` is
-    not empty.  Both jumps are exact per edge: f is single-valued on an
-    edge, so J1 = -kappa [[u_h]] . n, which is linear along the edge and
-    fixed by its values at the two ends; J2 is constant.
+    only some elements are asked for.  Both jumps are exact per edge: J1
+    is fixed by its values at the two ends (:func:`_jump_ends`), and J2 is
+    constant.
     """
     mesh = solution.mesh
     coeffs = problem.coefficients
-    kappa = coeffs.kappa
     if edges is None:
         edges = np.nonzero(~mesh.is_boundary_edge)[0]
     edges = np.asarray(edges, dtype=np.int64)
 
     w = solution.vertex_vectors
-    lam = _ERROR_RULE.points
     if tris is None:
         w_t, areas = w, mesh.areas
         if sample is None:
@@ -192,38 +213,30 @@ def _samples(solution, problem, tris=None, edges=None, sample=None):
     else:
         tris = np.asarray(tris, dtype=np.int64)
         w_t, areas = w[tris], mesh.areas[tris]
-        sample = problem.sample(np.matmul(lam, mesh.vertices[mesh.triangles[tris]]))
-    if len(areas) and sample.div_f is None:
-        raise ValueError("problem must provide an analytic div f")
-    r1 = -sample.div_f if len(areas) else np.zeros((0, len(lam)))
-    r2 = sample.f - kappa * np.matmul(lam, w_t)
+        sample = problem.sample(np.matmul(_ERROR_RULE.points,
+                                          mesh.vertices[mesh.triangles[tris]]))
+    r1, r2 = np.empty(len(areas)), np.empty(len(areas))
+    for rows, r1_rows, r2_rows in _residual_blocks(sample, w_t, coeffs.kappa):
+        r1[rows] = _element_norms_sq(_ERROR_RULE.weights, r1_rows, areas[rows])
+        r2[rows] = _element_norms_sq(_ERROR_RULE.weights, r2_rows, areas[rows])
 
-    # u_h is w_i at local vertex i, row 3 t + i of the flat components;
-    # side 0 traverses the edge tail -> head and side 1 head -> tail
-    (t0, t1), (k0, k1) = mesh.edge_tris[edges].T, mesh.edge_tri_local[edges].T
-    nx, ny = mesh.edge_normals[edges].T
-    wx, wy = w[..., 0].ravel(), w[..., 1].ravel()
-    a, b = (-kappa * ((wx[i] - wx[j]) * nx + (wy[i] - wy[j]) * ny)
-            for i, j in ((3 * t0 + k0, 3 * t1 + (k1 + 1) % 3),
-                         (3 * t0 + (k0 + 1) % 3, 3 * t1 + k1)))
+    a, b = _jump_ends(solution, coeffs.kappa, edges)
+    t0, t1 = mesh.edge_tris[edges].T
     eps_curl = coeffs.eps_by_region(mesh.regions) * solution.curls
     curl_jump = eps_curl[t0] - eps_curl[t1]
     lengths = mesh.edge_lengths[edges]
-
-    norms = _Norms(r1=_element_norms_sq(_ERROR_RULE.weights, r1, areas),
-                   r2=_element_norms_sq(_ERROR_RULE.weights, r2, areas),
-                   j1=lengths * (a * a + a * b + b * b) / 3,
-                   # the wedge of the scalar jump with n is tangential with
-                   # constant magnitude, so the squared edge norm is jump^2 |S|
-                   j2=curl_jump ** 2 * lengths,
-                   edges=edges, mesh=mesh, coefficients=coeffs)
-    return _Samples(r1, r2, (a, b), norms)
+    return _Norms(r1=r1, r2=r2,
+                  j1=lengths * (a * a + a * b + b * b) / 3,
+                  # the wedge of the scalar jump with n is tangential with
+                  # constant magnitude, so the squared edge norm is jump^2 |S|
+                  j2=curl_jump ** 2 * lengths,
+                  edges=edges, mesh=mesh, coefficients=coeffs)
 
 
 def element_residuals(solution, problem, tri_id):
     """L2 norms of the two element residuals on one triangle."""
     _check_id(tri_id, solution.mesh.num_triangles, "triangle")
-    norms = _samples(solution, problem, tris=[tri_id], edges=[]).norms
+    norms = _norms(solution, problem, tris=[tri_id], edges=[])
     return float(np.sqrt(norms.r1[0])), float(np.sqrt(norms.r2[0]))
 
 
@@ -233,7 +246,7 @@ def edge_jumps(solution, problem, edge_id):
     if solution.mesh.is_boundary_edge[edge_id]:
         raise ValueError(f"edge {edge_id} is a boundary edge; jumps are "
                          "defined on interior edges only")
-    norms = _samples(solution, problem, tris=[], edges=[edge_id]).norms
+    norms = _norms(solution, problem, tris=[], edges=[edge_id])
     return float(np.sqrt(norms.j1[0])), float(np.sqrt(norms.j2[0]))
 
 
@@ -264,7 +277,7 @@ def indicator(solution, problem, kind=EstimatorKind.ROBUST, sample=None):
     other kind of the same solution is ``indicator(...).as_kind(other)``.
     ``sample`` is the problem's sample at ``edge_fem.error_points`` of the
     solution's mesh, taken here when None."""
-    return _weigh(_samples(solution, problem, sample=sample).norms, kind)
+    return _weigh(_norms(solution, problem, sample=sample), kind)
 
 
 def oscillations(solution, problem):
@@ -274,19 +287,21 @@ def oscillations(solution, problem):
     estimation pass; the edge parts are exact, from the two end values of
     the linear J1 and the constant J2."""
     mesh = solution.mesh
+    kappa = problem.coefficients.kappa
     sizes = weighted_sizes(mesh, problem.coefficients)
-    samples = _samples(solution, problem)
-    wts, r1, r2 = _ERROR_RULE.weights, samples.r1, samples.r2
-    r1_mean = r1 @ wts
-    r2_mean = wts @ r2
-    element_part1 = sizes.element_size ** 2 * _element_norms_sq(
-        wts, r1 - r1_mean[:, None], mesh.areas)
-    element_part2 = sizes.hbar_element ** 2 * _element_norms_sq(
-        wts, r2 - r2_mean[:, None, :], mesh.areas)
+    wts, areas = _ERROR_RULE.weights, mesh.areas
+    element_part1, element_part2 = np.empty(mesh.num_triangles), np.empty(mesh.num_triangles)
+    for rows, r1, r2 in _residual_blocks(problem.sample(error_points(mesh)),
+                                         solution.vertex_vectors, kappa):
+        element_part1[rows] = _element_norms_sq(wts, r1 - (r1 @ wts)[:, None], areas[rows])
+        element_part2[rows] = _element_norms_sq(wts, r2 - (wts @ r2)[:, None, :], areas[rows])
+    element_part1 *= sizes.element_size ** 2
+    element_part2 *= sizes.hbar_element ** 2
 
     # J1 is linear along each edge, from a to b: its distance from the
     # mean (a + b)/2 has squared norm |S| (a - b)^2 / 12
-    e, (a, b) = samples.norms.edges, samples.j1
+    e = np.nonzero(~mesh.is_boundary_edge)[0]
+    a, b = _jump_ends(solution, kappa, e)
     edge_part1 = np.zeros(mesh.num_edges)
     edge_part1[e] = sizes.edge_size[e] * mesh.edge_lengths[e] * (a - b) ** 2 / 12
     edge_part2 = np.zeros(mesh.num_edges)  # J2 is constant per edge: projection exact

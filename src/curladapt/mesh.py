@@ -30,6 +30,17 @@ _LOCAL_EDGES = [(0, 1), (1, 2), (2, 0)]
 # rotation that brings local refinement edge r into local position 1
 _CANONICAL_ROT = np.array([(2, 0, 1), (0, 1, 2), (1, 2, 0)])
 
+# rows per block of the per-point kernels (``_blocks``); a power of two, so
+# that blocked reductions round as unblocked ones (see ``edge_fem``)
+_BLOCK = 2048
+
+
+def _blocks(n):
+    """Slices of at most ``_BLOCK`` consecutive rows that cover ``range(n)``,
+    in order."""
+    for start in range(0, n, _BLOCK):
+        yield slice(start, min(start + _BLOCK, n))
+
 
 def _integers(values, what):
     """``values`` as int64, refused unless their dtype is an integer one

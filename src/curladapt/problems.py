@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import OMEGA1, OMEGA2, _integers
+from .mesh import OMEGA1, OMEGA2, _blocks, _integers
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,12 @@ class ManufacturedProblem:
                          for field in fields))
 
 
+def _sample_rows(sample, rows):
+    """The part of ``sample``, a :class:`_Sample` or :class:`_TrigSample`,
+    at ``rows`` of its points' first axis."""
+    return type(sample)(*(a[rows] if isinstance(a, np.ndarray) else a for a in sample))
+
+
 class _TrigSample(NamedTuple):
     """A sample of :class:`_TrigField` that holds u and div f only: f =
     kappa u and curl u = 0 are formed where they are read."""
@@ -128,21 +134,23 @@ class _TrigField:
     kappa: float
 
     def sample(self, x):
-        # in place where the values allow: on the finest mesh of an
-        # adaptive run this sample is the largest set of arrays alive
-        px = np.pi * x[..., 0]
-        sx, cx = np.sin(px), np.cos(px)
-        del px
-        py = np.pi * x[..., 1]
-        sy, cy = np.sin(py), np.cos(py)
-        del py
-        u = np.empty(np.shape(sx) + (2,))
-        np.multiply(cx, sy, out=u[..., 0])
-        np.multiply(sx, cy, out=u[..., 1])
-        del cx, cy
-        div_f = -2.0 * np.pi * sx
-        div_f *= sy
-        div_f *= self.kappa
+        # written into u and div f block by block of the first axis
+        # (``mesh._blocks``; a single point is one block): on the finest
+        # mesh of an adaptive run this sample is the largest set of arrays
+        # alive, and the sines and cosines of one block are all the memory
+        # it adds; every value is elementwise, so the blocks change no bit
+        u = np.empty(np.shape(x)[:-1] + (2,))
+        div_f = np.empty(u.shape[:-1])
+        for rows in _blocks(len(div_f)) if div_f.ndim else [...]:
+            px = np.pi * x[rows][..., 0]
+            sx, cx = np.sin(px), np.cos(px)
+            py = np.pi * x[rows][..., 1]
+            sy, cy = np.sin(py), np.cos(py)
+            np.multiply(cx, sy, out=u[rows][..., 0])
+            np.multiply(sx, cy, out=u[rows][..., 1])
+            np.multiply(-2.0 * np.pi, sx, out=div_f[rows])
+            div_f[rows] *= sy
+            div_f[rows] *= self.kappa
         return _TrigSample(u, div_f, self.kappa)
 
     def u(self, x):

@@ -206,6 +206,8 @@ def run_table(config):
                                                       f"indicators_L{level}.csv"))
             if config.dump_mesh:
                 save_mesh(mesh, _sibling_path(config.out, f"mesh_L{level}.txt"))
+            # freed before the next level is sampled and assembled
+            solution = robust = classical = None
             if level + 1 < config.levels:
                 mesh = red_refine(mesh)
     except CgNonConvergence as exc:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from curladapt.cli import main
@@ -79,6 +81,30 @@ def test_run_adaptive_below_the_residual_floor(capsys, problem):
     *_, dofs, eta, error, marked = capsys.readouterr().out.splitlines()[-1].split()
     assert int(dofs) >= 2000 and int(marked) == 0
     assert 0 < float(error) < float(eta)
+
+
+@pytest.mark.parametrize("max_dofs", ["100", "12000"], ids=["4-digit", "5-digit"])
+def test_run_adaptive_table_is_aligned(capsys, max_dofs):
+    # every field ends where its column does: two spaces before the next
+    # header word, or at the end of the widest row for the last column
+    code = main(["run-adaptive", "--eps", "1e-5", "--kappa", "1e5", "--max-dofs", max_dofs])
+    assert code == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    ends = [start - 2 for start in starts[1:]] + [max(map(len, rows))]
+    for row in rows:
+        spans = [m.span() for m in re.finditer(r"\S+", row)]
+        assert [end for _, end in spans] == ends, row
+        assert all(s >= start for (s, _), start in zip(spans, starts)), row
+    if max_dofs == "100":
+        # under 10,000 dofs the table keeps its fixed layout
+        assert header == "iter  elements  dofs  eta        error      marked"
+        for row in rows:
+            i, elements, dofs, eta, error, marked = row.split()
+            assert row == (f"{int(i):4d}  {int(elements):8d}  {int(dofs):4d}  "
+                           f"{eta}  {error}  {int(marked):6d}")
+    else:
+        assert max(int(row.split()[2]) for row in rows) >= 10_000
 
 
 def test_full_precision_flag(tmp_path):
