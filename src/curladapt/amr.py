@@ -124,11 +124,3 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
         eta_prev = eta
         iteration += 1
 
-
-def records_to_csv(records, path):
-    """Write adaptive records as CSV: iter, elements, dofs, eta, error, marked."""
-    with open(path, "w") as fh:
-        fh.write("iter,elements,dofs,eta,error,marked\n")
-        for r in records:
-            fh.write(f"{r.iteration},{r.n_elements},{r.n_dofs},"
-                     f"{float(r.eta)!r},{float(r.error)!r},{r.n_marked}\n")

@@ -4,9 +4,10 @@ adaptive runs."""
 import argparse
 import sys
 
-from .amr import adaptive_solve, records_to_csv
+from .amr import adaptive_solve
 from .estimators import EstimatorKind
-from .report import RunConfig, run_robustness_sweep, run_table, table_to_markdown
+from .report import (RunConfig, emit, records_to_csv, run_robustness_sweep, run_table,
+                     sweep_table)
 
 
 def _add_problem_args(parser):
@@ -73,7 +74,7 @@ def _run_table(args):
                        dump_indicators=args.dump_indicators,
                        dump_mesh=args.dump_mesh)
     table = run_table(config)
-    print(table_to_markdown(table), end="")
+    print(emit(table, "markdown"), end="")
     if args.out:
         print(f"wrote {args.out}")
     return 0
@@ -83,11 +84,7 @@ def _run_sweep(args):
     rows = run_robustness_sweep(_parse_floats(args.ratios), _parse_floats(args.kappas),
                                 levels=args.levels, eps2=args.eps2,
                                 solver_tol=args.solver_tol, out=args.out)
-    print("| ratio | kappa | eff(eta) | eff(eta_tilde) |")
-    print("| ---: | ---: | ---: | ---: |")
-    for row in rows:
-        print(f"| {row.ratio:g} | {row.kappa:g} | {row.eff_eta:.2e} "
-              f"| {row.eff_eta_tilde:.2e} |")
+    print(sweep_table(rows, "markdown"), end="")
     if args.out:
         print(f"wrote {args.out}")
     return 0

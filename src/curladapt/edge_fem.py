@@ -222,6 +222,17 @@ def _weighted_count(index, weights, n):
     return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
 
 
+def _padded_csr(cols, vals, n_cols):
+    """CSR matrix (N, n_cols) from padded rows (N, K): row i holds ``vals[i]``
+    at columns ``cols[i]``, sorted, where the -1 columns drop."""
+    order = np.argsort(cols, axis=1)
+    cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
+    keep = cols >= 0
+    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return scipy.sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(cols), n_cols))
+
+
 def discrete_gradient(dofmap):
     """Discrete gradient G from interior vertices to free edges.
 
@@ -239,14 +250,9 @@ def discrete_gradient(dofmap):
     n_interior = int(interior.sum())
     vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
     vertex_dof[interior] = np.arange(n_interior)
-    # free dofs follow edge ids, so row i is free edge i: [lo, hi] with
-    # lo < hi is already a sorted CSR row once boundary vertices drop out
+    # free dofs follow edge ids, so row i is free edge i: [lo, hi]
     cols = vertex_dof[mesh.edges[dofmap.edge_dof >= 0]]
-    keep = cols >= 0
-    indptr = np.zeros(dofmap.n_free + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    vals = np.broadcast_to([-1.0, 1.0], cols.shape)[keep]
-    return scipy.sparse.csr_matrix((vals, cols[keep], indptr), shape=(dofmap.n_free, n_interior))
+    return _padded_csr(cols, np.broadcast_to([-1.0, 1.0], cols.shape), n_interior)
 
 
 @dataclass(frozen=True)
@@ -425,20 +431,12 @@ def prolongation(coarse_dofmap, fine_dofmap):
     coarse = coarse_dofmap.mesh
     p, offset, tangent = _fine_edges(coarse, fine_dofmap.mesh)
     g, signs = coarse.barycentric_gradients, coarse.tri_edge_signs
-    # per coarse triangle, basis functions in the order of their dofs
-    order = np.argsort(coarse_dofmap.element_dofs, axis=1)
-    basis = np.eye(3)[order]
-    w0 = np.stack([_vertex_vectors(g, signs, basis[:, k])[:, 0] for k in range(3)], axis=1)
-    half_curls = 0.5 * np.take_along_axis(_basis_curls(g, signs), order, axis=1)
-    cols = np.take_along_axis(coarse_dofmap.element_dofs, order, axis=1)[p]
+    w0 = np.stack([_vertex_vectors(g, signs, np.eye(3)[k])[:, 0] for k in range(3)], axis=1)
+    half_curls = 0.5 * _basis_curls(g, signs)
     # offset^perp . t is the cross product offset x t
     weights = (np.einsum("ike,ie->ik", w0[p], tangent)
                + half_curls[p] * _cross2(offset, tangent)[:, None])
-    keep = cols >= 0
-    indptr = np.zeros(len(p) + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return scipy.sparse.csr_matrix((weights[keep], cols[keep], indptr),
-                                   shape=(fine_dofmap.n_free, coarse_dofmap.n_free))
+    return _padded_csr(coarse_dofmap.element_dofs[p], weights, coarse_dofmap.n_free)
 
 
 def _barycentric(mesh, tri_id, point):

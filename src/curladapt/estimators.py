@@ -55,7 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import _ERROR_RULE, _element_norms_sq, _weighted_count, error_points
+from .edge_fem import (_ERROR_RULE, _at_error_points, _element_norms_sq, _weighted_count,
+                       error_points)
 from .mesh import _blocks, _check_id
 from .problems import _sample_rows
 
@@ -194,10 +195,10 @@ def _norms(solution, problem, tris=None, edges=None, sample=None):
 
     f and div f are read at the element quadrature points only, from
     ``sample``, the problem's sample at ``edge_fem.error_points`` of the
-    whole mesh, or from a sample taken here when ``sample`` is None or
-    only some elements are asked for.  Both jumps are exact per edge: J1
-    is fixed by its values at the two ends (:func:`_jump_ends`), and J2 is
-    constant.
+    whole mesh (refused in any other shape), or from a sample taken here
+    when ``sample`` is None or only some elements are asked for.  Both
+    jumps are exact per edge: J1 is fixed by its values at the two ends
+    (:func:`_jump_ends`), and J2 is constant.
     """
     mesh = solution.mesh
     coeffs = problem.coefficients
@@ -210,6 +211,8 @@ def _norms(solution, problem, tris=None, edges=None, sample=None):
         w_t, areas = w, mesh.areas
         if sample is None:
             sample = problem.sample(error_points(mesh))
+        elif sample.div_f is not None:  # not sample.f: a trig sample forms it anew
+            _at_error_points(mesh, sample.div_f, "div f")
     else:
         tris = np.asarray(tris, dtype=np.int64)
         w_t, areas = w[tris], mesh.areas[tris]
@@ -312,14 +315,3 @@ def oscillations(solution, problem):
                         element_part1=element_part1, edge_part1=edge_part1,
                         element_part2=element_part2, edge_part2=edge_part2)
 
-
-def dump_indicators(breakdown, path):
-    """Write per-element indicator parts as CSV lines
-    ``element_id, r1, r2, j1, j2, total``."""
-    total = breakdown.total
-    with open(path, "w") as fh:
-        fh.write("element_id,r1,r2,j1,j2,total\n")
-        for t in range(len(total)):
-            fh.write(f"{t},{float(breakdown.r1[t])!r},{float(breakdown.r2[t])!r},"
-                     f"{float(breakdown.j1[t])!r},{float(breakdown.j2[t])!r},"
-                     f"{float(total[t])!r}\n")

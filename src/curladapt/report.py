@@ -1,4 +1,4 @@
-"""Convergence studies and robustness sweeps with CSV/markdown output."""
+"""Convergence studies, robustness sweeps, and the text of every table."""
 
 import os
 from dataclasses import dataclass
@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import edge_fem
-from .estimators import EstimatorKind, dump_indicators, indicator
+from .estimators import EstimatorKind, indicator
 from .linalg import CgNonConvergence
 from .mesh import (_integers, _parse_fields, build_structured_unit_square, red_refine,
                    save_mesh, tag_regions)
@@ -90,49 +90,65 @@ class RunConfig:
         return interface_problem(self.eps1, self.eps2, self.kappa, self.split)
 
 
-def _fmt(value, full_precision):
-    if isinstance(value, int):
-        return str(value)
-    if full_precision:
-        return repr(float(value))
-    return f"{value:.2e}"  # three significant digits
-
-
-def table_to_csv(table, full_precision=False):
-    lines = ["elements,e,eta,eta_tilde"]
-    for row in table.rows:
-        lines.append(",".join([str(row.elements), _fmt(row.error, full_precision),
-                               _fmt(row.eta, full_precision),
-                               _fmt(row.eta_tilde, full_precision)]))
-    lines.append(f"eff,,{_fmt(table.eff_eta, full_precision)},"
-                 f"{_fmt(table.eff_eta_tilde, full_precision)}")
-    return "\n".join(lines) + "\n"
-
-
-def table_to_markdown(table, full_precision=False):
-    lines = ["| elements | e | eta | eta_tilde |",
-             "| ---: | ---: | ---: | ---: |"]
-    for row in table.rows:
-        lines.append(f"| {row.elements} | {_fmt(row.error, full_precision)} "
-                     f"| {_fmt(row.eta, full_precision)} "
-                     f"| {_fmt(row.eta_tilde, full_precision)} |")
-    lines.append(f"| eff | N/A | {_fmt(table.eff_eta, full_precision)} "
-                 f"| {_fmt(table.eff_eta_tilde, full_precision)} |")
-    return "\n".join(lines) + "\n"
-
-
-def emit(table, fmt="csv", path=None, full_precision=False):
-    """Render a convergence table and optionally write it to a file."""
+def _render(header, rows, fmt="csv"):
+    """The one renderer of table text: header and rows of string cells as
+    CSV, or as markdown with every column right-aligned."""
     if fmt == "csv":
-        text = table_to_csv(table, full_precision)
+        lines = [",".join(cells) for cells in (header, *rows)]
     elif fmt == "markdown":
-        text = table_to_markdown(table, full_precision)
+        lines = ["| " + " | ".join(cells) + " |"
+                 for cells in (header, ("---:",) * len(header), *rows)]
     else:
         raise ValueError(f"unknown output format {fmt!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _write(path, text):
+    """Write ``text`` to ``path`` unless it is None; returns ``text``."""
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+def _exact(value):
+    return repr(float(value))  # a float cell that reads back to the same float
+
+
+_THREE = "{:.2e}".format  # a float cell to three significant digits
+
+
+def emit(table, fmt="csv", path=None, full_precision=False):
+    """Render a convergence table and optionally write it to a file."""
+    number = _exact if full_precision else _THREE
+    rows = [(str(r.elements), *map(number, r[1:])) for r in table.rows]
+    rows.append(("eff", "" if fmt == "csv" else "N/A", number(table.eff_eta),
+                 number(table.eff_eta_tilde)))
+    return _write(path, _render(("elements", "e", "eta", "eta_tilde"), rows, fmt))
+
+
+def sweep_table(rows, fmt="csv"):
+    """The sweep's rows: CSV exact, or markdown to three digits."""
+    if fmt == "csv":
+        header, number = ("ratio", "kappa", "eff_eta", "eff_eta_tilde"), _exact
+    else:
+        header, number = ("ratio", "kappa", "eff(eta)", "eff(eta_tilde)"), _THREE
+    rows = [(f"{r.ratio:g}", f"{r.kappa:g}", *map(number, r[2:])) for r in rows]
+    return _render(header, rows, fmt)
+
+
+def records_to_csv(records, path):
+    """Adaptive records as CSV: iter, elements, dofs, eta, error, marked."""
+    rows = [(str(r.iteration), str(r.n_elements), str(r.n_dofs), _exact(r.eta),
+             _exact(r.error), str(r.n_marked)) for r in records]
+    return _write(path, _render(("iter", "elements", "dofs", "eta", "error", "marked"), rows))
+
+
+def dump_indicators(breakdown, path):
+    """Per-element indicator parts as CSV: element_id, r1, r2, j1, j2, total."""
+    parts = (breakdown.r1, breakdown.r2, breakdown.j1, breakdown.j2, breakdown.total)
+    rows = zip(map(str, range(len(breakdown.r1))), *(map(_exact, p.tolist()) for p in parts))
+    return _write(path, _render(("element_id", "r1", "r2", "j1", "j2", "total"), rows))
 
 
 def parse_table_csv(path):
@@ -211,17 +227,13 @@ def run_table(config):
             if level + 1 < config.levels:
                 mesh = red_refine(mesh)
     except CgNonConvergence as exc:
-        if config.out is not None:
-            partial = ConvergenceTable.from_rows(rows)
-            text = emit(partial, config.fmt, None, config.full_precision)
-            with open(config.out, "w") as fh:
-                fh.write(text)
-                fh.write(f"# FAILED at level {len(rows)}: {exc}\n")
+        partial = emit(ConvergenceTable.from_rows(rows), config.fmt, None,
+                       config.full_precision)
+        _write(config.out, partial + f"# FAILED at level {len(rows)}: {exc}\n")
         raise
 
     table = ConvergenceTable.from_rows(rows)
-    if config.out is not None:
-        emit(table, config.fmt, config.out, config.full_precision)
+    emit(table, config.fmt, config.out, config.full_precision)
     return table
 
 
@@ -249,10 +261,5 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, solver_tol=1e-6,
     for ratio, kappa, config in runs:
         table = run_table(config)
         rows.append(SweepRow(float(ratio), float(kappa), table.eff_eta, table.eff_eta_tilde))
-    if out is not None:
-        with open(out, "w") as fh:
-            fh.write("ratio,kappa,eff_eta,eff_eta_tilde\n")
-            for row in rows:
-                fh.write(f"{row.ratio:g},{row.kappa:g},{float(row.eff_eta)!r},"
-                         f"{float(row.eff_eta_tilde)!r}\n")
+    _write(out, sweep_table(rows))
     return rows

@@ -6,11 +6,12 @@ import pytest
 from scipy.sparse.linalg import spsolve
 
 from curladapt import amr, edge_fem, linalg
-from curladapt.amr import adaptive_solve, doerfler_mark, records_to_csv
+from curladapt.amr import adaptive_solve, doerfler_mark
 from curladapt.edge_fem import error_points
 from curladapt.estimators import EstimatorKind, indicator
 from curladapt.mesh import bisect_refine, build_structured_unit_square, tag_regions
 from curladapt.problems import interface_problem, paper_problem
+from curladapt.report import records_to_csv
 from reference import counting_trig_problem, records_digest
 
 
@@ -141,6 +142,18 @@ def test_records_csv(tmp_path):
     assert len(lines) == len(records) + 1
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[2]) == 40
+
+
+def test_adaptive_solve_without_an_exact_solution(tmp_path):
+    # f and div f alone drive the loop; the error column reads nan
+    problem = paper_problem(1.0, 1.0)
+    records = adaptive_solve(dataclasses.replace(problem, u=None, curl_u=None), max_dofs=60)
+    reference = adaptive_solve(problem, max_dofs=60)
+    assert [(r.n_dofs, r.eta, r.n_marked) for r in records] == \
+        [(r.n_dofs, r.eta, r.n_marked) for r in reference]
+    assert len(records) > 1 and all(np.isnan(r.error) for r in records)
+    lines = records_to_csv(records, tmp_path / "records.csv").splitlines()
+    assert all(line.split(",")[4] == "nan" for line in lines[1:])
 
 
 # (n_elements, n_dofs, eta, error, n_marked) per iteration of

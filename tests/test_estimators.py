@@ -277,6 +277,22 @@ def test_indicator_evaluates_f_once():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("points", [lambda mesh: error_points(mesh)[:1],
+                                    lambda mesh: error_points(red_refine(mesh))],
+                         ids=["one-triangle", "finer-mesh"])
+def test_indicator_refuses_a_sample_of_another_mesh(points):
+    # unchecked, a (1, Q) sample would broadcast and a (4T, Q) one be cut
+    # to T rows, each giving a wrong eta without an error
+    mesh = build_structured_unit_square(4)
+    problem = paper_problem(0.1, 10.0)
+    sample = problem.sample(error_points(mesh))
+    sol = solve(mesh, problem.coefficients, sample.f)
+    eta = indicator(sol, problem, sample=sample).global_estimate
+    assert eta == pytest.approx(3.6234, rel=1e-4)
+    with pytest.raises(ValueError, match=r"div f must hold the values at error_points"):
+        indicator(sol, problem, sample=problem.sample(points(mesh)))
+
+
 def test_every_reader_shares_one_build_of_the_vertex_vectors(monkeypatch):
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)

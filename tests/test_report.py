@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from curladapt import edge_fem
+from curladapt.amr import AdaptiveRecord
+from curladapt.cli import main
+from curladapt.estimators import EstimatorKind, IndicatorBreakdown
+from curladapt.linalg import CgNonConvergence
 from curladapt.problems import interface_problem, paper_problem
-from curladapt.report import (ConvergenceTable, RunConfig, TableRow, emit,
-                              parse_table_csv, run_robustness_sweep, run_table,
-                              table_to_csv, table_to_markdown)
+from curladapt.report import (ConvergenceTable, RunConfig, SweepRow, TableRow,
+                              dump_indicators, emit, parse_table_csv, records_to_csv,
+                              run_robustness_sweep, run_table, sweep_table)
 from reference import counting_trig_problem
 
 
@@ -75,10 +79,134 @@ def test_parse_table_csv_rejects_malformed_lines(tmp_path, body, message):
 
 def test_markdown_layout():
     rows = [TableRow(32, 0.8, 3.6, 3.8)]
-    text = table_to_markdown(ConvergenceTable.from_rows(rows))
+    text = emit(ConvergenceTable.from_rows(rows), "markdown")
     lines = text.splitlines()
     assert lines[0].startswith("| elements ")
     assert lines[-1].startswith("| eff | N/A |")
+
+
+# The exact text of every table the package writes or prints, on fixed
+# rows: the files and the console tables must not change by a byte.
+PINNED_TABLE = ConvergenceTable(
+    rows=(TableRow(32, 0.8371499323621449, 3.623365212901181, 3.827389073933854),
+          TableRow(128, 0.4340190899125971, 2.0243123101863283, 2.0243123101863283)),
+    eff_eta=0.21869143292231966, eff_eta_tilde=0.21458610143110932)
+
+PINNED_TEXT = {
+    ("csv", False): """\
+elements,e,eta,eta_tilde
+32,8.37e-01,3.62e+00,3.83e+00
+128,4.34e-01,2.02e+00,2.02e+00
+eff,,2.19e-01,2.15e-01
+""",
+    ("markdown", False): """\
+| elements | e | eta | eta_tilde |
+| ---: | ---: | ---: | ---: |
+| 32 | 8.37e-01 | 3.62e+00 | 3.83e+00 |
+| 128 | 4.34e-01 | 2.02e+00 | 2.02e+00 |
+| eff | N/A | 2.19e-01 | 2.15e-01 |
+""",
+    ("csv", True): """\
+elements,e,eta,eta_tilde
+32,0.8371499323621449,3.623365212901181,3.827389073933854
+128,0.4340190899125971,2.0243123101863283,2.0243123101863283
+eff,,0.21869143292231966,0.21458610143110932
+""",
+    ("markdown", True): """\
+| elements | e | eta | eta_tilde |
+| ---: | ---: | ---: | ---: |
+| 32 | 0.8371499323621449 | 3.623365212901181 | 3.827389073933854 |
+| 128 | 0.4340190899125971 | 2.0243123101863283 | 2.0243123101863283 |
+| eff | N/A | 0.21869143292231966 | 0.21458610143110932 |
+""",
+}
+
+
+@pytest.mark.parametrize("fmt, full_precision", sorted(PINNED_TEXT))
+def test_emit_pinned_text(tmp_path, fmt, full_precision):
+    path = tmp_path / "table"
+    text = emit(PINNED_TABLE, fmt, path, full_precision)
+    assert text == PINNED_TEXT[fmt, full_precision]
+    assert path.read_bytes() == text.encode()
+
+
+def test_sweep_pinned_text():
+    rows = [SweepRow(1.0, 10000.0, 0.21869143292231966, 0.07771),
+            SweepRow(1e6, 0.01, 0.25, 0.125)]
+    assert sweep_table(rows) == """\
+ratio,kappa,eff_eta,eff_eta_tilde
+1,10000,0.21869143292231966,0.07771
+1e+06,0.01,0.25,0.125
+"""
+    assert sweep_table(rows, "markdown") == """\
+| ratio | kappa | eff(eta) | eff(eta_tilde) |
+| ---: | ---: | ---: | ---: |
+| 1 | 10000 | 2.19e-01 | 7.77e-02 |
+| 1e+06 | 0.01 | 2.50e-01 | 1.25e-01 |
+"""
+
+
+def test_records_and_indicators_pinned_text(tmp_path):
+    records = [AdaptiveRecord(0, 32, 40, 1.120950039841819, 0.2668974978588877, 11),
+               AdaptiveRecord(1, 46, 61, 0.8213791100613076, float("nan"), 0)]
+    path = tmp_path / "records.csv"
+    assert records_to_csv(records, path) == path.read_text() == """\
+iter,elements,dofs,eta,error,marked
+0,32,40,1.120950039841819,0.2668974978588877,11
+1,46,61,0.8213791100613076,nan,0
+"""
+    breakdown = IndicatorBreakdown(
+        kind=EstimatorKind.ROBUST, r1=np.array([0.5, 1e-300]), r2=np.array([0.25, 2.0]),
+        j1=np.array([0.125, 0.0]), j2=np.array([1.0, 3.0]), norms=None)
+    path = tmp_path / "indicators.csv"
+    assert dump_indicators(breakdown, path) == path.read_text() == """\
+element_id,r1,r2,j1,j2,total
+0,0.5,0.25,0.125,1.0,1.875
+1,1e-300,2.0,0.0,3.0,5.0
+"""
+
+
+def failing_on_third_solve(monkeypatch):
+    """Make ``edge_fem.solve`` raise CgNonConvergence on its third call."""
+    calls = []
+    solve = edge_fem.solve
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise CgNonConvergence("CG gave up", None, 7, 1e-3)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(edge_fem, "solve", failing)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_run_table_writes_the_partial_table_on_failure(tmp_path, monkeypatch, fmt):
+    finished = emit(run_table(RunConfig(eps=1.0, kappa=1.0, levels=2)), fmt)
+    failing_on_third_solve(monkeypatch)
+    out = tmp_path / "table"
+    with pytest.raises(CgNonConvergence, match="CG gave up"):
+        run_table(RunConfig(eps=1.0, kappa=1.0, levels=4, out=str(out), fmt=fmt))
+    assert out.read_text() == finished + "# FAILED at level 2: CG gave up\n"
+
+
+def test_cli_run_table_exits_1_on_failure(tmp_path, monkeypatch, capsys):
+    failing_on_third_solve(monkeypatch)
+    out = tmp_path / "table.csv"
+    code = main(["run-table", "--eps", "1", "--kappa", "1", "--levels", "3",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: CG gave up\n"
+    lines = out.read_text().splitlines()
+    assert len(lines) == 5 and lines[-1] == "# FAILED at level 2: CG gave up"
+
+
+def test_dump_indicators_without_out_writes_to_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_table(RunConfig(eps=1.0, kappa=1.0, levels=1, dump_indicators=True))
+    assert [p.name for p in tmp_path.iterdir()] == ["indicators_L0.csv"]
+    lines = (tmp_path / "indicators_L0.csv").read_text().splitlines()
+    assert lines[0] == "element_id,r1,r2,j1,j2,total" and len(lines) == 33
 
 
 def test_run_config_validation():
