@@ -93,14 +93,14 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
     x0 = None
     while True:
         target = None if eta_prev is None else ALGEBRAIC_FRACTION * eta_prev / 4
-        sample = problem.sample(edge_fem.error_points(mesh))
-        solution = edge_fem.solve(mesh, problem.coefficients, sample.f,
+        sample = edge_fem._mesh_sample(problem, mesh)
+        solution = edge_fem.solve(mesh, problem.coefficients, sample,
                                   rel_tol=None, energy_target=target, x0=x0)
         x0 = None  # not needed past the solve; freed before the estimator's peak memory
         breakdown = indicator(solution, problem, kind, sample)
         if target is not None and breakdown.global_estimate < eta_prev / 2:
             solution = edge_fem.solve(
-                mesh, problem.coefficients, sample.f, rel_tol=None,
+                mesh, problem.coefficients, sample, rel_tol=None,
                 energy_target=ALGEBRAIC_FRACTION * breakdown.global_estimate / 4,
                 x0=solution.coefficients)
             breakdown = indicator(solution, problem, kind, sample)
@@ -119,7 +119,8 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
             return records
         mesh = bisect_refine(mesh, marked)
         x0 = edge_fem.prolongate(solution, mesh)
-        # freed before the next mesh is sampled and assembled
+        # freed before the next mesh is sampled: the last mesh's sample
+        # sets the run's peak memory
         solution = breakdown = marked = None
         eta_prev = eta
         iteration += 1

@@ -27,10 +27,13 @@ boundary-edge unknowns.
 
 The problem is read at one point set per mesh, :func:`error_points`: the
 load, :func:`energy_error` and the estimators read the drivers' one sample
-there, and values of any other shape are refused.  The kernels over those
-points (the load moments, :func:`energy_error`, the estimators' element
-residuals) and the local matrices run over blocks of ``mesh._BLOCK``
-triangles, so their temporaries take one block's memory, not the whole
+there, and values of any other shape are refused.  The drivers take that
+sample one block of ``mesh._BLOCK`` triangles at a time
+(:func:`_mesh_sample`), so the points of the whole mesh never exist at
+once.  The kernels over those points (the load moments, which form f =
+kappa u of a trig sample one block at a time, :func:`energy_error`, the
+estimators' element residuals) and the local matrices run over the same
+blocks, so their temporaries take one block's memory, not the whole
 mesh's.  The block size is a power of two, so every block starts at a
 multiple of 4 rows, as the gemv of OpenBLAS that reduces ``squares @
 weights`` in :func:`_element_norms_sq` groups them: every blocked result
@@ -58,6 +61,7 @@ import scipy.sparse
 from . import linalg
 from .mesh import (_LOCAL_EDGES, _blocks, _check_id, _cross2, _gradients, _rot90,
                    _signed_areas)
+from .problems import _Sample, _sample_rows, _TrigSample
 from .quadrature import triangle_rule
 
 # local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
@@ -83,11 +87,13 @@ def _moments(mesh, values):
     points of ``_ERROR_RULE`` against the signed basis: the adjoint of
     :func:`_vertex_vectors`.  With ``y_i = |T| sum_q w_q lam_qi v_q`` the
     moment of local edge k from vertex i to vertex j is
-    ``s_k (y_i . grad(lam_j) - y_j . grad(lam_i))``."""
+    ``s_k (y_i . grad(lam_j) - y_j . grad(lam_i))``.  ``values`` may also be
+    a trig sample there, whose f is formed one block at a time."""
     g, signs, areas = mesh.barycentric_gradients, mesh.tri_edge_signs, mesh.areas
     moments = np.empty((mesh.num_triangles, 3))
     for rows in _blocks(mesh.num_triangles):
-        y = np.matmul(_ERROR_RULE.weights * _ERROR_RULE.points.T, values[rows])
+        v = _sample_rows(values, rows).f if isinstance(values, _TrigSample) else values[rows]
+        y = np.matmul(_ERROR_RULE.weights * _ERROR_RULE.points.T, v)
         y *= areas[rows, None, None]
         moments[rows] = signs[rows] * (np.einsum("tke,tke->tk", y, g[rows, _HEAD])
                                        - np.einsum("tke,tke->tk", y[:, _HEAD], g[rows]))
@@ -199,12 +205,16 @@ class DofMap:
 
         No entry sums more than two element terms (an edge has at most two
         triangles, two edges share at most one), and two-term float
-        addition commutes: the order cannot change a bit.
+        addition commutes: the order cannot change a bit.  The triplets'
+        rows and columns are int32 when the dofs fit, the index type scipy
+        keeps for them, so its conversion copies no index array.
         """
         ed, n = self.element_dofs, self.n_free
         if local.ndim == 2:
             free = ed >= 0
             return _weighted_count(ed[free], local[free], n)
+        if n < 2 ** 31:
+            ed = ed.astype(np.int32)
         rows, cols = np.broadcast_arrays(ed[:, :, None], ed[:, None, :])
         keep = (rows >= 0) & (cols >= 0)
         return scipy.sparse.csr_matrix((local[keep], (rows[keep], cols[keep])), shape=(n, n))
@@ -304,10 +314,19 @@ def assemble_system(mesh, coefficients, f):
     The bilinear form is ``eps * (curl u, curl v) + kappa * (u, v)`` with
     elementwise-constant eps taken from the coefficient field by region
     tag.  ``f`` holds the source's values (T, Q, 2) at :func:`error_points`
-    of ``mesh``; the load ``int f . phi`` is integrated at those points, as
-    the adjoint of the vertex vectors (:func:`_moments`).
+    of ``mesh``, or is the problem's sample there
+    (``ManufacturedProblem.sample``), which the drivers pass: f = kappa u of
+    a trig sample is then formed one block of ``mesh._BLOCK`` triangles at a
+    time.  The load ``int f . phi`` is integrated at those points, as the
+    adjoint of the vertex vectors (:func:`_moments`).
     """
-    load = _moments(mesh, _at_error_points(mesh, f, "f", (2,)))
+    if isinstance(f, _Sample):
+        f = f.f  # a sample of plain callables holds f whole
+    if isinstance(f, _TrigSample):
+        _at_error_points(mesh, f.v, "f", (2,))  # f = kappa v has the shape of v
+    else:
+        f = _at_error_points(mesh, f, "f", (2,))
+    load = _moments(mesh, f)
     eps_t = coefficients.eps_by_region(mesh.regions)
     g, areas, signs = mesh.barycentric_gradients, mesh.areas, mesh.tri_edge_signs
     local = np.empty((mesh.num_triangles, 3, 3))
@@ -356,8 +375,9 @@ class Hierarchy:
 
 def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None,
           hierarchy=None):
-    """Solve the discrete problem for the source values ``f`` of
-    :func:`assemble_system` and return a :class:`DiscreteSolution`.
+    """Solve the discrete problem for the source ``f`` of
+    :func:`assemble_system` (values or the problem's sample) and return a
+    :class:`DiscreteSolution`.
 
     CG is preconditioned with Hiptmair's hybrid smoother: Jacobi plus a
     diagonal solve on the gradients of interior nodal functions
@@ -465,6 +485,23 @@ def error_points(mesh):
     """The points (T, Q, 2) of the degree-6 rule on every element, where
     the drivers sample the problem once per mesh."""
     return np.matmul(_ERROR_RULE.points, mesh.vertices[mesh.triangles])
+
+
+def _mesh_sample(problem, mesh):
+    """``problem.sample(error_points(mesh))``, bit for bit, taken one block
+    of ``mesh._BLOCK`` triangles at a time: each block's points are formed,
+    sampled and written into the mesh's one sample, then dropped."""
+    sample = None
+    for rows in _blocks(mesh.num_triangles):
+        block = problem.sample(np.matmul(_ERROR_RULE.points,
+                                         mesh.vertices[mesh.triangles[rows]]))
+        if sample is None:
+            sample = type(block)(*(np.empty((mesh.num_triangles,) + a.shape[1:], a.dtype)
+                                   if isinstance(a, np.ndarray) else a for a in block))
+        for whole, part in zip(sample, block):
+            if isinstance(whole, np.ndarray):
+                whole[rows] = part
+    return sample
 
 
 def _at_error_points(mesh, values, name, value_shape=()):

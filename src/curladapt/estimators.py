@@ -34,7 +34,8 @@ One pass reduces the residuals and jumps to the squared norms of R1, R2
 per element and J1, J2 per interior edge, reading f and div f only at the
 degree-6 element points, from the problem's sample there
 (``ManufacturedProblem.sample`` at ``edge_fem.error_points``; the drivers
-take one per mesh and share it with the load and the energy error), and u_h
+take one per mesh, block by block, and share it with the load and the
+energy error), and u_h
 from ``DiscreteSolution.vertex_vectors`` and ``.curls``, built once per
 field.  R1 and R2 are formed one block of ``mesh._BLOCK`` elements at a
 time, from a row slice of the sample (:func:`_residual_blocks`, which the

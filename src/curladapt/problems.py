@@ -7,10 +7,14 @@ They must be pure, so problems can be shared freely across threads.
 
 Where the fields are read: the drivers take one
 :meth:`ManufacturedProblem.sample` per mesh, at ``edge_fem.error_points``
-and before the solve; the load reads f from it, the estimators f and div
-f, and ``edge_fem.energy_error`` u and curl u.  The trig fields of
-:func:`paper_problem` and :func:`interface_problem` share one set of
-sines and cosines per sample.
+and before the solve, one block of ``mesh._BLOCK`` triangles at a time
+(``edge_fem._mesh_sample``), so the points of the whole mesh never exist
+at once.  The load reads f from it and the estimators f and div f, both
+one block at a time, and ``edge_fem.energy_error`` reads u and curl u.
+The trig fields of :func:`paper_problem` and :func:`interface_problem`
+share one set of sines and cosines per sample, also when u and curl u are
+left out, and their sample holds u and div f only: f = kappa u exists
+only for the block being read.
 """
 
 from dataclasses import dataclass
@@ -93,14 +97,18 @@ class ManufacturedProblem:
 
     def sample(self, points):
         """u, curl u, f and div f at ``points`` (..., 2), each evaluated
-        once: the four trig fields of one :class:`_TrigField` together,
-        any other fields by one call each."""
-        fields = (self.u, self.curl_u, self.f, self.div_f)
-        trig = getattr(self.u, "__self__", None)
-        if isinstance(trig, _TrigField) and fields == (trig.u, trig.curl_u, trig.f, trig.div_f):
-            return trig.sample(points)
+        once: the trig fields of one :class:`_TrigField` together, any
+        other fields by one call each.  A trig problem without the exact
+        solution (u and curl u None) takes the same one pass and keeps u
+        and curl u None."""
+        trig = getattr(self.f, "__self__", None)
+        if isinstance(trig, _TrigField) and (self.f, self.div_f) == (trig.f, trig.div_f):
+            if (self.u, self.curl_u) == (trig.u, trig.curl_u):
+                return trig.sample(points)
+            if (self.u, self.curl_u) == (None, None):
+                return trig.sample(points)._replace(exact=False)
         return _Sample(*(None if field is None else np.asarray(field(points), dtype=float)
-                         for field in fields))
+                         for field in (self.u, self.curl_u, self.f, self.div_f)))
 
 
 def _sample_rows(sample, rows):
@@ -110,19 +118,25 @@ def _sample_rows(sample, rows):
 
 
 class _TrigSample(NamedTuple):
-    """A sample of :class:`_TrigField` that holds u and div f only: f =
-    kappa u and curl u = 0 are formed where they are read."""
-    u: np.ndarray
+    """A sample of :class:`_TrigField` that holds its values v and div f
+    only: f = kappa v is formed where it is read, u is v and curl u = 0,
+    or both None for a problem without the exact solution."""
+    v: np.ndarray
     div_f: np.ndarray
     kappa: float
+    exact: bool = True
+
+    @property
+    def u(self):
+        return self.v if self.exact else None
 
     @property
     def f(self):
-        return self.kappa * self.u
+        return self.kappa * self.v
 
     @property
     def curl_u(self):
-        return np.broadcast_to(0.0, self.u.shape[:-1])
+        return np.broadcast_to(0.0, self.v.shape[:-1]) if self.exact else None
 
 
 @dataclass(frozen=True)
@@ -135,17 +149,18 @@ class _TrigField:
 
     def sample(self, x):
         # written into u and div f block by block of the first axis
-        # (``mesh._blocks``; a single point is one block): on the finest
-        # mesh of an adaptive run this sample is the largest set of arrays
-        # alive, and the sines and cosines of one block are all the memory
-        # it adds; every value is elementwise, so the blocks change no bit
+        # (``mesh._blocks``; a single point is one block), so the sines and
+        # cosines of one block are all the memory it adds to its result;
+        # every value is elementwise, so the blocks change no bit
         u = np.empty(np.shape(x)[:-1] + (2,))
         div_f = np.empty(u.shape[:-1])
         for rows in _blocks(len(div_f)) if div_f.ndim else [...]:
-            px = np.pi * x[rows][..., 0]
-            sx, cx = np.sin(px), np.cos(px)
-            py = np.pi * x[rows][..., 1]
-            sy, cy = np.sin(py), np.cos(py)
+            # each cosine overwrites its argument, so four block arrays are
+            # alive at once, not six (asarray: a single point's is a scalar)
+            px = np.asarray(np.pi * x[rows][..., 0])
+            sx, cx = np.sin(px), np.cos(px, out=px)
+            py = np.asarray(np.pi * x[rows][..., 1])
+            sy, cy = np.sin(py), np.cos(py, out=py)
             np.multiply(cx, sy, out=u[rows][..., 0])
             np.multiply(sx, cy, out=u[rows][..., 1])
             np.multiply(-2.0 * np.pi, sx, out=div_f[rows])
@@ -154,7 +169,7 @@ class _TrigField:
         return _TrigSample(u, div_f, self.kappa)
 
     def u(self, x):
-        return self.sample(x).u
+        return self.sample(x).v
 
     def curl_u(self, x):
         return np.zeros(np.asarray(x).shape[:-1])

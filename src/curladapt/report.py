@@ -205,8 +205,8 @@ def run_table(config):
     hierarchy = edge_fem.Hierarchy()
     try:
         for level in range(config.levels):
-            sample = problem.sample(edge_fem.error_points(mesh))
-            solution = edge_fem.solve(mesh, problem.coefficients, sample.f,
+            sample = edge_fem._mesh_sample(problem, mesh)
+            solution = edge_fem.solve(mesh, problem.coefficients, sample,
                                       rel_tol=solver_tol, hierarchy=hierarchy)
             if level + 1 == config.levels:
                 hierarchy = None  # freed before the last estimation's peak memory

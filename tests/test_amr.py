@@ -243,6 +243,15 @@ def test_adaptive_solve_samples_the_problem_once_per_mesh(monkeypatch):
     assert Counter(shapes) == Counter((r.n_elements, 16) for r in records)
 
 
+def test_adaptive_solve_samples_a_problem_without_exact_solution_once_per_mesh():
+    # f and div f alone take the trig field's one pass too, not one each
+    problem, shapes = counting_trig_problem(interface_problem(1e4, 1.0, 1.0))
+    problem = dataclasses.replace(problem, u=None, curl_u=None)
+    records = adaptive_solve(problem, max_dofs=300)
+    assert len(records) >= 4 and all(np.isnan(r.error) for r in records)
+    assert Counter(shapes) == Counter((r.n_elements, 16) for r in records)
+
+
 def test_adaptive_solve_warm_starts_from_the_prolongated_field(monkeypatch):
     solves = []
     solve = edge_fem.solve

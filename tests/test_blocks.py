@@ -1,15 +1,17 @@
-"""The per-point kernels run over blocks of ``mesh._BLOCK`` triangles: the
-block size changes no bit of any result, and no kernel holds more than a
-block's worth of per-point temporaries."""
+"""The per-point kernels, and the drivers' sampling of the problem, run over
+blocks of ``mesh._BLOCK`` triangles: the block size changes no bit of any
+result, and no kernel holds more than a block's worth of per-point
+temporaries."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from curladapt import adaptive_solve
 from curladapt import mesh as mesh_module
-from curladapt.edge_fem import (DiscreteSolution, DofMap, assemble_system, energy_error,
-                               error_points)
+from curladapt.edge_fem import (DiscreteSolution, DofMap, _mesh_sample, assemble_system,
+                                energy_error, error_points)
 from curladapt.estimators import indicator, oscillations
 from curladapt.mesh import bisect_refine, build_structured_unit_square, red_refine, tag_regions
 from curladapt.problems import interface_problem, paper_problem
@@ -33,6 +35,8 @@ def kernel_outputs(mesh, problem, solution):
     matrix, b, _ = assemble_system(mesh, problem.coefficients, sample.f)
     breakdown = indicator(solution, problem, sample=sample)
     osc = oscillations(solution, problem)
+    driver_sample = _mesh_sample(problem, mesh)
+    from_sample, b_from_sample, _ = assemble_system(mesh, problem.coefficients, driver_sample)
     return {
         "matrix": (matrix.indptr, matrix.indices, matrix.data), "b": (b,),
         "energy_error": (energy_error(solution, problem.coefficients, sample.u,
@@ -41,6 +45,9 @@ def kernel_outputs(mesh, problem, solution):
         "oscillations": (osc.osc1, osc.osc2, osc.element_part1, osc.edge_part1,
                          osc.element_part2, osc.edge_part2),
         "sample": (sample.u, sample.div_f),
+        "driver_sample": (driver_sample.u, driver_sample.div_f),
+        "matrix_from_sample": (from_sample.indptr, from_sample.indices, from_sample.data),
+        "b_from_sample": (b_from_sample,),
     }
 
 
@@ -56,6 +63,12 @@ def test_block_size_changes_no_bit(monkeypatch, block):
     actual = kernel_outputs(mesh, problem, solution)
     for name, arrays in expected.items():
         assert all(np.array_equal(x, y) for x, y in zip(arrays, actual[name])), name
+    # the drivers' per-block sample and the load read from it are the
+    # whole-mesh sample and the load from its f, byte for byte
+    for name, whole in [("driver_sample", "sample"), ("matrix_from_sample", "matrix"),
+                        ("b_from_sample", "b")]:
+        assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                   for x, y in zip(actual[name], expected[whole])), name
 
 
 def transient_peak(call):
@@ -92,3 +105,41 @@ def test_kernels_add_less_than_one_full_mesh_vector_field():
         call()  # fills the per-mesh and per-field caches the kernels read
     peaks = {name: transient_peak(call) for name, call in kernels.items()}
     assert all(peak < points.nbytes for peak in peaks.values()), (peaks, points.nbytes)
+
+
+def red_refined_32768():
+    mesh = build_structured_unit_square(4)
+    for _ in range(5):
+        mesh = red_refine(mesh)
+    assert mesh.num_triangles == 32_768
+    return mesh
+
+
+def test_driver_sampling_adds_less_than_one_full_mesh_vector_field():
+    # the points of the whole mesh, (T, 16, 2) float64 or 8 MiB, are never
+    # formed: sampling them whole added 10.0 MiB to the sample it returns
+    problem = paper_problem(1e-3, 1e3)
+    mesh = red_refined_32768()
+    _mesh_sample(problem, mesh)  # fills the per-mesh caches
+    peak = transient_peak(lambda: _mesh_sample(problem, mesh))
+    assert peak < error_points(mesh).nbytes, peak
+
+
+def test_load_from_the_sample_adds_less_than_10_mib():
+    # kappa u of the trig sample is formed one block at a time: handed the
+    # whole f, formed for the call, the assembly added 20.4 MiB
+    problem = paper_problem(1e-3, 1e3)
+    mesh = red_refined_32768()
+    sample = _mesh_sample(problem, mesh)
+    assemble_system(mesh, problem.coefficients, sample)  # fills the per-mesh caches
+    peak = transient_peak(lambda: assemble_system(mesh, problem.coefficients, sample))
+    assert peak < 10 * 2 ** 20, peak
+
+
+def test_adaptive_run_stays_under_its_traced_peak():
+    # tracemalloc peak above the returned records of a 5,000-dof run,
+    # numpy's buffers included: 4.93 MiB with the per-block sample and
+    # load, 5.57 MiB with the points and f of the whole mesh; the bound
+    # leaves 0.32 MiB (6.5%) above the first
+    peak = transient_peak(lambda: adaptive_solve(paper_problem(1e-5, 1e5), max_dofs=5000))
+    assert peak < 5.25 * 2 ** 20, peak / 2 ** 20

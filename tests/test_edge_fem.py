@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -304,6 +306,33 @@ def test_assembly_is_frozen(case):
     _, inv = np.unique(rows[keep] * dofmap.n_free + cols[keep], return_inverse=True)
     assert len(inv) and np.bincount(inv).max() <= 2
     assert np.bincount(ed[ed >= 0]).max() <= 2
+
+
+def plain_callables(problem):
+    """``problem`` with its fields behind plain callables, sampled one by one."""
+    return dataclasses.replace(problem, **{name: functools.partial(getattr(problem, name))
+                                           for name in ("u", "curl_u", "f", "div_f")})
+
+
+@pytest.mark.parametrize("other", [lambda mesh: error_points(mesh)[:1],
+                                   lambda mesh: error_points(build_structured_unit_square(8))],
+                         ids=["one-triangle", "8x8-mesh"])
+@pytest.mark.parametrize("problem", [paper_problem(0.1, 10.0),
+                                     plain_callables(paper_problem(0.1, 10.0))],
+                         ids=["trig", "plain-callables"])
+def test_load_refuses_a_sample_of_another_mesh(problem, other):
+    # f of a trig sample is formed one block at a time, so its shape is
+    # checked before the blocks are read: a (1, Q) sample would broadcast
+    # and a (4T, Q) one be cut to T rows
+    mesh = build_structured_unit_square(4)
+    sample = problem.sample(error_points(mesh))
+    _, b, _ = assemble_system(mesh, problem.coefficients, sample)
+    assert np.array_equal(b, assemble_system(mesh, problem.coefficients, sample.f)[1])
+    wrong = problem.sample(other(mesh))
+    with pytest.raises(ValueError, match="f must hold the values at error_points"):
+        assemble_system(mesh, problem.coefficients, wrong)
+    with pytest.raises(ValueError, match="f must hold the values at error_points"):
+        solve(mesh, problem.coefficients, wrong)
 
 
 def test_assemble_rejects_missing_region():
