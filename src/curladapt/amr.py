@@ -119,8 +119,7 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
             return records
         mesh = bisect_refine(mesh, marked)
         x0 = edge_fem.prolongate(solution, mesh)
-        # freed before the next mesh is sampled: the last mesh's sample
-        # sets the run's peak memory
+        # freed before the next mesh is sampled and assembled
         solution = breakdown = marked = None
         eta_prev = eta
         iteration += 1

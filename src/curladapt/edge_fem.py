@@ -15,30 +15,40 @@ vertex vectors: ``u_h = sum_i lam_i w_i``.  Local edge k from vertex i to
 vertex j with coefficient c_k and sign s_k adds ``c_k s_k grad(lam_j)`` to
 w_i and ``-c_k s_k grad(lam_i)`` to w_j (:func:`_vertex_vectors`).
 ``DiscreteSolution.vertex_vectors`` builds them once per field, and every
-reader of u_h evaluates it from there as one (Q, 3) @ (N, 3, 2) product,
-without a per-point basis tensor.  The load moments are the adjoint of
-that map (:func:`_moments`): quadrature values are first weighted onto
-the three vertices, then paired with the barycentric gradients.  Its
-rounding differs from a basis-tensor einsum in the last bits; only
-tolerances, not bit patterns, relate the two.
+reader of u_h reads it from there, without a per-point basis tensor.
 
 Homogeneous tangential boundary conditions are imposed by eliminating the
 boundary-edge unknowns.
 
-The problem is read at one point set per mesh, :func:`error_points`: the
-load, :func:`energy_error` and the estimators read the drivers' one sample
-there, and values of any other shape are refused.  The drivers take that
-sample one block of ``mesh._BLOCK`` triangles at a time
-(:func:`_mesh_sample`), so the points of the whole mesh never exist at
-once.  The kernels over those points (the load moments, which form f =
-kappa u of a trig sample one block at a time, :func:`energy_error`, the
-estimators' element residuals) and the local matrices run over the same
-blocks, so their temporaries take one block's memory, not the whole
-mesh's.  The block size is a power of two, so every block starts at a
-multiple of 4 rows, as the gemv of OpenBLAS that reduces ``squares @
-weights`` in :func:`_element_norms_sq` groups them: every blocked result
-is then bit-identical to one pass over the whole mesh, where blocks of a
-row count that is not a multiple of 4 move some norms in the last bit.
+The problem is read at one point set per mesh, :func:`error_points`, and
+reduced there to a few numbers per element at once: the drivers take one
+sample per mesh (:func:`_mesh_sample`), one block of ``mesh._BLOCK``
+triangles at a time, and no point value outlives its block.  A vector
+field v keeps its moments ``y_i = |T| sum_q w_q lam_qi v_q`` (T, 3, 2) and
+the remainder ``||v - Pi v||^2`` of its discrete L2 projection onto linear
+fields, ``Pi v = sum_i lam_i p_i`` with ``p = (12/|T|) (y - sum_j y_j / 4)``
+(:func:`_reduce_vector`, :func:`_projection`); a scalar field keeps its
+mean and the squared norm of its distance from it
+(:func:`_reduce_scalar`).  A trig problem keeps 9 floats per element and
+reads u = f / kappa through a scale, without a copy (:class:`_Linear`); a
+problem of plain callables keeps 18.  The load moments are the adjoint of the
+vertex vectors applied to y of f (:func:`_moments`), so the load is the
+one the points give; its rounding differs from a basis-tensor einsum in
+the last bits.  Every other reader needs an L2 distance to a linear
+or a constant field, and has it in closed form through the discrete
+Pythagoras split ``||v - w||^2 = ||v - Pi v||^2 + ||Pi v - w||^2``: the
+rule is exact for degree 2, so ``v - Pi v`` is orthogonal to every linear
+field, and ``int_T |sum_i lam_i d_i|^2 = |T|/12 (sum_i |d_i|^2 + |sum_i
+d_i|^2)`` (:func:`_linear_norms_sq`).  :func:`energy_error` and the
+estimators' R1, R2 and oscillations are such sums of nonnegative parts,
+equal to the quadrature of the points up to rounding.  Values at the
+points handed to them are reduced the same way first, and refused in any
+other shape (:func:`_reduced`).  The block size is a power of two, so
+every block starts at a multiple of 4 rows, as the gemv of OpenBLAS that
+reduces ``squares @ weights`` in :func:`_element_norms_sq` groups them:
+the reduction is then bit-identical to one pass over the whole mesh, where
+blocks of a row count that is not a multiple of 4 move some norms in the
+last bit.
 
 A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
 (:func:`prolongate`).  On each coarse element P it is linear with a
@@ -54,6 +64,7 @@ coarser meshes into the multilevel preconditioner of :func:`solve`.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -68,8 +79,8 @@ from .quadrature import triangle_rule
 _TAIL, _HEAD = np.array(_LOCAL_EDGES).T
 _PREV = np.array([2, 0, 1])  # edge i starts at vertex i, edge _PREV[i] ends there
 
-# the one triangle rule of the package: the load vector, energy_error and
-# the estimators' element residuals all integrate at its points
+# the one triangle rule of the package: the problem is reduced at its
+# points, and only error_points and _reduce_vector read them
 _ERROR_RULE = triangle_rule(6)
 
 
@@ -82,21 +93,16 @@ def _vertex_vectors(g, signs, coeffs):
     return a * g[:, _HEAD] - a[:, _PREV] * g[:, _PREV]
 
 
-def _moments(mesh, values):
-    """Moments ``int_T v . phi_k`` (T, 3) of values v (T, Q, 2) at the
-    points of ``_ERROR_RULE`` against the signed basis: the adjoint of
-    :func:`_vertex_vectors`.  With ``y_i = |T| sum_q w_q lam_qi v_q`` the
-    moment of local edge k from vertex i to vertex j is
-    ``s_k (y_i . grad(lam_j) - y_j . grad(lam_i))``.  ``values`` may also be
-    a trig sample there, whose f is formed one block at a time."""
-    g, signs, areas = mesh.barycentric_gradients, mesh.tri_edge_signs, mesh.areas
+def _moments(mesh, y):
+    """Moments ``int_T v . phi_k`` (T, 3) against the signed basis of the
+    field v with moments y (T, 3, 2) (:func:`_reduce_vector`): the adjoint
+    of :func:`_vertex_vectors`.  The moment of local edge k from vertex i to
+    vertex j is ``s_k (y_i . grad(lam_j) - y_j . grad(lam_i))``."""
+    g, signs = mesh.barycentric_gradients, mesh.tri_edge_signs
     moments = np.empty((mesh.num_triangles, 3))
     for rows in _blocks(mesh.num_triangles):
-        v = _sample_rows(values, rows).f if isinstance(values, _TrigSample) else values[rows]
-        y = np.matmul(_ERROR_RULE.weights * _ERROR_RULE.points.T, v)
-        y *= areas[rows, None, None]
-        moments[rows] = signs[rows] * (np.einsum("tke,tke->tk", y, g[rows, _HEAD])
-                                       - np.einsum("tke,tke->tk", y[:, _HEAD], g[rows]))
+        moments[rows] = signs[rows] * (np.einsum("tke,tke->tk", y[rows], g[rows, _HEAD])
+                                       - np.einsum("tke,tke->tk", y[rows][:, _HEAD], g[rows]))
     return moments
 
 
@@ -220,11 +226,11 @@ class DofMap:
         return scipy.sparse.csr_matrix((local[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
-def _element_norms_sq(weights, values, areas):
+def _element_norms_sq(values, areas):
     """Squared L2 norms per element of samples (T, Q) or (T, Q, 2) at the
-    points of a rule with ``weights``."""
+    points of ``_ERROR_RULE``."""
     squares = values ** 2 if values.ndim == 2 else values[..., 0] ** 2 + values[..., 1] ** 2
-    return squares @ weights * areas
+    return squares @ _ERROR_RULE.weights * areas
 
 
 def _weighted_count(index, weights, n):
@@ -315,18 +321,14 @@ def assemble_system(mesh, coefficients, f):
     elementwise-constant eps taken from the coefficient field by region
     tag.  ``f`` holds the source's values (T, Q, 2) at :func:`error_points`
     of ``mesh``, or is the problem's sample there
-    (``ManufacturedProblem.sample``), which the drivers pass: f = kappa u of
-    a trig sample is then formed one block of ``mesh._BLOCK`` triangles at a
-    time.  The load ``int f . phi`` is integrated at those points, as the
-    adjoint of the vertex vectors (:func:`_moments`).
+    (``ManufacturedProblem.sample``), or the drivers' reduced sample
+    (:func:`_mesh_sample`).  The load ``int f . phi`` is integrated at those
+    points, as the adjoint of the vertex vectors applied to the moments of
+    f (:func:`_moments`).
     """
-    if isinstance(f, _Sample):
-        f = f.f  # a sample of plain callables holds f whole
-    if isinstance(f, _TrigSample):
-        _at_error_points(mesh, f.v, "f", (2,))  # f = kappa v has the shape of v
-    else:
-        f = _at_error_points(mesh, f, "f", (2,))
-    load = _moments(mesh, f)
+    if not isinstance(f, (_Sample, _TrigSample, _Reduced, _TrigReduced)):
+        f = _Sample(None, None, f, None)
+    load = _moments(mesh, _reduced(mesh, f, ("f",)).f.y)
     eps_t = coefficients.eps_by_region(mesh.regions)
     g, areas, signs = mesh.barycentric_gradients, mesh.areas, mesh.tri_edge_signs
     local = np.empty((mesh.num_triangles, 3, 3))
@@ -376,8 +378,8 @@ class Hierarchy:
 def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None,
           hierarchy=None):
     """Solve the discrete problem for the source ``f`` of
-    :func:`assemble_system` (values or the problem's sample) and return a
-    :class:`DiscreteSolution`.
+    :func:`assemble_system` (values, the problem's sample or the drivers'
+    reduced one) and return a :class:`DiscreteSolution`.
 
     CG is preconditioned with Hiptmair's hybrid smoother: Jacobi plus a
     diagonal solve on the gradients of interior nodal functions
@@ -481,27 +483,191 @@ def curl_uh(solution, tri_id):
     return float(solution.curls[tri_id])
 
 
-def error_points(mesh):
-    """The points (T, Q, 2) of the degree-6 rule on every element, where
-    the drivers sample the problem once per mesh."""
-    return np.matmul(_ERROR_RULE.points, mesh.vertices[mesh.triangles])
+def error_points(mesh, rows=slice(None)):
+    """The points (T, Q, 2) of the degree-6 rule on every element, or on
+    the elements ``rows``, where the drivers sample the problem once per
+    mesh."""
+    return np.matmul(_ERROR_RULE.points, mesh.vertices[mesh.triangles[rows]])
+
+
+class _Linear(NamedTuple):
+    """A vector field v on each of N elements, from its values at the
+    points of ``_ERROR_RULE``: ``scale`` times the field with moments y
+    (N, 3, 2), which fix its discrete L2 projection onto linear fields
+    (:func:`_projection`), and with the remainder ``rem`` (N,) of that
+    projection, so ``||v - Pi v||^2 = scale^2 rem``.  The scale is one but
+    for the u of a trig sample, read from its f (:class:`_TrigReduced`)."""
+    y: np.ndarray
+    rem: np.ndarray
+    scale: float = 1.0
+
+
+class _Mean(NamedTuple):
+    """A scalar field s on each of N elements, from its values at the
+    points of ``_ERROR_RULE``: its mean (N,) and ``||s - mean||^2`` (N,)."""
+    mean: np.ndarray
+    rem: np.ndarray
+
+
+class _Reduced(NamedTuple):
+    """A problem's sample at :func:`error_points`, reduced on each element
+    (module docstring): u and f as :class:`_Linear`, curl u and div f as
+    :class:`_Mean`; None where the problem has no such field or it was not
+    reduced."""
+    u: _Linear
+    curl_u: _Mean
+    f: _Linear
+    div_f: _Mean
+
+
+class _TrigReduced(NamedTuple):
+    """The reduced sample of a trig problem (``problems._TrigSample``):
+    f and div f only, 9 floats per element; u = f / kappa and curl u = 0,
+    or both None for a problem without the exact solution."""
+    f: _Linear
+    div_f: _Mean
+    kappa: float
+    exact: bool = True
+
+    @property
+    def u(self):
+        return _Linear(self.f.y, self.f.rem, 1.0 / self.kappa) if self.exact else None
+
+    @property
+    def curl_u(self):
+        zero = np.broadcast_to(0.0, self.f.rem.shape)
+        return _Mean(zero, zero) if self.exact else None
+
+
+def _vertex_sum(v):
+    """``sum_i v_i`` (N, 2) of vertex vectors v (N, 3, 2); four times
+    faster than ``v.sum(axis=1)``, which reduces the middle axis."""
+    return v[:, 0] + v[:, 1] + v[:, 2]
+
+
+def _projection(y, areas, scale=1.0):
+    """Vertex vectors p (N, 3, 2) of the discrete L2 projection onto linear
+    fields of ``scale`` times the field with moments y (N, 3, 2): the mass
+    matrix of the barycentric coordinates is ``|T| (I + 1 1^T) / 12``,
+    whose inverse is ``(12/|T|) (I - 1 1^T / 4)``."""
+    mean = _vertex_sum(y)
+    mean *= 0.25
+    p = y - mean[:, None]
+    mean = None
+    p *= (12.0 * scale / areas)[:, None, None]
+    return p
+
+
+def _linear_norms_sq(d, areas):
+    """Squared L2 norms per element of the linear fields with vertex
+    vectors d (N, 3, 2): ``|T|/12 (sum_i |d_i|^2 + |sum_i d_i|^2)``."""
+    total = _vertex_sum(d)
+    norms = np.einsum("te,te->t", total, total)
+    total = None
+    norms += np.einsum("tie,tie->t", d, d)
+    norms *= areas / 12.0
+    return norms
+
+
+def _reduce_vector(values, areas):
+    """``values`` (N, Q, 2) at the points of ``_ERROR_RULE`` on N elements
+    with ``areas``, reduced to a :class:`_Linear`."""
+    lam = _ERROR_RULE.points
+    y = np.matmul(_ERROR_RULE.weights * lam.T, values)  # y / |T| until scaled
+    # Pi v at the points is lam @ p = 12 lam (I - 1 1^T / 4) y / |T| (see
+    # _projection), and each row of lam sums to one
+    remainder = values - np.matmul(12.0 * lam - 3.0, y)
+    y *= areas[:, None, None]
+    return _Linear(y, _element_norms_sq(remainder, areas))
+
+
+def _reduce_scalar(values, areas):
+    """``values`` (N, Q) at the points of ``_ERROR_RULE`` on N elements
+    with ``areas``, reduced to a :class:`_Mean`."""
+    mean = values @ _ERROR_RULE.weights
+    return _Mean(mean, _element_norms_sq(values - mean[:, None], areas))
+
+
+def _reduce_block(block, areas, fields=_Reduced._fields):
+    """The ``fields`` of ``block``, a problem's sample at the points of
+    ``_ERROR_RULE`` on elements with ``areas``, reduced there.  A trig
+    sample reduced whole keeps f and div f only (:class:`_TrigReduced`)."""
+    if isinstance(block, _TrigSample) and fields == _Reduced._fields:
+        return _TrigReduced(_reduce_vector(block.f, areas), _reduce_scalar(block.div_f, areas),
+                            block.kappa, block.exact)
+    parts = []
+    for name in _Reduced._fields:
+        values = getattr(block, name) if name in fields else None
+        reduce = _reduce_vector if name in ("u", "f") else _reduce_scalar
+        parts.append(None if values is None else reduce(values, areas))
+    return _Reduced(*parts)
+
+
+def _rows_like(part, n):
+    """Empty arrays of ``n`` rows shaped and nested as those of ``part``."""
+    if isinstance(part, np.ndarray):
+        return np.empty((n,) + part.shape[1:])
+    if isinstance(part, tuple):
+        return type(part)(*(_rows_like(a, n) for a in part))
+    return part
+
+
+def _set_rows(whole, rows, part):
+    """Write the arrays of ``part`` into ``rows`` of those of ``whole``."""
+    if isinstance(whole, np.ndarray):
+        whole[rows] = part
+    elif isinstance(whole, tuple):
+        for a, b in zip(whole, part):
+            _set_rows(a, rows, b)
+
+
+def _reduce_blocks(mesh, block_at, fields=_Reduced._fields):
+    """The sample ``block_at(rows)`` of each block of ``mesh._BLOCK``
+    triangles, reduced there and written into the rows of the mesh's one
+    reduced sample."""
+    reduced = None
+    for rows in _blocks(mesh.num_triangles):
+        part = _reduce_block(block_at(rows), mesh.areas[rows], fields)
+        if reduced is None:
+            reduced = _rows_like(part, mesh.num_triangles)
+        _set_rows(reduced, rows, part)
+    return reduced
 
 
 def _mesh_sample(problem, mesh):
-    """``problem.sample(error_points(mesh))``, bit for bit, taken one block
-    of ``mesh._BLOCK`` triangles at a time: each block's points are formed,
-    sampled and written into the mesh's one sample, then dropped."""
-    sample = None
-    for rows in _blocks(mesh.num_triangles):
-        block = problem.sample(np.matmul(_ERROR_RULE.points,
-                                         mesh.vertices[mesh.triangles[rows]]))
-        if sample is None:
-            sample = type(block)(*(np.empty((mesh.num_triangles,) + a.shape[1:], a.dtype)
-                                   if isinstance(a, np.ndarray) else a for a in block))
-        for whole, part in zip(sample, block):
-            if isinstance(whole, np.ndarray):
-                whole[rows] = part
-    return sample
+    """The drivers' one sample of ``problem`` on ``mesh``:
+    ``problem.sample(error_points(mesh))``, taken and reduced one block of
+    ``mesh._BLOCK`` triangles at a time, so that no point value outlives
+    its block."""
+    return _reduce_blocks(mesh, lambda rows: problem.sample(error_points(mesh, rows)))
+
+
+def _reduced(mesh, sample, fields):
+    """``sample`` reduced on each element of ``mesh``: the drivers' sample
+    (:func:`_mesh_sample`) of ``mesh`` as it is, or a problem's sample at
+    :func:`error_points` (``ManufacturedProblem.sample``), whose ``fields``
+    are checked in that order and reduced one block at a time."""
+    if isinstance(sample, (_Reduced, _TrigReduced)):
+        _of_mesh(mesh, sample.f)
+        return sample
+    for name in fields:
+        # f = kappa v of a trig sample is formed one block at a time
+        trig_f = name == "f" and isinstance(sample, _TrigSample)
+        values = sample.v if trig_f else getattr(sample, name)
+        if values is not None:
+            values = _at_error_points(mesh, values, name.replace("_", " "),
+                                      (2,) if name in ("u", "f") else ())
+            if isinstance(sample, _Sample):
+                sample = sample._replace(**{name: values})
+    return _reduce_blocks(mesh, lambda rows: _sample_rows(sample, rows), fields)
+
+
+def _of_mesh(mesh, part):
+    """Refuse ``part``, a :class:`_Linear` or :class:`_Mean` of a reduced
+    sample, unless it holds the triangles of ``mesh``."""
+    if np.shape(part.rem) != (mesh.num_triangles,):
+        raise ValueError(f"the sample must be of this mesh: it holds {len(part.rem)} "
+                         f"triangles, the mesh {mesh.num_triangles}")
 
 
 def _at_error_points(mesh, values, name, value_shape=()):
@@ -519,16 +685,28 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact):
     """Energy-norm distance between an analytic field and the discrete one:
     ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u - u_h|^2)``,
     integrated at :func:`error_points` of the solution's mesh, where
-    ``u_exact`` (T, Q, 2) and ``curl_u_exact`` (T, Q) hold the values."""
+    ``u_exact`` (T, Q, 2) and ``curl_u_exact`` (T, Q) hold the values, or
+    ``sample.u`` and ``sample.curl_u`` of the drivers' sample there; values
+    of another mesh, a sample of another mesh or one field of each kind are
+    refused.  Both parts are the remainders of the projections of u and curl u plus their
+    closed-form distances to u_h and curl u_h (module docstring)."""
     mesh = solution.mesh
-    u = _at_error_points(mesh, u_exact, "u", (2,))
-    curl_u = _at_error_points(mesh, curl_u_exact, "curl u")
-    w, curls, areas = solution.vertex_vectors, solution.curls, mesh.areas
-    l2_part, curl_part = np.empty(mesh.num_triangles), np.empty(mesh.num_triangles)
-    for rows in _blocks(mesh.num_triangles):
-        du = u[rows] - np.matmul(_ERROR_RULE.points, w[rows])
-        l2_part[rows] = _element_norms_sq(_ERROR_RULE.weights, du, areas[rows])
-        curl_part[rows] = _element_norms_sq(_ERROR_RULE.weights,
-                                            curl_u[rows] - curls[rows, None], areas[rows])
+    reduced = (isinstance(u_exact, _Linear), isinstance(curl_u_exact, _Mean))
+    if reduced == (False, False):
+        u_exact, curl_u_exact, _, _ = _reduced(mesh, _Sample(u_exact, curl_u_exact, None, None),
+                                               ("u", "curl_u"))
+    elif reduced == (True, True):
+        _of_mesh(mesh, u_exact)
+        _of_mesh(mesh, curl_u_exact)
+    else:
+        raise ValueError("u and curl u must both hold the values at error_points(mesh), "
+                         "or both be of the drivers' sample")
+    areas = mesh.areas
+    d = _projection(u_exact.y, areas, u_exact.scale)
+    d -= solution.vertex_vectors
+    l2_part = _linear_norms_sq(d, areas)
+    d = None
+    l2_part += u_exact.scale ** 2 * u_exact.rem
+    curl_part = curl_u_exact.rem + areas * (curl_u_exact.mean - solution.curls) ** 2
     eps_t = coefficients.eps_by_region(mesh.regions)
     return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))

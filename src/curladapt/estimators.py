@@ -31,23 +31,23 @@ the true edge length.  The global estimate is the square root of the sum
 of the elementwise indicators.
 
 One pass reduces the residuals and jumps to the squared norms of R1, R2
-per element and J1, J2 per interior edge, reading f and div f only at the
-degree-6 element points, from the problem's sample there
-(``ManufacturedProblem.sample`` at ``edge_fem.error_points``; the drivers
-take one per mesh, block by block, and share it with the load and the
-energy error), and u_h
-from ``DiscreteSolution.vertex_vectors`` and ``.curls``, built once per
-field.  R1 and R2 are formed one block of ``mesh._BLOCK`` elements at a
-time, from a row slice of the sample (:func:`_residual_blocks`, which the
-oscillations read too), so neither they nor f is ever held for the whole
-mesh; the block size is a power of two so that the norms round as in one
-pass over the mesh (see ``edge_fem``).  The jumps need no edge quadrature:
-u_h is linear on each element and f is single-valued on an edge, so
-J1 = -kappa [[u_h]] . n is linear along the edge and fixed by its two end
-values, and J2 is constant.  The norms do not depend on the estimator
-kind: ``indicator`` weights them as one kind, ``IndicatorBreakdown.as_kind``
-as the other, and the oscillations, ``element_residuals`` and
-``edge_jumps`` read the same pass.
+per element and J1, J2 per interior edge.  f and div f enter only through
+the problem reduced on each element (``edge_fem``): the drivers take one
+sample per mesh (``edge_fem._mesh_sample``) and share it with the load and
+the energy error, and a sample of the points (``ManufacturedProblem.sample``
+at ``edge_fem.error_points``) is reduced the same way first.  u_h comes from
+``DiscreteSolution.vertex_vectors`` and ``.curls``, built once per field.
+The element norms are closed forms with no point values
+(:func:`_residual_norms`): ``||R1||^2`` is the remainder of div f about
+its mean plus ``|T| mean^2``, and R2 = f - kappa u_h splits into ``f - Pi
+f``, orthogonal to every linear field, and the linear field ``Pi f -
+kappa u_h``.  The jumps need no edge quadrature either: u_h is linear on
+each element and f is single-valued on an edge, so J1 = -kappa [[u_h]] . n
+is linear along the edge and fixed by its two end values, and J2 is
+constant.  The norms do not depend on the estimator kind: ``indicator``
+weights them as one kind, ``IndicatorBreakdown.as_kind`` as the other, and
+the oscillations, ``element_residuals`` and ``edge_jumps`` read the same
+closed forms.
 """
 
 import enum
@@ -56,10 +56,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import (_ERROR_RULE, _at_error_points, _element_norms_sq, _weighted_count,
-                       error_points)
-from .mesh import _blocks, _check_id
-from .problems import _sample_rows
+from .edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _reduce_block, _reduced,
+                       _vertex_sum, _weighted_count, error_points)
+from .mesh import _check_id
 
 
 class EstimatorKind(enum.Enum):
@@ -161,17 +160,17 @@ def weighted_sizes(mesh, coefficients):
     )
 
 
-def _residual_blocks(sample, w, kappa):
-    """R1 (B, Q) and R2 (B, Q, 2) at the points of ``_ERROR_RULE``, one
-    block of B elements at a time (``mesh._blocks``), each with its rows:
-    from ``sample``, the problem's sample at those points of N elements,
-    and the vertex vectors w (N, 3, 2) of u_h there.  div f must exist
-    when N is not zero."""
-    if len(w) and sample.div_f is None:
+def _residual_norms(solution, kappa, sample, tris=slice(None)):
+    """Squared L2 norms of R1 and R2 on the elements ``tris``, from
+    ``sample``, the problem reduced on them, and the vertex vectors d (N, 3,
+    2) of ``Pi f - kappa u_h``, the linear part of R2."""
+    if sample.div_f is None:
         raise ValueError("problem must provide an analytic div f")
-    for rows in _blocks(len(w)):
-        block = _sample_rows(sample, rows)
-        yield rows, -block.div_f, block.f - kappa * np.matmul(_ERROR_RULE.points, w[rows])
+    areas = solution.mesh.areas[tris]
+    d = _projection(sample.f.y, areas)
+    d -= kappa * solution.vertex_vectors[tris]
+    return (sample.div_f.rem + areas * sample.div_f.mean ** 2,
+            sample.f.rem + _linear_norms_sq(d, areas), d)
 
 
 def _jump_ends(solution, kappa, edges):
@@ -183,65 +182,34 @@ def _jump_ends(solution, kappa, edges):
     # side 0 traverses the edge tail -> head and side 1 head -> tail
     (t0, t1), (k0, k1) = mesh.edge_tris[edges].T, mesh.edge_tri_local[edges].T
     nx, ny = mesh.edge_normals[edges].T
-    w = solution.vertex_vectors
-    wx, wy = w[..., 0].ravel(), w[..., 1].ravel()
+    wx, wy = solution.vertex_vectors.reshape(-1, 2).T  # views, not copies
     return tuple(-kappa * ((wx[i] - wx[j]) * nx + (wy[i] - wy[j]) * ny)
                  for i, j in ((3 * t0 + k0, 3 * t1 + (k1 + 1) % 3),
                               (3 * t0 + (k0 + 1) % 3, 3 * t1 + k1)))
 
 
-def _norms(solution, problem, tris=None, edges=None, sample=None):
-    """The squared norms of the residuals on elements ``tris`` and of the
-    jumps on interior edges ``edges`` (all of them when None).
-
-    f and div f are read at the element quadrature points only, from
-    ``sample``, the problem's sample at ``edge_fem.error_points`` of the
-    whole mesh (refused in any other shape), or from a sample taken here
-    when ``sample`` is None or only some elements are asked for.  Both
-    jumps are exact per edge: J1 is fixed by its values at the two ends
-    (:func:`_jump_ends`), and J2 is constant.
-    """
+def _jump_norms(solution, coefficients, edges):
+    """Squared L2 norms of J1 and J2 on the interior edges ``edges``, both
+    exact: J1 is fixed by its values at the two ends (:func:`_jump_ends`),
+    and J2 is constant."""
     mesh = solution.mesh
-    coeffs = problem.coefficients
-    if edges is None:
-        edges = np.nonzero(~mesh.is_boundary_edge)[0]
-    edges = np.asarray(edges, dtype=np.int64)
-
-    w = solution.vertex_vectors
-    if tris is None:
-        w_t, areas = w, mesh.areas
-        if sample is None:
-            sample = problem.sample(error_points(mesh))
-        elif sample.div_f is not None:  # not sample.f: a trig sample forms it anew
-            _at_error_points(mesh, sample.div_f, "div f")
-    else:
-        tris = np.asarray(tris, dtype=np.int64)
-        w_t, areas = w[tris], mesh.areas[tris]
-        sample = problem.sample(np.matmul(_ERROR_RULE.points,
-                                          mesh.vertices[mesh.triangles[tris]]))
-    r1, r2 = np.empty(len(areas)), np.empty(len(areas))
-    for rows, r1_rows, r2_rows in _residual_blocks(sample, w_t, coeffs.kappa):
-        r1[rows] = _element_norms_sq(_ERROR_RULE.weights, r1_rows, areas[rows])
-        r2[rows] = _element_norms_sq(_ERROR_RULE.weights, r2_rows, areas[rows])
-
-    a, b = _jump_ends(solution, coeffs.kappa, edges)
+    a, b = _jump_ends(solution, coefficients.kappa, edges)
     t0, t1 = mesh.edge_tris[edges].T
-    eps_curl = coeffs.eps_by_region(mesh.regions) * solution.curls
-    curl_jump = eps_curl[t0] - eps_curl[t1]
+    eps_curl = coefficients.eps_by_region(mesh.regions) * solution.curls
     lengths = mesh.edge_lengths[edges]
-    return _Norms(r1=r1, r2=r2,
-                  j1=lengths * (a * a + a * b + b * b) / 3,
-                  # the wedge of the scalar jump with n is tangential with
-                  # constant magnitude, so the squared edge norm is jump^2 |S|
-                  j2=curl_jump ** 2 * lengths,
-                  edges=edges, mesh=mesh, coefficients=coeffs)
+    # the wedge of the scalar jump with n is tangential with constant
+    # magnitude, so the squared edge norm of J2 is jump^2 |S|
+    return lengths * (a * a + a * b + b * b) / 3, (eps_curl[t0] - eps_curl[t1]) ** 2 * lengths
 
 
 def element_residuals(solution, problem, tri_id):
     """L2 norms of the two element residuals on one triangle."""
     _check_id(tri_id, solution.mesh.num_triangles, "triangle")
-    norms = _norms(solution, problem, tris=[tri_id], edges=[])
-    return float(np.sqrt(norms.r1[0])), float(np.sqrt(norms.r2[0]))
+    mesh, tris = solution.mesh, [tri_id]
+    sample = _reduce_block(problem.sample(error_points(mesh, tris)), mesh.areas[tris],
+                           ("div_f", "f"))
+    r1, r2 = _residual_norms(solution, problem.coefficients.kappa, sample, tris)[:2]
+    return float(np.sqrt(r1[0])), float(np.sqrt(r2[0]))
 
 
 def edge_jumps(solution, problem, edge_id):
@@ -250,8 +218,8 @@ def edge_jumps(solution, problem, edge_id):
     if solution.mesh.is_boundary_edge[edge_id]:
         raise ValueError(f"edge {edge_id} is a boundary edge; jumps are "
                          "defined on interior edges only")
-    norms = _norms(solution, problem, tris=[], edges=[edge_id])
-    return float(np.sqrt(norms.j1[0])), float(np.sqrt(norms.j2[0]))
+    j1, j2 = _jump_norms(solution, problem.coefficients, [edge_id])
+    return float(np.sqrt(j1[0])), float(np.sqrt(j2[0]))
 
 
 def _weigh(norms, kind):
@@ -279,28 +247,36 @@ def _weigh(norms, kind):
 def indicator(solution, problem, kind=EstimatorKind.ROBUST, sample=None):
     """Per-element indicator breakdown for either estimator kind; the
     other kind of the same solution is ``indicator(...).as_kind(other)``.
-    ``sample`` is the problem's sample at ``edge_fem.error_points`` of the
-    solution's mesh, taken here when None."""
-    return _weigh(_norms(solution, problem, sample=sample), kind)
+    ``sample`` is the drivers' sample of the problem on the solution's mesh
+    (``edge_fem._mesh_sample``) or the problem's sample at
+    ``edge_fem.error_points`` there; taken here when None."""
+    mesh, coeffs = solution.mesh, problem.coefficients
+    sample = (_mesh_sample(problem, mesh) if sample is None
+              else _reduced(mesh, sample, ("div_f", "f")))
+    r1, r2 = _residual_norms(solution, coeffs.kappa, sample)[:2]
+    sample = None  # a reduction made here is freed before the jumps
+    edges = np.nonzero(~mesh.is_boundary_edge)[0]
+    j1, j2 = _jump_norms(solution, coeffs, edges)
+    return _weigh(_Norms(r1=r1, r2=r2, j1=j1, j2=j2, edges=edges, mesh=mesh,
+                         coefficients=coeffs), kind)
 
 
 def oscillations(solution, problem):
     """Data oscillations: distance of R1, R2, J1, J2 from their piecewise
     constant L2 projections, in the weighted norms of the two estimator
-    families.  The element parts use the quadrature points of the
-    estimation pass; the edge parts are exact, from the two end values of
-    the linear J1 and the constant J2."""
+    families.  The element parts are those of the points of the
+    estimation pass, in closed form: R1 - its mean is div f - its mean,
+    and R2 - its mean is ``f - Pi f``, whose mean is zero, plus the linear
+    part of R2 about its mean.  The edge parts are exact, from the two end
+    values of the linear J1 and the constant J2."""
     mesh = solution.mesh
     kappa = problem.coefficients.kappa
     sizes = weighted_sizes(mesh, problem.coefficients)
-    wts, areas = _ERROR_RULE.weights, mesh.areas
-    element_part1, element_part2 = np.empty(mesh.num_triangles), np.empty(mesh.num_triangles)
-    for rows, r1, r2 in _residual_blocks(problem.sample(error_points(mesh)),
-                                         solution.vertex_vectors, kappa):
-        element_part1[rows] = _element_norms_sq(wts, r1 - (r1 @ wts)[:, None], areas[rows])
-        element_part2[rows] = _element_norms_sq(wts, r2 - (wts @ r2)[:, None, :], areas[rows])
-    element_part1 *= sizes.element_size ** 2
-    element_part2 *= sizes.hbar_element ** 2
+    sample = _mesh_sample(problem, mesh)
+    _, _, d = _residual_norms(solution, kappa, sample)
+    d -= _vertex_sum(d)[:, None] / 3
+    element_part1 = sizes.element_size ** 2 * sample.div_f.rem
+    element_part2 = sizes.hbar_element ** 2 * (sample.f.rem + _linear_norms_sq(d, mesh.areas))
 
     # J1 is linear along each edge, from a to b: its distance from the
     # mean (a + b)/2 has squared norm |S| (a - b)^2 / 12
@@ -315,4 +291,3 @@ def oscillations(solution, problem):
     return Oscillations(osc1=osc1, osc2=osc2,
                         element_part1=element_part1, edge_part1=edge_part1,
                         element_part2=element_part2, edge_part2=edge_part2)
-

@@ -7,14 +7,15 @@ They must be pure, so problems can be shared freely across threads.
 
 Where the fields are read: the drivers take one
 :meth:`ManufacturedProblem.sample` per mesh, at ``edge_fem.error_points``
-and before the solve, one block of ``mesh._BLOCK`` triangles at a time
-(``edge_fem._mesh_sample``), so the points of the whole mesh never exist
-at once.  The load reads f from it and the estimators f and div f, both
-one block at a time, and ``edge_fem.energy_error`` reads u and curl u.
-The trig fields of :func:`paper_problem` and :func:`interface_problem`
-share one set of sines and cosines per sample, also when u and curl u are
-left out, and their sample holds u and div f only: f = kappa u exists
-only for the block being read.
+and before the solve, one block of ``mesh._BLOCK`` triangles at a time,
+and reduce each block at once to a few numbers per element
+(``edge_fem._mesh_sample``), so no point value outlives its block.  The
+load, ``edge_fem.energy_error`` and the estimators read only that reduced
+sample.  The trig fields of :func:`paper_problem` and
+:func:`interface_problem` share one set of sines and cosines per sample,
+also when u and curl u are left out, and their sample holds u and div f
+only: f = kappa u exists only for the block being reduced, and the
+reduced sample keeps f and div f only (``edge_fem._TrigReduced``).
 """
 
 from dataclasses import dataclass

@@ -19,6 +19,14 @@ forms.
 :func:`galerkin_residual` tests the discrete variational identity by
 quadrature against the analytic solution, where the package only solves
 it.
+:func:`point_energy_error`, :func:`point_residual_norms` and
+:func:`point_oscillation_parts` integrate the energy error, the squared
+norms of R1 and R2 and the element parts of the oscillations at the
+points of ``edge_fem.error_points`` directly, where the package reduces
+the problem on each element first and uses closed forms.
+:func:`bisected_two_region_mesh` and :func:`random_field` build a mesh of
+several blocks and a field on it for the tests of the blocks and of the
+reduction.
 """
 
 import dataclasses
@@ -27,7 +35,8 @@ import hashlib
 import numpy as np
 import scipy.sparse
 
-from curladapt import edge_fem, problems
+from curladapt import edge_fem, estimators, problems
+from curladapt import mesh as mesh_module
 
 
 def from_triplets(n_rows, n_cols, entries):
@@ -100,10 +109,77 @@ def galerkin_residual(solution, problem):
                                                                 solution.vertex_vectors)
     dcurl = np.asarray(problem.curl_u(points), dtype=float) - solution.curls[:, None]
     basis_curls = edge_fem._basis_curls(mesh.barycentric_gradients, mesh.tri_edge_signs)
-    mass_part = coeffs.kappa * edge_fem._moments(mesh, du)
+    y = np.matmul(rule.weights * rule.points.T, du)
+    y *= mesh.areas[:, None, None]
+    mass_part = coeffs.kappa * edge_fem._moments(mesh, y)
     curl_diff = np.einsum("q,tq->t", rule.weights, dcurl)
     curl_part = (eps_t * mesh.areas * curl_diff)[:, None] * basis_curls
     return solution.dofmap.scatter(mass_part + curl_part)
+
+
+def bisected_two_region_mesh(problem):
+    """The 8x8 square tagged by ``problem``'s classifier, bisected at every
+    third triangle until it holds more than two blocks of
+    ``mesh._BLOCK`` triangles."""
+    mesh = mesh_module.tag_regions(mesh_module.build_structured_unit_square(8),
+                                   problem.classifier)
+    while mesh.num_triangles <= 2 * mesh_module._BLOCK:
+        mesh = mesh_module.bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
+    return mesh
+
+
+def random_field(mesh, seed):
+    """A discrete field on ``mesh`` with standard normal coefficients."""
+    dofmap = edge_fem.DofMap(mesh)
+    coefficients = np.random.default_rng(seed).standard_normal(dofmap.n_free)
+    return edge_fem.DiscreteSolution(mesh, dofmap, coefficients)
+
+
+def _point_norms_sq(values, areas):
+    """Squared L2 norms per element of values (T, Q) or (T, Q, 2) at the
+    points of ``edge_fem._ERROR_RULE``."""
+    squares = values ** 2 if values.ndim == 2 else (values ** 2).sum(axis=-1)
+    return squares @ edge_fem._ERROR_RULE.weights * areas
+
+
+def _uh_at_points(solution):
+    return np.matmul(edge_fem._ERROR_RULE.points, solution.vertex_vectors)
+
+
+def point_energy_error(solution, coefficients, u, curl_u):
+    """The energy error of ``edge_fem.energy_error`` from the values u
+    (T, Q, 2) and curl u (T, Q) at ``edge_fem.error_points``, integrated
+    there point by point."""
+    mesh = solution.mesh
+    l2_part = _point_norms_sq(u - _uh_at_points(solution), mesh.areas)
+    curl_part = _point_norms_sq(curl_u - solution.curls[:, None], mesh.areas)
+    eps_t = coefficients.eps_by_region(mesh.regions)
+    return float(np.sqrt((eps_t * curl_part + coefficients.kappa * l2_part).sum()))
+
+
+def _point_residuals(solution, kappa, sample):
+    """R1 = -div f (T, Q) and R2 = f - kappa u_h (T, Q, 2) at the points."""
+    return -sample.div_f, sample.f - kappa * _uh_at_points(solution)
+
+
+def point_residual_norms(solution, kappa, sample):
+    """Squared L2 norms (T,) of R1 and R2, from the problem's ``sample`` at
+    ``edge_fem.error_points``, integrated there point by point."""
+    return tuple(_point_norms_sq(r, solution.mesh.areas)
+                 for r in _point_residuals(solution, kappa, sample))
+
+
+def point_oscillation_parts(solution, problem, sample):
+    """The element parts of ``estimators.oscillations``: the squared
+    distances of R1 and R2 from their means over each element, integrated
+    at the points and weighted by ``s_T^2`` and ``hbar_T^2``."""
+    mesh = solution.mesh
+    weights = edge_fem._ERROR_RULE.weights
+    sizes = estimators.weighted_sizes(mesh, problem.coefficients)
+    r1, r2 = _point_residuals(solution, problem.coefficients.kappa, sample)
+    part1 = _point_norms_sq(r1 - (r1 @ weights)[:, None], mesh.areas)
+    part2 = _point_norms_sq(r2 - (weights @ r2)[:, None, :], mesh.areas)
+    return sizes.element_size ** 2 * part1, sizes.hbar_element ** 2 * part2
 
 
 def edge_table(triangles, num_vertices):

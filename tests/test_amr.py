@@ -207,8 +207,12 @@ def test_adaptive_interface_energy_stop_is_frozen(monkeypatch):
 # dofs, the mass-dominated regime where CG is cheap and the estimator, the
 # energy error and bisection set the cost.  Re-frozen when the load moved
 # onto the degree-6 sample: no eta or error moved by more than 3.0e-6
-# relative, and the meshes did not move.
-FROZEN_SMOOTH_RUN_DIGEST = "d73f964aa09861409e32f10f654f505bc5a0a59183f77634e0ca948b88f57e65"
+# relative, and the meshes did not move.  Re-frozen when the sample was
+# reduced to per-element projections and the energy error and residual
+# norms took closed forms: no eta moved by more than 1.6e-16 relative, no
+# error by more than 4.3e-16, and the meshes, marks and CG iteration
+# counts did not move.
+FROZEN_SMOOTH_RUN_DIGEST = "3760a2bbb7f54c721b8024be47a32a3ddf753f60a9351052e4aaa34b0ab99a42"
 
 
 def test_adaptive_smooth_run_is_frozen():

@@ -1,7 +1,7 @@
-"""The per-point kernels, and the drivers' sampling of the problem, run over
-blocks of ``mesh._BLOCK`` triangles: the block size changes no bit of any
-result, and no kernel holds more than a block's worth of per-point
-temporaries."""
+"""The drivers' sampling of the problem and its reduction on each element
+run over blocks of ``mesh._BLOCK`` triangles: the block size changes no
+bit of any result, no kernel holds more than a block's worth of per-point
+temporaries, and the reduced sample keeps a few floats per triangle."""
 
 import tracemalloc
 
@@ -10,24 +10,21 @@ import pytest
 
 from curladapt import adaptive_solve
 from curladapt import mesh as mesh_module
-from curladapt.edge_fem import (DiscreteSolution, DofMap, _mesh_sample, assemble_system,
+from curladapt.edge_fem import (_mesh_sample, _reduced, _Reduced, assemble_system,
                                 energy_error, error_points)
 from curladapt.estimators import indicator, oscillations
-from curladapt.mesh import bisect_refine, build_structured_unit_square, red_refine, tag_regions
+from curladapt.mesh import build_structured_unit_square, red_refine
 from curladapt.problems import interface_problem, paper_problem
+from reference import bisected_two_region_mesh, random_field
 
 
-def random_field(mesh, seed):
-    dofmap = DofMap(mesh)
-    coefficients = np.random.default_rng(seed).standard_normal(dofmap.n_free)
-    return DiscreteSolution(mesh, dofmap, coefficients)
-
-
-def bisected_two_region_mesh(problem):
-    mesh = tag_regions(build_structured_unit_square(8), problem.classifier)
-    while mesh.num_triangles <= 2 * mesh_module._BLOCK:
-        mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
-    return mesh
+def arrays_of(reduced):
+    """The arrays of a reduced sample, in field order."""
+    if isinstance(reduced, np.ndarray):
+        return [reduced]
+    if isinstance(reduced, tuple):
+        return [a for part in reduced for a in arrays_of(part)]
+    return []
 
 
 def kernel_outputs(mesh, problem, solution):
@@ -44,8 +41,9 @@ def kernel_outputs(mesh, problem, solution):
         "indicator": (breakdown.r1, breakdown.r2, breakdown.j1, breakdown.j2),
         "oscillations": (osc.osc1, osc.osc2, osc.element_part1, osc.edge_part1,
                          osc.element_part2, osc.edge_part2),
-        "sample": (sample.u, sample.div_f),
-        "driver_sample": (driver_sample.u, driver_sample.div_f),
+        "points_sample": (sample.u, sample.div_f),
+        "sample": arrays_of(_reduced(mesh, sample, _Reduced._fields)),
+        "driver_sample": arrays_of(driver_sample),
         "matrix_from_sample": (from_sample.indptr, from_sample.indices, from_sample.data),
         "b_from_sample": (b_from_sample,),
     }
@@ -64,7 +62,7 @@ def test_block_size_changes_no_bit(monkeypatch, block):
     for name, arrays in expected.items():
         assert all(np.array_equal(x, y) for x, y in zip(arrays, actual[name])), name
     # the drivers' per-block sample and the load read from it are the
-    # whole-mesh sample and the load from its f, byte for byte
+    # reduced whole-mesh sample and the load from its f, byte for byte
     for name, whole in [("driver_sample", "sample"), ("matrix_from_sample", "matrix"),
                         ("b_from_sample", "b")]:
         assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -125,6 +123,22 @@ def test_driver_sampling_adds_less_than_one_full_mesh_vector_field():
     assert peak < error_points(mesh).nbytes, peak
 
 
+def test_driver_sample_holds_at_most_80_bytes_per_triangle():
+    # reduced on each element: 9 floats (72 B) per triangle of a trig
+    # problem, where u and div f at the 16 points took 384 B
+    problem = paper_problem(1e-3, 1e3)
+    mesh = red_refined_32768()
+    _mesh_sample(problem, mesh)  # fills the per-mesh caches
+    tracemalloc.start()
+    try:
+        sample = _mesh_sample(problem, mesh)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sample is not None
+    assert held <= 80 * mesh.num_triangles, held / mesh.num_triangles
+
+
 def test_load_from_the_sample_adds_less_than_10_mib():
     # kappa u of the trig sample is formed one block at a time: handed the
     # whole f, formed for the call, the assembly added 20.4 MiB
@@ -138,8 +152,9 @@ def test_load_from_the_sample_adds_less_than_10_mib():
 
 def test_adaptive_run_stays_under_its_traced_peak():
     # tracemalloc peak above the returned records of a 5,000-dof run,
-    # numpy's buffers included: 4.93 MiB with the per-block sample and
-    # load, 5.57 MiB with the points and f of the whole mesh; the bound
-    # leaves 0.32 MiB (6.5%) above the first
+    # numpy's buffers included: 3.91 MiB with the sample reduced on each
+    # element, 4.93 MiB with the per-block sample of u and div f at the
+    # points, 5.57 MiB with the points and f of the whole mesh; the bound
+    # leaves 0.29 MiB (7.3%) above the first
     peak = transient_peak(lambda: adaptive_solve(paper_problem(1e-5, 1e5), max_dofs=5000))
-    assert peak < 5.25 * 2 ** 20, peak / 2 ** 20
+    assert peak < 4.2 * 2 ** 20, peak / 2 ** 20

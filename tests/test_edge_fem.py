@@ -510,7 +510,7 @@ def jittered_two_sign_mesh(jitter):
 
 @pytest.mark.parametrize("jitter", [0.0, 1e-3], ids=["bisected", "jittered"])
 def test_load_moments_are_the_adjoint_of_the_vertex_vectors(jitter):
-    # _moments(v) . c = sum_T |T| sum_q w_q v_q . u_c(x_q), where u_c is the
+    # _moments(y of v) . c = sum_T |T| sum_q w_q v_q . u_c(x_q), where u_c is the
     # field with local coefficients c, read from its vertex vectors
     mesh = jittered_two_sign_mesh(jitter)
     rule = edge_fem._ERROR_RULE
@@ -520,7 +520,8 @@ def test_load_moments_are_the_adjoint_of_the_vertex_vectors(jitter):
     w = edge_fem._vertex_vectors(mesh.barycentric_gradients, mesh.tri_edge_signs, coeffs)
     expected = mesh.areas * np.einsum("q,tqe,tqe->t", rule.weights, values,
                                       np.matmul(rule.points, w))
-    actual = (edge_fem._moments(mesh, values) * coeffs).sum(axis=1)
+    y = edge_fem._reduce_vector(values, mesh.areas).y
+    actual = (edge_fem._moments(mesh, y) * coeffs).sum(axis=1)
     assert np.abs(actual - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -531,7 +532,7 @@ def test_load_moments_match_the_basis_einsum(jitter):
     values = np.random.default_rng(5).standard_normal((mesh.num_triangles, len(rule.weights), 2))
     phi = basis_values(mesh.barycentric_gradients, mesh.tri_edge_signs, rule.points)
     expected = np.einsum("q,tqe,tqke,t->tk", rule.weights, values, phi, mesh.areas)
-    actual = edge_fem._moments(mesh, values)
+    actual = edge_fem._moments(mesh, edge_fem._reduce_vector(values, mesh.areas).y)
     assert actual.shape == expected.shape
     assert np.abs(actual - expected).max() <= 1e-14 * np.abs(expected).max()
 

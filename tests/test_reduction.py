@@ -1,0 +1,190 @@
+"""The problem reduced on each element (``edge_fem``): the load, the energy
+error, the norms of R1 and R2 and the element parts of the oscillations
+read only per-element projections, and their closed forms equal the
+quadrature at the points (``reference``), as sums of parts that are never
+negative."""
+
+import numpy as np
+import pytest
+
+from curladapt.edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _TrigReduced,
+                                energy_error, error_points, solve)
+from curladapt.estimators import element_residuals, indicator, oscillations
+from curladapt.mesh import (OMEGA1, OMEGA2, bisect_refine, build_structured_unit_square,
+                            tag_regions)
+from curladapt.problems import (CoefficientField, ManufacturedProblem, interface_problem,
+                                verify_consistency)
+from reference import (bisected_two_region_mesh, point_energy_error, point_oscillation_parts,
+                       point_residual_norms, random_field)
+
+
+def two_phase_curl_problem(eps1, eps2, kappa, split=0.5):
+    """u = (0, phi(x1) / eps(x1) sin(pi x2)) with phi = x (x - split) (x - 1)
+    and eps jumping at x1 = split: eps curl u = phi' sin(pi x2) and u2 are
+    continuous across the interface, curl u is not zero, and f = (pi phi'
+    cos(pi x2), -phi'' sin(pi x2)) + kappa u is not kappa u; div f = kappa
+    pi phi / eps cos(pi x2).  Plain callables, sampled one by one."""
+    pi = np.pi
+
+    def eps(x):
+        return np.where(x < split, eps1, eps2)
+
+    def phi(x):
+        return x * (x - split) * (x - 1)
+
+    def dphi(x):
+        return 3 * x ** 2 - 2 * (1 + split) * x + split
+
+    def ddphi(x):
+        return 6 * x - 2 * (1 + split)
+
+    def u(p):
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([np.zeros(x.shape), phi(x) / eps(x) * np.sin(pi * y)], axis=-1)
+
+    def curl_u(p):
+        x, y = p[..., 0], p[..., 1]
+        return dphi(x) / eps(x) * np.sin(pi * y)
+
+    def f(p):
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([pi * dphi(x) * np.cos(pi * y), -ddphi(x) * np.sin(pi * y)],
+                        axis=-1) + kappa * u(p)
+
+    def div_f(p):
+        x, y = p[..., 0], p[..., 1]
+        return kappa * pi * phi(x) / eps(x) * np.cos(pi * y)
+
+    return ManufacturedProblem(
+        coefficients=CoefficientField(eps={OMEGA1: eps1, OMEGA2: eps2}, kappa=kappa),
+        u=u, curl_u=curl_u, f=f, div_f=div_f, tag="two-phase-curl",
+        classifier=lambda p: np.where(p[..., 0] < split, OMEGA1, OMEGA2),
+        interface_abscissa=split)
+
+
+def linear_problem(kappa):
+    """A linear u with f = kappa u: its projections are exact."""
+    matrix, offset = np.array([[2.0, -1.0], [0.5, 3.0]]), np.array([1.0, -2.0])
+
+    def u(p):
+        return p @ matrix.T + offset
+
+    return ManufacturedProblem(
+        coefficients=CoefficientField(eps={OMEGA1: 1.0, OMEGA2: 1e-2}, kappa=kappa),
+        u=u, curl_u=lambda p: np.full(p.shape[:-1], matrix[1, 0] - matrix[0, 1]),
+        f=lambda p: kappa * u(p), div_f=lambda p: np.full(p.shape[:-1], kappa * np.trace(matrix)),
+        tag="linear", classifier=lambda p: np.where(p[..., 0] < 0.5, OMEGA1, OMEGA2))
+
+
+PROBLEMS = {"trig": interface_problem(1e2, 1.0, 3.0),
+            "plain-callables": two_phase_curl_problem(1e2, 1.0, 3.0)}
+
+
+def test_the_plain_callable_problem_solves_its_equation():
+    problem = PROBLEMS["plain-callables"]
+    report = verify_consistency(problem)
+    assert report.passed, str(report)
+    sample = problem.sample(error_points(build_structured_unit_square(4)))
+    assert np.abs(sample.curl_u).max() > 0.01
+    assert np.abs(sample.f - problem.coefficients.kappa * sample.u).max() > 0.1
+
+
+@pytest.fixture(scope="module", params=sorted(PROBLEMS))
+def case(request):
+    problem = PROBLEMS[request.param]
+    mesh = bisected_two_region_mesh(problem)
+    return problem, mesh, problem.sample(error_points(mesh)), _mesh_sample(problem, mesh)
+
+
+def assert_close(actual, expected):
+    # rel 1e-12 of each element or of the largest one: where an element's
+    # part is 1e-11 of the largest, both sides lose digits to cancellation
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert actual.sum() == pytest.approx(expected.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["solved", "random"])
+def test_reduced_path_matches_the_point_quadrature(case, field):
+    problem, mesh, points_sample, driver_sample = case
+    coeffs = problem.coefficients
+    if field == "solved":
+        solution = solve(mesh, coeffs, driver_sample, rel_tol=1e-8)
+    else:
+        solution = random_field(mesh, 3)
+    expected = point_energy_error(solution, coeffs, points_sample.u, points_sample.curl_u)
+    for sample in (points_sample, driver_sample):
+        assert energy_error(solution, coeffs, sample.u, sample.curl_u) == pytest.approx(
+            expected, rel=1e-12)
+
+    r1, r2 = point_residual_norms(solution, coeffs.kappa, points_sample)
+    for sample in (points_sample, driver_sample):
+        norms = indicator(solution, problem, sample=sample).norms
+        assert_close(norms.r1, r1)
+        assert_close(norms.r2, r2)
+    for t in (0, 77, mesh.num_triangles - 1):
+        assert element_residuals(solution, problem, t) == pytest.approx(
+            (np.sqrt(r1[t]), np.sqrt(r2[t])), rel=1e-12)
+
+    osc = oscillations(solution, problem)
+    part1, part2 = point_oscillation_parts(solution, problem, points_sample)
+    assert_close(osc.element_part1, part1)
+    assert_close(osc.element_part2, part2)
+
+
+def test_a_linear_field_leaves_no_remainder_and_no_part_is_negative():
+    kappa = 1e3
+    problem = linear_problem(kappa)
+    mesh = bisected_two_region_mesh(problem)
+    sample = _mesh_sample(problem, mesh)
+    areas = mesh.areas
+    assert ((0 <= sample.u.rem) & (sample.u.rem <= 1e-28 * areas)).all()
+    assert ((0 <= sample.f.rem) & (sample.f.rem <= 1e-28 * kappa ** 2 * areas)).all()
+    for solution in (random_field(mesh, 4), solve(mesh, problem.coefficients, sample)):
+        # the parts of the energy error, in the order energy_error sums them
+        d = _projection(sample.u.y, areas) - solution.vertex_vectors
+        parts = [sample.u.rem, _linear_norms_sq(d, areas), sample.curl_u.rem,
+                 areas * (sample.curl_u.mean - solution.curls) ** 2]
+        norms = indicator(solution, problem, sample=sample).norms
+        osc = oscillations(solution, problem)
+        parts += [norms.r1, norms.r2, osc.element_part1, osc.element_part2]
+        assert all((part >= 0).all() for part in parts)
+
+
+@pytest.mark.parametrize("name, floats", [("trig", 9), ("plain-callables", 18)])
+def test_the_drivers_sample_keeps_a_few_floats_per_triangle(name, floats):
+    problem = PROBLEMS[name]
+    mesh = build_structured_unit_square(4)
+    sample = _mesh_sample(problem, mesh)
+    assert isinstance(sample, _TrigReduced) == (name == "trig")
+    arrays = [a for part in sample if isinstance(part, tuple)
+              for a in part if isinstance(a, np.ndarray)]
+    assert sum(a.size for a in arrays) == floats * mesh.num_triangles
+
+
+def test_a_reduced_sample_of_another_mesh_is_refused():
+    # unchecked, the load would read the first T rows of a finer mesh's
+    # sample, and the estimator and the energy error broadcast a
+    # one-triangle one
+    problem = PROBLEMS["trig"]
+    mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+    sample = _mesh_sample(problem, mesh)
+    solution = solve(mesh, problem.coefficients, sample, rel_tol=1e-8)
+    for other in (bisect_refine(mesh, {0}), tag_regions(build_structured_unit_square(1),
+                                                       problem.classifier)):
+        wrong = _mesh_sample(problem, other)
+        with pytest.raises(ValueError, match="the sample must be of this mesh"):
+            solve(mesh, problem.coefficients, wrong)
+        with pytest.raises(ValueError, match="the sample must be of this mesh"):
+            indicator(solution, problem, sample=wrong)
+        with pytest.raises(ValueError, match="the sample must be of this mesh"):
+            energy_error(solution, problem.coefficients, wrong.u, wrong.curl_u)
+        with pytest.raises(ValueError, match="the sample must be of this mesh"):
+            energy_error(solution, problem.coefficients, sample.u, wrong.curl_u)
+    # the values of one field and the reduction of the other are refused
+    values = problem.sample(error_points(mesh))
+    with pytest.raises(ValueError, match="u and curl u must both"):
+        energy_error(solution, problem.coefficients, sample.u, values.curl_u)
+    with pytest.raises(ValueError, match="u and curl u must both"):
+        energy_error(solution, problem.coefficients, values.u, sample.curl_u)
