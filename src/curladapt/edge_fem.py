@@ -29,26 +29,26 @@ the remainder ``||v - Pi v||^2`` of its discrete L2 projection onto linear
 fields, ``Pi v = sum_i lam_i p_i`` with ``p = (12/|T|) (y - sum_j y_j / 4)``
 (:func:`_reduce_vector`, :func:`_projection`); a scalar field keeps its
 mean and the squared norm of its distance from it
-(:func:`_reduce_scalar`).  A trig problem keeps 9 floats per element and
-reads u = f / kappa through a scale, without a copy (:class:`_Linear`); a
-problem of plain callables keeps 18.  The load moments are the adjoint of the
-vertex vectors applied to y of f (:func:`_moments`), so the load is the
-one the points give; its rounding differs from a basis-tensor einsum in
-the last bits.  Every other reader needs an L2 distance to a linear
-or a constant field, and has it in closed form through the discrete
-Pythagoras split ``||v - w||^2 = ||v - Pi v||^2 + ||Pi v - w||^2``: the
-rule is exact for degree 2, so ``v - Pi v`` is orthogonal to every linear
-field, and ``int_T |sum_i lam_i d_i|^2 = |T|/12 (sum_i |d_i|^2 + |sum_i
-d_i|^2)`` (:func:`_linear_norms_sq`).  :func:`energy_error` and the
-estimators' R1, R2 and oscillations are such sums of nonnegative parts,
-equal to the quadrature of the points up to rounding.  Values at the
-points handed to them are reduced the same way first, and refused in any
-other shape (:func:`_reduced`).  The block size is a power of two, so
-every block starts at a multiple of 4 rows, as the gemv of OpenBLAS that
-reduces ``squares @ weights`` in :func:`_element_norms_sq` groups them:
-the reduction is then bit-identical to one pass over the whole mesh, where
-blocks of a row count that is not a multiple of 4 move some norms in the
-last bit.
+(:func:`_reduce_scalar`); a sample reduces to one :class:`_Reduced`.
+Plain callables keep 18 floats per element; a trig problem keeps the 9
+of f and div f, and its u = f / kappa reads f's arrays at scale 1/kappa.
+The load moments are the adjoint of the vertex vectors applied to y of f
+(:func:`_moments`), so the load is the one the points give; its rounding
+differs from a basis-tensor einsum in the last bits.  Every other reader
+needs an L2 distance to a linear or a constant field, and has it in closed
+form through the discrete Pythagoras split ``||v - w||^2 = ||v - Pi v||^2
++ ||Pi v - w||^2``: the rule is exact for degree 2, so ``v - Pi v`` is
+orthogonal to every linear field, and ``int_T |sum_i lam_i d_i|^2 = |T|/12
+(sum_i |d_i|^2 + |sum_i d_i|^2)`` (:func:`_linear_norms_sq`).
+:func:`energy_error` and the estimators' R1, R2 and oscillations are such
+sums of nonnegative parts, equal to the quadrature of the points up to
+rounding.  Values at the points handed to them are reduced the same way
+first, and refused in any other shape (:func:`_reduced`).  The block size
+is a power of two, so every block starts at a multiple of 4 rows, as the
+gemv of OpenBLAS that reduces ``squares @ weights`` in
+:func:`_element_norms_sq` groups them: the reduction is then bit-identical
+to one pass over the whole mesh, where blocks of a row count that is not a
+multiple of 4 move some norms in the last bit.
 
 A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
 (:func:`prolongate`).  On each coarse element P it is linear with a
@@ -72,7 +72,7 @@ import scipy.sparse
 from . import linalg
 from .mesh import (_LOCAL_EDGES, _blocks, _check_id, _cross2, _gradients, _rot90,
                    _signed_areas)
-from .problems import _Sample, _sample_rows, _TrigSample
+from .problems import _Sample
 from .quadrature import triangle_rule
 
 # local edge k runs from vertex _TAIL[k] = k to vertex _HEAD[k]
@@ -326,7 +326,7 @@ def assemble_system(mesh, coefficients, f):
     points, as the adjoint of the vertex vectors applied to the moments of
     f (:func:`_moments`).
     """
-    if not isinstance(f, (_Sample, _TrigSample, _Reduced, _TrigReduced)):
+    if not isinstance(f, (_Sample, _Reduced)):
         f = _Sample(None, None, f, None)
     load = _moments(mesh, _reduced(mesh, f, ("f",)).f.y)
     eps_t = coefficients.eps_by_region(mesh.regions)
@@ -496,7 +496,7 @@ class _Linear(NamedTuple):
     (N, 3, 2), which fix its discrete L2 projection onto linear fields
     (:func:`_projection`), and with the remainder ``rem`` (N,) of that
     projection, so ``||v - Pi v||^2 = scale^2 rem``.  The scale is one but
-    for the u of a trig sample, read from its f (:class:`_TrigReduced`)."""
+    for the u = f / kappa of a trig problem (:func:`_mesh_sample`)."""
     y: np.ndarray
     rem: np.ndarray
     scale: float = 1.0
@@ -518,25 +518,6 @@ class _Reduced(NamedTuple):
     curl_u: _Mean
     f: _Linear
     div_f: _Mean
-
-
-class _TrigReduced(NamedTuple):
-    """The reduced sample of a trig problem (``problems._TrigSample``):
-    f and div f only, 9 floats per element; u = f / kappa and curl u = 0,
-    or both None for a problem without the exact solution."""
-    f: _Linear
-    div_f: _Mean
-    kappa: float
-    exact: bool = True
-
-    @property
-    def u(self):
-        return _Linear(self.f.y, self.f.rem, 1.0 / self.kappa) if self.exact else None
-
-    @property
-    def curl_u(self):
-        zero = np.broadcast_to(0.0, self.f.rem.shape)
-        return _Mean(zero, zero) if self.exact else None
 
 
 def _vertex_sum(v):
@@ -588,13 +569,10 @@ def _reduce_scalar(values, areas):
     return _Mean(mean, _element_norms_sq(values - mean[:, None], areas))
 
 
-def _reduce_block(block, areas, fields=_Reduced._fields):
+def _reduce_block(block, areas, fields):
     """The ``fields`` of ``block``, a problem's sample at the points of
-    ``_ERROR_RULE`` on elements with ``areas``, reduced there.  A trig
-    sample reduced whole keeps f and div f only (:class:`_TrigReduced`)."""
-    if isinstance(block, _TrigSample) and fields == _Reduced._fields:
-        return _TrigReduced(_reduce_vector(block.f, areas), _reduce_scalar(block.div_f, areas),
-                            block.kappa, block.exact)
+    ``_ERROR_RULE`` on elements with ``areas``, reduced there; None for the
+    others and where the sample has none."""
     parts = []
     for name in _Reduced._fields:
         values = getattr(block, name) if name in fields else None
@@ -603,34 +581,19 @@ def _reduce_block(block, areas, fields=_Reduced._fields):
     return _Reduced(*parts)
 
 
-def _rows_like(part, n):
-    """Empty arrays of ``n`` rows shaped and nested as those of ``part``."""
-    if isinstance(part, np.ndarray):
-        return np.empty((n,) + part.shape[1:])
-    if isinstance(part, tuple):
-        return type(part)(*(_rows_like(a, n) for a in part))
-    return part
-
-
-def _set_rows(whole, rows, part):
-    """Write the arrays of ``part`` into ``rows`` of those of ``whole``."""
-    if isinstance(whole, np.ndarray):
-        whole[rows] = part
-    elif isinstance(whole, tuple):
-        for a, b in zip(whole, part):
-            _set_rows(a, rows, b)
-
-
-def _reduce_blocks(mesh, block_at, fields=_Reduced._fields):
-    """The sample ``block_at(rows)`` of each block of ``mesh._BLOCK``
-    triangles, reduced there and written into the rows of the mesh's one
-    reduced sample."""
-    reduced = None
-    for rows in _blocks(mesh.num_triangles):
+def _reduce_blocks(mesh, block_at, fields):
+    """The ``fields``, all present, of the sample ``block_at(rows)`` of each
+    block of ``mesh._BLOCK`` triangles, reduced there and written into
+    arrays allocated once for the mesh; the other fields None."""
+    n = mesh.num_triangles
+    reduced = _Reduced(*(None if name not in fields
+                         else _Linear(np.empty((n, 3, 2)), np.empty(n)) if name in ("u", "f")
+                         else _Mean(np.empty(n), np.empty(n)) for name in _Reduced._fields))
+    for rows in _blocks(n):
         part = _reduce_block(block_at(rows), mesh.areas[rows], fields)
-        if reduced is None:
-            reduced = _rows_like(part, mesh.num_triangles)
-        _set_rows(reduced, rows, part)
+        for name in fields:
+            for whole, values in zip(getattr(reduced, name)[:2], getattr(part, name)):
+                whole[rows] = values
     return reduced
 
 
@@ -638,8 +601,17 @@ def _mesh_sample(problem, mesh):
     """The drivers' one sample of ``problem`` on ``mesh``:
     ``problem.sample(error_points(mesh))``, taken and reduced one block of
     ``mesh._BLOCK`` triangles at a time, so that no point value outlives
-    its block."""
-    return _reduce_blocks(mesh, lambda rows: problem.sample(error_points(mesh, rows)))
+    its block.  Of a trig problem (``ManufacturedProblem._trig_field``)
+    only f and div f are reduced; its curl u is a zero of no memory."""
+    trig = problem._trig_field()
+    fields = ("f", "div_f") if trig else [name for name in _Reduced._fields
+                                          if getattr(problem, name) is not None]
+    reduced = _reduce_blocks(mesh, lambda rows: problem.sample(error_points(mesh, rows)), fields)
+    if trig is None or problem.u is None:
+        return reduced
+    zero = np.broadcast_to(0.0, reduced.f.rem.shape)
+    return reduced._replace(u=_Linear(reduced.f.y, reduced.f.rem, 1.0 / trig.kappa),
+                            curl_u=_Mean(zero, zero))
 
 
 def _reduced(mesh, sample, fields):
@@ -647,19 +619,18 @@ def _reduced(mesh, sample, fields):
     (:func:`_mesh_sample`) of ``mesh`` as it is, or a problem's sample at
     :func:`error_points` (``ManufacturedProblem.sample``), whose ``fields``
     are checked in that order and reduced one block at a time."""
-    if isinstance(sample, (_Reduced, _TrigReduced)):
+    if isinstance(sample, _Reduced):
         _of_mesh(mesh, sample.f)
         return sample
+    present = []
     for name in fields:
-        # f = kappa v of a trig sample is formed one block at a time
-        trig_f = name == "f" and isinstance(sample, _TrigSample)
-        values = sample.v if trig_f else getattr(sample, name)
+        values = getattr(sample, name)
         if values is not None:
-            values = _at_error_points(mesh, values, name.replace("_", " "),
-                                      (2,) if name in ("u", "f") else ())
-            if isinstance(sample, _Sample):
-                sample = sample._replace(**{name: values})
-    return _reduce_blocks(mesh, lambda rows: _sample_rows(sample, rows), fields)
+            sample = sample._replace(**{name: _at_error_points(
+                mesh, values, name.replace("_", " "), (2,) if name in ("u", "f") else ())})
+            present.append(name)
+    return _reduce_blocks(mesh, lambda rows: sample._replace(
+        **{name: getattr(sample, name)[rows] for name in present}), present)
 
 
 def _of_mesh(mesh, part):

@@ -11,11 +11,11 @@ and before the solve, one block of ``mesh._BLOCK`` triangles at a time,
 and reduce each block at once to a few numbers per element
 (``edge_fem._mesh_sample``), so no point value outlives its block.  The
 load, ``edge_fem.energy_error`` and the estimators read only that reduced
-sample.  The trig fields of :func:`paper_problem` and
-:func:`interface_problem` share one set of sines and cosines per sample,
-also when u and curl u are left out, and their sample holds u and div f
-only: f = kappa u exists only for the block being reduced, and the
-reduced sample keeps f and div f only (``edge_fem._TrigReduced``).
+sample.  Every sample is a :class:`_Sample`.  The trig fields of
+:func:`paper_problem` and :func:`interface_problem` share one set of
+sines and cosines per sample, also when u and curl u are left out
+(:meth:`ManufacturedProblem._trig_field`); their f = kappa u lets the
+drivers reduce f and div f only and read u from f.
 """
 
 from dataclasses import dataclass
@@ -96,48 +96,32 @@ class ManufacturedProblem:
     classifier: object = None          # points (..., 2) -> region tags (...), None = one region
     interface_abscissa: float = None   # x-coordinate of the phase interface, if any
 
+    def __post_init__(self):
+        if self.f is None:
+            raise ValueError(f"problem {self.tag} must provide its source f")
+        if (self.u is None) != (self.curl_u is None):
+            raise ValueError(f"problem {self.tag} must provide both u and curl u, or neither")
+
+    def _trig_field(self):
+        """The :class:`_TrigField` whose own f and div f this problem's
+        are, with u and curl u its own too or both None; None otherwise."""
+        trig = getattr(self.f, "__self__", None)
+        if (isinstance(trig, _TrigField) and (self.f, self.div_f) == (trig.f, trig.div_f)
+                and (self.u, self.curl_u) in ((trig.u, trig.curl_u), (None, None))):
+            return trig
+        return None
+
     def sample(self, points):
         """u, curl u, f and div f at ``points`` (..., 2), each evaluated
-        once: the trig fields of one :class:`_TrigField` together, any
-        other fields by one call each.  A trig problem without the exact
-        solution (u and curl u None) takes the same one pass and keeps u
-        and curl u None."""
-        trig = getattr(self.f, "__self__", None)
-        if isinstance(trig, _TrigField) and (self.f, self.div_f) == (trig.f, trig.div_f):
-            if (self.u, self.curl_u) == (trig.u, trig.curl_u):
-                return trig.sample(points)
-            if (self.u, self.curl_u) == (None, None):
-                return trig.sample(points)._replace(exact=False)
+        once: a :meth:`_trig_field`'s together, other fields by one call
+        each.  At the whole mesh's ``edge_fem.error_points`` that is 256 B
+        per triangle for each of u and f and 128 B for div f."""
+        trig = self._trig_field()
+        if trig is not None:
+            sample = trig.sample(points)
+            return sample if self.u is not None else sample._replace(u=None, curl_u=None)
         return _Sample(*(None if field is None else np.asarray(field(points), dtype=float)
                          for field in (self.u, self.curl_u, self.f, self.div_f)))
-
-
-def _sample_rows(sample, rows):
-    """The part of ``sample``, a :class:`_Sample` or :class:`_TrigSample`,
-    at ``rows`` of its points' first axis."""
-    return type(sample)(*(a[rows] if isinstance(a, np.ndarray) else a for a in sample))
-
-
-class _TrigSample(NamedTuple):
-    """A sample of :class:`_TrigField` that holds its values v and div f
-    only: f = kappa v is formed where it is read, u is v and curl u = 0,
-    or both None for a problem without the exact solution."""
-    v: np.ndarray
-    div_f: np.ndarray
-    kappa: float
-    exact: bool = True
-
-    @property
-    def u(self):
-        return self.v if self.exact else None
-
-    @property
-    def f(self):
-        return self.kappa * self.v
-
-    @property
-    def curl_u(self):
-        return np.broadcast_to(0.0, self.v.shape[:-1]) if self.exact else None
 
 
 @dataclass(frozen=True)
@@ -149,11 +133,12 @@ class _TrigField:
     kappa: float
 
     def sample(self, x):
-        # written into u and div f block by block of the first axis
+        # written into u, f and div f block by block of the first axis
         # (``mesh._blocks``; a single point is one block), so the sines and
         # cosines of one block are all the memory it adds to its result;
         # every value is elementwise, so the blocks change no bit
         u = np.empty(np.shape(x)[:-1] + (2,))
+        f = np.empty(u.shape)
         div_f = np.empty(u.shape[:-1])
         for rows in _blocks(len(div_f)) if div_f.ndim else [...]:
             # each cosine overwrites its argument, so four block arrays are
@@ -167,16 +152,17 @@ class _TrigField:
             np.multiply(-2.0 * np.pi, sx, out=div_f[rows])
             div_f[rows] *= sy
             div_f[rows] *= self.kappa
-        return _TrigSample(u, div_f, self.kappa)
+            np.multiply(self.kappa, u[rows], out=f[rows])
+        return _Sample(u, np.broadcast_to(0.0, div_f.shape), f, div_f)
 
     def u(self, x):
-        return self.sample(x).v
+        return self.sample(x).u
 
     def curl_u(self, x):
         return np.zeros(np.asarray(x).shape[:-1])
 
     def f(self, x):
-        return self.kappa * self.u(x)
+        return self.sample(x).f
 
     def div_f(self, x):
         return self.sample(x).div_f
@@ -246,7 +232,7 @@ def default_solver_tol(problem):
     Only ``report.run_table`` still uses this heuristic;
     ``amr.adaptive_solve`` stops CG on its energy estimate instead.  The
     table moves to the energy stop together with the benchmark's
-    known-failure column (ROADMAP item 7)."""
+    known-failure column (ROADMAP item 1)."""
     return 1e-12 if problem.coefficients.max_contrast() == 1.0 else 1e-6
 
 

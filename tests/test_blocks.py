@@ -33,7 +33,11 @@ def kernel_outputs(mesh, problem, solution):
     breakdown = indicator(solution, problem, sample=sample)
     osc = oscillations(solution, problem)
     driver_sample = _mesh_sample(problem, mesh)
+    # the u of a trig problem's drivers' sample is its f at scale 1/kappa
+    assert driver_sample.u.y is driver_sample.f.y and driver_sample.u.rem is driver_sample.f.rem
+    assert driver_sample.u.scale == 1.0 / problem.coefficients.kappa
     from_sample, b_from_sample, _ = assemble_system(mesh, problem.coefficients, driver_sample)
+    reduced = _reduced(mesh, sample, _Reduced._fields)
     return {
         "matrix": (matrix.indptr, matrix.indices, matrix.data), "b": (b,),
         "energy_error": (energy_error(solution, problem.coefficients, sample.u,
@@ -42,8 +46,10 @@ def kernel_outputs(mesh, problem, solution):
         "oscillations": (osc.osc1, osc.osc2, osc.element_part1, osc.edge_part1,
                          osc.element_part2, osc.edge_part2),
         "points_sample": (sample.u, sample.div_f),
-        "sample": arrays_of(_reduced(mesh, sample, _Reduced._fields)),
+        "sample": arrays_of(reduced),
+        "sample_f": arrays_of((reduced.f, reduced.div_f)),
         "driver_sample": arrays_of(driver_sample),
+        "driver_sample_f": arrays_of((driver_sample.f, driver_sample.div_f)),
         "matrix_from_sample": (from_sample.indptr, from_sample.indices, from_sample.data),
         "b_from_sample": (b_from_sample,),
     }
@@ -61,9 +67,10 @@ def test_block_size_changes_no_bit(monkeypatch, block):
     actual = kernel_outputs(mesh, problem, solution)
     for name, arrays in expected.items():
         assert all(np.array_equal(x, y) for x, y in zip(arrays, actual[name])), name
-    # the drivers' per-block sample and the load read from it are the
-    # reduced whole-mesh sample and the load from its f, byte for byte
-    for name, whole in [("driver_sample", "sample"), ("matrix_from_sample", "matrix"),
+    # f and div f of the drivers' per-block sample and the load read from
+    # it are those of the reduced whole-mesh sample and the load from its
+    # f, byte for byte
+    for name, whole in [("driver_sample_f", "sample_f"), ("matrix_from_sample", "matrix"),
                         ("b_from_sample", "b")]:
         assert all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
                    for x, y in zip(actual[name], expected[whole])), name
@@ -140,8 +147,9 @@ def test_driver_sample_holds_at_most_80_bytes_per_triangle():
 
 
 def test_load_from_the_sample_adds_less_than_10_mib():
-    # kappa u of the trig sample is formed one block at a time: handed the
-    # whole f, formed for the call, the assembly added 20.4 MiB
+    # the load reads the moments of f from the drivers' reduced sample:
+    # handed f at the whole mesh's points, formed for the call, the
+    # assembly added 20.4 MiB
     problem = paper_problem(1e-3, 1e3)
     mesh = red_refined_32768()
     sample = _mesh_sample(problem, mesh)

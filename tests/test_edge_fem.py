@@ -321,7 +321,7 @@ def plain_callables(problem):
                                      plain_callables(paper_problem(0.1, 10.0))],
                          ids=["trig", "plain-callables"])
 def test_load_refuses_a_sample_of_another_mesh(problem, other):
-    # f of a trig sample is formed one block at a time, so its shape is
+    # the sample is reduced one block of rows at a time, so its shape is
     # checked before the blocks are read: a (1, Q) sample would broadcast
     # and a (4T, Q) one be cut to T rows
     mesh = build_structured_unit_square(4)

@@ -176,6 +176,19 @@ def test_sample_matches_the_fields_bit_for_bit(problem, shape):
             assert np.array_equal(getattr(sample, name), field(points)), name
 
 
+@pytest.mark.parametrize("missing, message", [({"f": None}, "must provide its source f"),
+                                              ({"u": None}, "both u and curl u, or neither"),
+                                              ({"curl_u": None}, "both u and curl u, or neither")],
+                         ids=["f", "u", "curl_u"])
+def test_a_problem_without_f_or_with_half_the_solution_is_refused(missing, message):
+    base = paper_problem(1.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(base, **missing)
+    # a problem without div f, or without the exact solution, is legal
+    dataclasses.replace(base, div_f=None)
+    dataclasses.replace(base, u=None, curl_u=None)
+
+
 def test_sample_calls_plain_callables_once_each():
     base = _curl_carrying_problem(1)
     calls = []

@@ -4,10 +4,13 @@ read only per-element projections, and their closed forms equal the
 quadrature at the points (``reference``), as sums of parts that are never
 negative."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
-from curladapt.edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _TrigReduced,
+from curladapt.edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _reduced,
                                 energy_error, error_points, solve)
 from curladapt.estimators import element_residuals, indicator, oscillations
 from curladapt.mesh import (OMEGA1, OMEGA2, bisect_refine, build_structured_unit_square,
@@ -157,10 +160,32 @@ def test_the_drivers_sample_keeps_a_few_floats_per_triangle(name, floats):
     problem = PROBLEMS[name]
     mesh = build_structured_unit_square(4)
     sample = _mesh_sample(problem, mesh)
-    assert isinstance(sample, _TrigReduced) == (name == "trig")
-    arrays = [a for part in sample if isinstance(part, tuple)
-              for a in part if isinstance(a, np.ndarray)]
-    assert sum(a.size for a in arrays) == floats * mesh.num_triangles
+    # the distinct memory its arrays hold: the u of a trig problem shares
+    # f's arrays, and its zero curl u holds one float in all
+    held = {}
+    for part in sample:
+        for a in part[:2]:
+            while a.base is not None:
+                a = a.base
+            held[id(a)] = a.nbytes
+    assert sum(held.values()) // (8 * mesh.num_triangles) == floats
+
+
+@pytest.mark.parametrize("replace", [lambda p: dataclasses.replace(p, u=functools.partial(p.u)),
+                                     lambda p: dataclasses.replace(p, f=lambda x: 2 * p.f(x))],
+                         ids=["u", "f"])
+def test_a_trig_problem_with_a_field_replaced_reduces_u_from_its_values(replace):
+    trig = PROBLEMS["trig"]
+    mesh = build_structured_unit_square(4)
+    sample = _mesh_sample(trig, mesh)
+    assert np.shares_memory(sample.u.y, sample.f.y)
+    problem = replace(trig)
+    assert problem._trig_field() is None
+    sample = _mesh_sample(problem, mesh)
+    expected = _reduced(mesh, problem.sample(error_points(mesh)), ("u", "curl_u")).u
+    assert sample.u.scale == 1.0
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(sample.u[:2], expected[:2]))
+    assert not any(np.shares_memory(a, b) for a in sample.u[:2] for b in sample.f[:2])
 
 
 def test_a_reduced_sample_of_another_mesh_is_refused():
