@@ -18,12 +18,16 @@ w_i and ``-c_k s_k grad(lam_i)`` to w_j (:func:`_vertex_vectors`).
 reader of u_h reads it from there, without a per-point basis tensor.
 
 Homogeneous tangential boundary conditions are imposed by eliminating the
-boundary-edge unknowns.
+boundary-edge unknowns.  Every sparse matrix, the Galerkin matrix
+(``DofMap.scatter``), the discrete gradient and the prolongations, comes
+from one builder, :func:`_csr`: scipy's conversion of int32 triplets.
 
 The problem is read at one point set per mesh, :func:`error_points`, and
-reduced there to a few numbers per element at once: the drivers take one
-sample per mesh (:func:`_mesh_sample`), one block of ``mesh._BLOCK``
-triangles at a time, and no point value outlives its block.  A vector
+reduced there to a few numbers per element at once by one reducer,
+:func:`_reduce_blocks`, one block of ``mesh._BLOCK`` rows at a time, so
+that no point value outlives its block: on the whole mesh for the
+drivers' one sample per mesh (:func:`_mesh_sample`), on any range of rows
+for ``estimators.element_residuals`` (one row).  A vector
 field v keeps its moments ``y_i = |T| sum_q w_q lam_qi v_q`` (T, 3, 2) and
 the remainder ``||v - Pi v||^2`` of its discrete L2 projection onto linear
 fields, ``Pi v = sum_i lam_i p_i`` with ``p = (12/|T|) (y - sum_j y_j / 4)``
@@ -191,39 +195,34 @@ class DofMap:
 
     Free (interior) edges get dense indices 0..N-1 in edge-id order;
     boundary edges are constrained to zero.  ``element_dofs`` holds the
-    global index (or -1) of each local edge.
+    global index (or -1) of each local edge.  Both are int32 when the dofs
+    fit, the index type scipy keeps, so :func:`_csr` copies neither.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        edge_dof = np.full(mesh.num_edges, -1, dtype=np.int64)
         free = ~mesh.is_boundary_edge
-        edge_dof[free] = np.arange(free.sum())
-        self.edge_dof = edge_dof
         self.n_free = int(free.sum())
+        edge_dof = np.full(mesh.num_edges, -1,
+                           dtype=np.int32 if self.n_free < 2 ** 31 else np.int64)
+        edge_dof[free] = np.arange(self.n_free)
+        self.edge_dof = edge_dof
         self.element_dofs = edge_dof[mesh.tri_edges]
 
     def scatter(self, local):
         """Sum local vectors (T, 3) into a free-dof vector, or local
-        matrices (T, 3, 3) into a free-dof ``scipy.sparse.csr_matrix`` with
-        sorted, unique columns per row (scipy sums the duplicate triplets);
-        boundary slots drop.
+        matrices (T, 3, 3) into a free-dof ``scipy.sparse.csr_matrix``
+        through :func:`_csr`, whose triplets of a boundary slot drop.
 
         No entry sums more than two element terms (an edge has at most two
         triangles, two edges share at most one), and two-term float
-        addition commutes: the order cannot change a bit.  The triplets'
-        rows and columns are int32 when the dofs fit, the index type scipy
-        keeps for them, so its conversion copies no index array.
+        addition commutes: the order cannot change a bit.
         """
         ed, n = self.element_dofs, self.n_free
         if local.ndim == 2:
             free = ed >= 0
             return _weighted_count(ed[free], local[free], n)
-        if n < 2 ** 31:
-            ed = ed.astype(np.int32)
-        rows, cols = np.broadcast_arrays(ed[:, :, None], ed[:, None, :])
-        keep = (rows >= 0) & (cols >= 0)
-        return scipy.sparse.csr_matrix((local[keep], (rows[keep], cols[keep])), shape=(n, n))
+        return _csr(ed[:, :, None], ed[:, None, :], local, (n, n))
 
 
 def _element_norms_sq(values, areas):
@@ -238,15 +237,15 @@ def _weighted_count(index, weights, n):
     return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
 
 
-def _padded_csr(cols, vals, n_cols):
-    """CSR matrix (N, n_cols) from padded rows (N, K): row i holds ``vals[i]``
-    at columns ``cols[i]``, sorted, where the -1 columns drop."""
-    order = np.argsort(cols, axis=1)
-    cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
-    keep = cols >= 0
-    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return scipy.sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(cols), n_cols))
+def _csr(rows, cols, vals, shape):
+    """The one sparse builder of the package: the ``scipy.sparse.csr_matrix``
+    of ``shape`` with the triplets (rows, cols, vals), broadcast together,
+    where a triplet with a -1 row or column drops.  scipy's COO conversion
+    sorts each row and sums the duplicate triplets, which makes true the
+    sorted, unique column indices per row that ``linalg`` relies on."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    keep = (rows >= 0) & (cols >= 0)
+    return scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def discrete_gradient(dofmap):
@@ -257,18 +256,20 @@ def discrete_gradient(dofmap):
     oriented low to high) has +1 in the column of hi and -1 in the column
     of lo, so ``G @ v`` holds the edge moments of the gradient of the
     continuous piecewise-linear function with interior nodal values v and
-    zero boundary values.  Boundary vertices have no column.  Returned as
-    a ``scipy.sparse.csr_matrix`` with sorted rows.
+    zero boundary values.  Boundary vertices have no column.  Built by
+    :func:`_csr`, where the boundary vertex's triplet drops.
     """
     mesh = dofmap.mesh
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.edges[mesh.is_boundary_edge]] = False
     n_interior = int(interior.sum())
-    vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    index = dofmap.edge_dof.dtype  # fits the columns too: n_interior <= n_free
+    vertex_dof = np.full(mesh.num_vertices, -1, dtype=index)
     vertex_dof[interior] = np.arange(n_interior)
     # free dofs follow edge ids, so row i is free edge i: [lo, hi]
     cols = vertex_dof[mesh.edges[dofmap.edge_dof >= 0]]
-    return _padded_csr(cols, np.broadcast_to([-1.0, 1.0], cols.shape), n_interior)
+    return _csr(np.arange(dofmap.n_free, dtype=index)[:, None], cols, np.array([-1.0, 1.0]),
+                (dofmap.n_free, n_interior))
 
 
 @dataclass(frozen=True)
@@ -442,9 +443,9 @@ def prolongate(solution, mesh):
 
 def prolongation(coarse_dofmap, fine_dofmap):
     """The matrix of :func:`prolongate`: a ``scipy.sparse.csr_matrix``
-    (fine free dofs, coarse free dofs) with the weights of the three edges
-    of each fine free edge's parent in its row, sorted by column; the
-    parent's boundary edges drop.
+    (fine free dofs, coarse free dofs), built by :func:`_csr`, with the
+    weights of the three edges of each fine free edge's parent in its row;
+    the parent's boundary edges drop.
 
     The fine moment ``(w_0 + (curl / 2) offset^perp) . t`` is linear in the
     parent's coefficients: the weight of its edge k takes w_0 and the curl
@@ -458,20 +459,19 @@ def prolongation(coarse_dofmap, fine_dofmap):
     # offset^perp . t is the cross product offset x t
     weights = (np.einsum("ike,ie->ik", w0[p], tangent)
                + half_curls[p] * _cross2(offset, tangent)[:, None])
-    return _padded_csr(coarse_dofmap.element_dofs[p], weights, coarse_dofmap.n_free)
-
-
-def _barycentric(mesh, tri_id, point):
-    coords = mesh.vertices[mesh.triangles[tri_id]]
-    mat = np.stack([coords[1] - coords[0], coords[2] - coords[0]], axis=1)
-    lam12 = np.linalg.solve(mat, np.asarray(point, dtype=float) - coords[0])
-    return np.array([1.0 - lam12.sum(), lam12[0], lam12[1]])
+    n = fine_dofmap.n_free
+    return _csr(np.arange(n, dtype=fine_dofmap.edge_dof.dtype)[:, None],
+                coarse_dofmap.element_dofs[p], weights, (n, coarse_dofmap.n_free))
 
 
 def eval_uh(solution, tri_id, point):
     """Discrete field value at a Cartesian point inside the triangle."""
-    _check_id(tri_id, solution.mesh.num_triangles, "triangle")
-    lam = _barycentric(solution.mesh, tri_id, point)
+    mesh = solution.mesh
+    _check_id(tri_id, mesh.num_triangles, "triangle")
+    # lam is linear with the cached gradients and lam(v_0) = (1, 0, 0)
+    lam = mesh.barycentric_gradients[tri_id] @ (np.asarray(point, dtype=float)
+                                                - mesh.vertices[mesh.triangles[tri_id, 0]])
+    lam[0] += 1.0
     if lam.min() < -1e-12:
         raise ValueError(f"point {point} lies outside triangle {tri_id}")
     return lam @ solution.vertex_vectors[tri_id]
@@ -569,31 +569,22 @@ def _reduce_scalar(values, areas):
     return _Mean(mean, _element_norms_sq(values - mean[:, None], areas))
 
 
-def _reduce_block(block, areas, fields):
-    """The ``fields`` of ``block``, a problem's sample at the points of
-    ``_ERROR_RULE`` on elements with ``areas``, reduced there; None for the
-    others and where the sample has none."""
-    parts = []
-    for name in _Reduced._fields:
-        values = getattr(block, name) if name in fields else None
-        reduce = _reduce_vector if name in ("u", "f") else _reduce_scalar
-        parts.append(None if values is None else reduce(values, areas))
-    return _Reduced(*parts)
-
-
-def _reduce_blocks(mesh, block_at, fields):
-    """The ``fields``, all present, of the sample ``block_at(rows)`` of each
-    block of ``mesh._BLOCK`` triangles, reduced there and written into
-    arrays allocated once for the mesh; the other fields None."""
-    n = mesh.num_triangles
+def _reduce_blocks(areas, block_at, fields):
+    """The ``fields``, all present, of the sample ``block_at(rows)`` on each
+    block of ``mesh._BLOCK`` of the elements with ``areas``, reduced there
+    and written into arrays allocated once; the other fields None."""
+    n = len(areas)
     reduced = _Reduced(*(None if name not in fields
                          else _Linear(np.empty((n, 3, 2)), np.empty(n)) if name in ("u", "f")
                          else _Mean(np.empty(n), np.empty(n)) for name in _Reduced._fields))
     for rows in _blocks(n):
-        part = _reduce_block(block_at(rows), mesh.areas[rows], fields)
+        block = block_at(rows)
         for name in fields:
-            for whole, values in zip(getattr(reduced, name)[:2], getattr(part, name)):
-                whole[rows] = values
+            reduce = _reduce_vector if name in ("u", "f") else _reduce_scalar
+            for whole, part in zip(getattr(reduced, name)[:2],
+                                   reduce(getattr(block, name), areas[rows])):
+                whole[rows] = part
+        block = None  # freed before the next block is sampled
     return reduced
 
 
@@ -606,7 +597,8 @@ def _mesh_sample(problem, mesh):
     trig = problem._trig_field()
     fields = ("f", "div_f") if trig else [name for name in _Reduced._fields
                                           if getattr(problem, name) is not None]
-    reduced = _reduce_blocks(mesh, lambda rows: problem.sample(error_points(mesh, rows)), fields)
+    reduced = _reduce_blocks(mesh.areas, lambda rows: problem.sample(error_points(mesh, rows)),
+                             fields)
     if trig is None or problem.u is None:
         return reduced
     zero = np.broadcast_to(0.0, reduced.f.rem.shape)
@@ -615,41 +607,32 @@ def _mesh_sample(problem, mesh):
 
 
 def _reduced(mesh, sample, fields):
-    """``sample`` reduced on each element of ``mesh``: the drivers' sample
-    (:func:`_mesh_sample`) of ``mesh`` as it is, or a problem's sample at
-    :func:`error_points` (``ManufacturedProblem.sample``), whose ``fields``
-    are checked in that order and reduced one block at a time."""
+    """``sample`` reduced on each element of ``mesh``.  A reduced sample,
+    such as the drivers' (:func:`_mesh_sample`), is returned as it is, and
+    refused unless each of its parts holds the triangles of ``mesh``.  Of a
+    problem's sample at :func:`error_points` (``ManufacturedProblem.sample``)
+    the ``fields`` are refused, in that order, unless shaped (T, Q), or (T,
+    Q, 2) for u and f, and reduced by :func:`_reduce_blocks`."""
     if isinstance(sample, _Reduced):
-        _of_mesh(mesh, sample.f)
+        for part in filter(None, sample):
+            if np.shape(part.rem) != (mesh.num_triangles,):
+                raise ValueError(f"the sample must be of this mesh: it holds {len(part.rem)} "
+                                 f"triangles, the mesh {mesh.num_triangles}")
         return sample
     present = []
     for name in fields:
         values = getattr(sample, name)
         if values is not None:
-            sample = sample._replace(**{name: _at_error_points(
-                mesh, values, name.replace("_", " "), (2,) if name in ("u", "f") else ())})
+            values = np.asarray(values, dtype=float)
+            points = (mesh.num_triangles, len(_ERROR_RULE.weights))
+            expected = points + (2,) if name in ("u", "f") else points
+            if values.shape != expected:
+                raise ValueError(f"{name.replace('_', ' ')} must hold the values at error_points"
+                                 f"(mesh), shape {expected}, got shape {values.shape}")
+            sample = sample._replace(**{name: values})
             present.append(name)
-    return _reduce_blocks(mesh, lambda rows: sample._replace(
+    return _reduce_blocks(mesh.areas, lambda rows: sample._replace(
         **{name: getattr(sample, name)[rows] for name in present}), present)
-
-
-def _of_mesh(mesh, part):
-    """Refuse ``part``, a :class:`_Linear` or :class:`_Mean` of a reduced
-    sample, unless it holds the triangles of ``mesh``."""
-    if np.shape(part.rem) != (mesh.num_triangles,):
-        raise ValueError(f"the sample must be of this mesh: it holds {len(part.rem)} "
-                         f"triangles, the mesh {mesh.num_triangles}")
-
-
-def _at_error_points(mesh, values, name, value_shape=()):
-    """``values`` as floats, refused unless shaped (T, Q) + ``value_shape``
-    for the T triangles of ``mesh`` and the Q points of :func:`error_points`."""
-    values = np.asarray(values, dtype=float)
-    expected = (mesh.num_triangles, len(_ERROR_RULE.weights)) + value_shape
-    if values.shape != expected:
-        raise ValueError(f"{name} must hold the values at error_points(mesh), shape "
-                         f"{expected}, got shape {values.shape}")
-    return values
 
 
 def energy_error(solution, coefficients, u_exact, curl_u_exact):
@@ -662,16 +645,12 @@ def energy_error(solution, coefficients, u_exact, curl_u_exact):
     refused.  Both parts are the remainders of the projections of u and curl u plus their
     closed-form distances to u_h and curl u_h (module docstring)."""
     mesh = solution.mesh
-    reduced = (isinstance(u_exact, _Linear), isinstance(curl_u_exact, _Mean))
-    if reduced == (False, False):
-        u_exact, curl_u_exact, _, _ = _reduced(mesh, _Sample(u_exact, curl_u_exact, None, None),
-                                               ("u", "curl_u"))
-    elif reduced == (True, True):
-        _of_mesh(mesh, u_exact)
-        _of_mesh(mesh, curl_u_exact)
-    else:
+    if isinstance(u_exact, _Linear) != isinstance(curl_u_exact, _Mean):
         raise ValueError("u and curl u must both hold the values at error_points(mesh), "
                          "or both be of the drivers' sample")
+    kind = _Reduced if isinstance(u_exact, _Linear) else _Sample
+    u_exact, curl_u_exact, _, _ = _reduced(mesh, kind(u_exact, curl_u_exact, None, None),
+                                           ("u", "curl_u"))
     areas = mesh.areas
     d = _projection(u_exact.y, areas, u_exact.scale)
     d -= solution.vertex_vectors

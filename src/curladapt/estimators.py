@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _reduce_block, _reduced,
+from .edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _reduce_blocks, _reduced,
                        _vertex_sum, _weighted_count, error_points)
 from .mesh import _check_id
 
@@ -160,17 +160,21 @@ def weighted_sizes(mesh, coefficients):
     )
 
 
-def _residual_norms(solution, kappa, sample, tris=slice(None)):
-    """Squared L2 norms of R1 and R2 on the elements ``tris``, from
-    ``sample``, the problem reduced on them, and the vertex vectors d (N, 3,
-    2) of ``Pi f - kappa u_h``, the linear part of R2."""
+def _div_f(sample):
+    """The reduced div f of ``sample``, refused when the problem has none."""
     if sample.div_f is None:
         raise ValueError("problem must provide an analytic div f")
-    areas = solution.mesh.areas[tris]
+    return sample.div_f
+
+
+def _residual_norms(solution, kappa, sample, tris=slice(None)):
+    """Squared L2 norms of R1 and R2 on the elements ``tris``, from
+    ``sample``, the problem reduced on them; the linear part of R2 is ``Pi
+    f - kappa u_h``."""
+    div_f, areas = _div_f(sample), solution.mesh.areas[tris]
     d = _projection(sample.f.y, areas)
     d -= kappa * solution.vertex_vectors[tris]
-    return (sample.div_f.rem + areas * sample.div_f.mean ** 2,
-            sample.f.rem + _linear_norms_sq(d, areas), d)
+    return div_f.rem + areas * div_f.mean ** 2, sample.f.rem + _linear_norms_sq(d, areas)
 
 
 def _jump_ends(solution, kappa, edges):
@@ -203,12 +207,15 @@ def _jump_norms(solution, coefficients, edges):
 
 
 def element_residuals(solution, problem, tri_id):
-    """L2 norms of the two element residuals on one triangle."""
+    """L2 norms of the two element residuals on one triangle, from the
+    problem's sample at its :func:`edge_fem.error_points`, reduced by the
+    drivers' one reducer (``edge_fem._reduce_blocks``) on that one row."""
     _check_id(tri_id, solution.mesh.num_triangles, "triangle")
-    mesh, tris = solution.mesh, [tri_id]
-    sample = _reduce_block(problem.sample(error_points(mesh, tris)), mesh.areas[tris],
-                           ("div_f", "f"))
-    r1, r2 = _residual_norms(solution, problem.coefficients.kappa, sample, tris)[:2]
+    mesh, tris = solution.mesh, np.array([tri_id])
+    fields = [name for name in ("div_f", "f") if getattr(problem, name) is not None]
+    sample = _reduce_blocks(mesh.areas[tris],
+                            lambda rows: problem.sample(error_points(mesh, tris[rows])), fields)
+    r1, r2 = _residual_norms(solution, problem.coefficients.kappa, sample, tris)
     return float(np.sqrt(r1[0])), float(np.sqrt(r2[0]))
 
 
@@ -253,7 +260,7 @@ def indicator(solution, problem, kind=EstimatorKind.ROBUST, sample=None):
     mesh, coeffs = solution.mesh, problem.coefficients
     sample = (_mesh_sample(problem, mesh) if sample is None
               else _reduced(mesh, sample, ("div_f", "f")))
-    r1, r2 = _residual_norms(solution, coeffs.kappa, sample)[:2]
+    r1, r2 = _residual_norms(solution, coeffs.kappa, sample)
     sample = None  # a reduction made here is freed before the jumps
     edges = np.nonzero(~mesh.is_boundary_edge)[0]
     j1, j2 = _jump_norms(solution, coeffs, edges)
@@ -273,9 +280,10 @@ def oscillations(solution, problem):
     kappa = problem.coefficients.kappa
     sizes = weighted_sizes(mesh, problem.coefficients)
     sample = _mesh_sample(problem, mesh)
-    _, _, d = _residual_norms(solution, kappa, sample)
+    d = _projection(sample.f.y, mesh.areas)
+    d -= kappa * solution.vertex_vectors
     d -= _vertex_sum(d)[:, None] / 3
-    element_part1 = sizes.element_size ** 2 * sample.div_f.rem
+    element_part1 = sizes.element_size ** 2 * _div_f(sample).rem
     element_part2 = sizes.hbar_element ** 2 * (sample.f.rem + _linear_norms_sq(d, mesh.areas))
 
     # J1 is linear along each edge, from a to b: its distance from the

@@ -1,7 +1,8 @@
 """Sparse matrices and a preconditioned conjugate gradient solver.
 
 Every matrix is a ``scipy.sparse.csr_matrix`` with sorted, unique column
-indices per row; products, the diagonal and the transpose are scipy's.
+indices per row, as ``edge_fem._csr``, the one builder of A, G and P,
+makes them; products, the diagonal and the transpose are scipy's.
 
 Each level of the preconditioner is Hiptmair's hybrid smoother for
 H(curl) (SIAM J. Numer. Anal. 36, 1999), ``S r = r / diag(A) + G ((G^T r)

@@ -9,11 +9,10 @@ keys once.
 :func:`from_triplets` canonicalises the entry order (row, column, then
 value) before summing duplicates, so its result is bit-identical for any
 permutation of the input.  The package builds its matrices without it:
-``edge_fem.DofMap.scatter`` hands the Galerkin matrix's triplets to
-scipy's COO-to-CSR conversion, which sums the duplicates (at most two
-terms each, so their order cannot change a bit), and
-``edge_fem.discrete_gradient`` still writes its already sorted rows
-directly.
+``edge_fem._csr`` hands the triplets of the Galerkin matrix, the discrete
+gradient and the prolongations to scipy's COO-to-CSR conversion, which
+sorts each row and sums the duplicates (at most two terms each, so their
+order cannot change a bit).
 :func:`edge_rule` integrates along edges, where the estimators use closed
 forms.
 :func:`galerkin_residual` tests the discrete variational identity by

@@ -10,11 +10,12 @@ import functools
 import numpy as np
 import pytest
 
-from curladapt.edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _reduced,
-                                energy_error, error_points, solve)
+from curladapt import mesh as mesh_module
+from curladapt.edge_fem import (_Reduced, _linear_norms_sq, _mesh_sample, _projection,
+                                _reduce_blocks, _reduced, energy_error, error_points, solve)
 from curladapt.estimators import element_residuals, indicator, oscillations
 from curladapt.mesh import (OMEGA1, OMEGA2, bisect_refine, build_structured_unit_square,
-                            tag_regions)
+                            red_refine, tag_regions)
 from curladapt.problems import (CoefficientField, ManufacturedProblem, interface_problem,
                                 verify_consistency)
 from reference import (bisected_two_region_mesh, point_energy_error, point_oscillation_parts,
@@ -213,3 +214,28 @@ def test_a_reduced_sample_of_another_mesh_is_refused():
         energy_error(solution, problem.coefficients, sample.u, values.curl_u)
     with pytest.raises(ValueError, match="u and curl u must both"):
         energy_error(solution, problem.coefficients, values.u, sample.curl_u)
+
+
+@pytest.mark.parametrize("block", [None, 4], ids=["default", "4"])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_a_row_range_reduces_to_the_same_rows_of_the_whole_mesh(monkeypatch, name, block):
+    # the one reducer over rows 2048-6143 of the 32,768-triangle red level
+    # alone gives those rows of the drivers' whole-mesh sample, byte for
+    # byte: the range starts at a multiple of 4 rows, as the gemv of
+    # _element_norms_sq groups them (test_block_size_changes_no_bit)
+    problem = PROBLEMS[name]
+    mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+    for _ in range(5):
+        mesh = red_refine(mesh)
+    assert mesh.num_triangles == 32_768
+    if block is not None:
+        monkeypatch.setattr(mesh_module, "_BLOCK", block)
+    whole = _mesh_sample(problem, mesh)
+    # the fields _mesh_sample reduces: a trig problem's u is f / kappa
+    fields = ("f", "div_f") if problem._trig_field() else _Reduced._fields
+    tris = np.arange(2048, 6144)
+    part = _reduce_blocks(mesh.areas[tris],
+                          lambda rows: problem.sample(error_points(mesh, tris[rows])), fields)
+    for field in fields:
+        for got, full in zip(getattr(part, field)[:2], getattr(whole, field)[:2]):
+            assert got.dtype == full.dtype and got.tobytes() == full[tris].tobytes(), field
