@@ -90,10 +90,11 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
     records = []
     iteration = 0
     eta_prev = None
-    x0 = None
+    x0 = sample = None
     while True:
         target = None if eta_prev is None else ALGEBRAIC_FRACTION * eta_prev / 4
-        sample = edge_fem._mesh_sample(problem, mesh)
+        # the rows of the triangles bisection kept are carried from the last sample
+        sample = edge_fem._mesh_sample(problem, mesh, sample)
         solution = edge_fem.solve(mesh, problem.coefficients, sample,
                                   rel_tol=None, energy_target=target, x0=x0)
         x0 = None  # not needed past the solve; freed before the estimator's peak memory
@@ -110,17 +111,16 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
                                           sample.u, sample.curl_u)
         else:
             error = float("nan")
-        sample = None  # freed before bisection
         n_dofs = solution.dofmap.n_free
         marked = doerfler_mark(breakdown.total, theta) if n_dofs < max_dofs else set()
         records.append(AdaptiveRecord(iteration, mesh.num_triangles, n_dofs,
                                       eta, error, len(marked)))
         if not marked:
             return records
+        breakdown = None  # freed before bisection, which the sample outlives
         mesh = bisect_refine(mesh, marked)
         x0 = edge_fem.prolongate(solution, mesh)
-        # freed before the next mesh is sampled and assembled
-        solution = breakdown = marked = None
+        solution = marked = None  # freed before the next mesh is sampled and assembled
         eta_prev = eta
         iteration += 1
 

@@ -25,9 +25,10 @@ from one builder, :func:`_csr`: scipy's conversion of int32 triplets.
 The problem is read at one point set per mesh, :func:`error_points`, and
 reduced there to a few numbers per element at once by one reducer,
 :func:`_reduce_blocks`, one block of ``mesh._BLOCK`` rows at a time, so
-that no point value outlives its block: on the whole mesh for the
-drivers' one sample per mesh (:func:`_mesh_sample`), on any range of rows
-for ``estimators.element_residuals`` (one row).  A vector
+that no point value outlives its block: on the drivers' one sample per
+mesh (:func:`_mesh_sample`), whose triangles that bisection keeps carry
+their rows over from the last mesh, and on any set of rows, such as the
+one row of ``estimators.element_residuals``.  A vector
 field v keeps its moments ``y_i = |T| sum_q w_q lam_qi v_q`` (T, 3, 2) and
 the remainder ``||v - Pi v||^2`` of its discrete L2 projection onto linear
 fields, ``Pi v = sum_i lam_i p_i`` with ``p = (12/|T|) (y - sum_j y_j / 4)``
@@ -47,12 +48,12 @@ orthogonal to every linear field, and ``int_T |sum_i lam_i d_i|^2 = |T|/12
 :func:`energy_error` and the estimators' R1, R2 and oscillations are such
 sums of nonnegative parts, equal to the quadrature of the points up to
 rounding.  Values at the points handed to them are reduced the same way
-first, and refused in any other shape (:func:`_reduced`).  The block size
-is a power of two, so every block starts at a multiple of 4 rows, as the
-gemv of OpenBLAS that reduces ``squares @ weights`` in
-:func:`_element_norms_sq` groups them: the reduction is then bit-identical
-to one pass over the whole mesh, where blocks of a row count that is not a
-multiple of 4 move some norms in the last bit.
+first, and refused in any other shape (:func:`_reduced`).  Every
+reduction is row-local: a row's numbers are the same bytes whatever the
+rows reduced with it, so neither the block size nor a carried row moves a
+bit.  The quadrature sums are ``einsum`` loops for that reason; the gemv
+of OpenBLAS (``values @ weights``) rounds the last ``n mod 4`` rows of a
+call differently.
 
 A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
 (:func:`prolongate`).  On each coarse element P it is linear with a
@@ -229,7 +230,7 @@ def _element_norms_sq(values, areas):
     """Squared L2 norms per element of samples (T, Q) or (T, Q, 2) at the
     points of ``_ERROR_RULE``."""
     squares = values ** 2 if values.ndim == 2 else values[..., 0] ** 2 + values[..., 1] ** 2
-    return squares @ _ERROR_RULE.weights * areas
+    return np.einsum("tq,q->t", squares, _ERROR_RULE.weights) * areas
 
 
 def _weighted_count(index, weights, n):
@@ -565,7 +566,7 @@ def _reduce_vector(values, areas):
 def _reduce_scalar(values, areas):
     """``values`` (N, Q) at the points of ``_ERROR_RULE`` on N elements
     with ``areas``, reduced to a :class:`_Mean`."""
-    mean = values @ _ERROR_RULE.weights
+    mean = np.einsum("tq,q->t", values, _ERROR_RULE.weights)
     return _Mean(mean, _element_norms_sq(values - mean[:, None], areas))
 
 
@@ -588,17 +589,40 @@ def _reduce_blocks(areas, block_at, fields):
     return reduced
 
 
-def _mesh_sample(problem, mesh):
+def _mesh_sample(problem, mesh, previous=None):
     """The drivers' one sample of ``problem`` on ``mesh``:
     ``problem.sample(error_points(mesh))``, taken and reduced one block of
     ``mesh._BLOCK`` triangles at a time, so that no point value outlives
     its block.  Of a trig problem (``ManufacturedProblem._trig_field``)
-    only f and div f are reduced; its curl u is a zero of no memory."""
+    only f and div f are reduced; its curl u is a zero of no memory.
+
+    Given ``previous``, this sample of the mesh that ``mesh`` bisects, the
+    rows of the unrefined copies, the triangles whose parent
+    (``mesh.parent_ids``) has no other child, are gathered from it, and
+    only the new triangles are sampled.  Every reduction is row-local, so
+    a gathered row holds the bytes that sampling it again gives."""
     trig = problem._trig_field()
     fields = ("f", "div_f") if trig else [name for name in _Reduced._fields
                                           if getattr(problem, name) is not None]
-    reduced = _reduce_blocks(mesh.areas, lambda rows: problem.sample(error_points(mesh, rows)),
-                             fields)
+    tris = np.arange(mesh.num_triangles)
+    if previous is not None:
+        parents = mesh.parent_ids
+        n = parents.max(initial=-1) + 1
+        if parents.min(initial=0) < 0 or any(getattr(previous, name) is None or np.shape(
+                getattr(previous, name).rem) != (n,) for name in fields):
+            raise ValueError(f"the previous sample must hold {', '.join(fields)} on each "
+                             f"triangle of the parent mesh ({n} triangles)")
+        tris = np.flatnonzero(np.bincount(parents)[parents] != 1)
+    reduced = _reduce_blocks(mesh.areas[tris],
+                             lambda rows: problem.sample(error_points(mesh, tris[rows])), fields)
+    if previous is not None:
+        carried = {}
+        for name in fields:
+            arrays = [old[parents] for old in getattr(previous, name)[:2]]
+            for whole, new in zip(arrays, getattr(reduced, name)):
+                whole[tris] = new
+            carried[name] = type(getattr(reduced, name))(*arrays)
+        reduced = reduced._replace(**carried)
     if trig is None or problem.u is None:
         return reduced
     zero = np.broadcast_to(0.0, reduced.f.rem.shape)

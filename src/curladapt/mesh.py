@@ -30,8 +30,8 @@ _LOCAL_EDGES = [(0, 1), (1, 2), (2, 0)]
 # rotation that brings local refinement edge r into local position 1
 _CANONICAL_ROT = np.array([(2, 0, 1), (0, 1, 2), (1, 2, 0)])
 
-# rows per block of the per-point kernels (``_blocks``); a power of two, so
-# that blocked reductions round as unblocked ones (see ``edge_fem``)
+# rows per block of the per-point kernels (``_blocks``); any size reduces
+# to the same bytes, as every reduction is row-local (see ``edge_fem``)
 _BLOCK = 2048
 
 

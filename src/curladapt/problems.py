@@ -9,7 +9,8 @@ Where the fields are read: the drivers take one
 :meth:`ManufacturedProblem.sample` per mesh, at ``edge_fem.error_points``
 and before the solve, one block of ``mesh._BLOCK`` triangles at a time,
 and reduce each block at once to a few numbers per element
-(``edge_fem._mesh_sample``), so no point value outlives its block.  The
+(``edge_fem._mesh_sample``), so no point value outlives its block; the
+adaptive driver samples only the triangles that bisection made.  The
 load, ``edge_fem.energy_error`` and the estimators read only that reduced
 sample.  Every sample is a :class:`_Sample`.  The trig fields of
 :func:`paper_problem` and :func:`interface_problem` share one set of

@@ -1,5 +1,4 @@
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -221,20 +220,36 @@ def test_adaptive_smooth_run_is_frozen():
     assert records_digest(records) == FROZEN_SMOOTH_RUN_DIGEST
 
 
+def sampled_once(meshes):
+    """The point sets (N, 16), in order, that sample each triangle of the
+    bisection sequence ``meshes`` once in its life, below one block per
+    mesh: the first mesh whole, then the triangles of each mesh whose
+    vertex triple its predecessor lacks (a child of a bisected triangle
+    holds a new midpoint)."""
+    shapes, before = [], set()
+    for mesh in meshes:
+        triples = set(map(tuple, mesh.triangles.tolist()))
+        shapes.append((len(triples - before), 16))
+        before = triples
+    return shapes
+
+
 def test_adaptive_solve_samples_the_problem_once_per_mesh(monkeypatch):
-    # per mesh: one sample at the 16 degree-6 points, which every load,
-    # every estimate (the resumed ones too) and the energy error read
+    # one sample at the 16 degree-6 points per triangle, which every load,
+    # every estimate (the resumed ones too) and the energy error of every
+    # mesh it lives in read: bisection carries the rows of the triangles
+    # it keeps
     problem, shapes = counting_trig_problem(interface_problem(1e4, 1.0, 1.0))
-    solves = []
+    meshes = []
     solve, estimate = edge_fem.solve, amr.indicator
 
     def solve_spy(mesh, *args, **kwargs):
-        solves.append(mesh.num_triangles)
+        meshes.append(mesh)
         return solve(mesh, *args, **kwargs)
 
     def indicator_spy(solution, problem, kind, sample):
         breakdown = estimate(solution, problem, kind, sample)
-        if len(solves) == 2:  # first estimate on the second mesh: force a resume
+        if len(meshes) == 2:  # first estimate on the second mesh: force a resume
             breakdown = dataclasses.replace(breakdown, r1=breakdown.r1 / 100,
                                             r2=breakdown.r2 / 100, j1=breakdown.j1 / 100,
                                             j2=breakdown.j2 / 100)
@@ -243,17 +258,30 @@ def test_adaptive_solve_samples_the_problem_once_per_mesh(monkeypatch):
     monkeypatch.setattr(edge_fem, "solve", solve_spy)
     monkeypatch.setattr(amr, "indicator", indicator_spy)
     records = adaptive_solve(problem, max_dofs=300)
-    assert len(solves) == len(records) + 1 and len(records) >= 4
-    assert Counter(shapes) == Counter((r.n_elements, 16) for r in records)
+    assert len(meshes) == len(records) + 1 and len(records) >= 4
+    assert meshes[1] is meshes[2]  # the resumed mesh
+    del meshes[2]
+    assert [m.num_triangles for m in meshes] == [r.n_elements for r in records]
+    assert shapes[0] == (32, 16) and shapes == sampled_once(meshes)
 
 
-def test_adaptive_solve_samples_a_problem_without_exact_solution_once_per_mesh():
+def test_adaptive_solve_samples_a_problem_without_exact_solution_once_per_mesh(monkeypatch):
     # f and div f alone take the trig field's one pass too, not one each
     problem, shapes = counting_trig_problem(interface_problem(1e4, 1.0, 1.0))
     problem = dataclasses.replace(problem, u=None, curl_u=None)
+    meshes = []
+    bisect = amr.bisect_refine
+
+    def bisect_spy(mesh, marked):
+        meshes[:] = meshes or [mesh]
+        meshes.append(bisect(mesh, marked))
+        return meshes[-1]
+
+    monkeypatch.setattr(amr, "bisect_refine", bisect_spy)
     records = adaptive_solve(problem, max_dofs=300)
     assert len(records) >= 4 and all(np.isnan(r.error) for r in records)
-    assert Counter(shapes) == Counter((r.n_elements, 16) for r in records)
+    assert [m.num_triangles for m in meshes] == [r.n_elements for r in records]
+    assert shapes[0] == (32, 16) and shapes == sampled_once(meshes)
 
 
 def test_adaptive_solve_warm_starts_from_the_prolongated_field(monkeypatch):

@@ -55,9 +55,11 @@ def kernel_outputs(mesh, problem, solution):
     }
 
 
-@pytest.mark.parametrize("block", [4, 64, None, 1 << 20], ids=["4", "64", "default", "above-T"])
+@pytest.mark.parametrize("block", [3, 4, 64, 1000, None, 1 << 20],
+                         ids=["3", "4", "64", "1000", "default", "above-T"])
 def test_block_size_changes_no_bit(monkeypatch, block):
-    # power-of-two blocks: every block starts at a multiple of 4 rows
+    # every reduction is row-local, so no block size moves a bit, odd ones
+    # neither
     problem = interface_problem(1e2, 1.0, 3.0)
     mesh = bisected_two_region_mesh(problem)
     solution = random_field(mesh, 5)

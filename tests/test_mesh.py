@@ -171,6 +171,32 @@ def test_bisect_chain_keeps_invariants():
         check_invariants(mesh)
 
 
+@pytest.mark.parametrize("start", [
+    lambda: build_structured_unit_square(2),
+    lambda: tag_regions(build_structured_unit_square(4),
+                        lambda x: np.where(x[..., 0] < 0.5, 1, 2))], ids=["square", "tagged"])
+def test_bisect_keeps_a_triangle_with_one_child_bit_for_bit(start):
+    # the seed-7 chain: a triangle whose parent has no other child is that
+    # parent, the data a sample carries over (edge_fem._mesh_sample) with it
+    rng = np.random.default_rng(7)
+    mesh = start()
+    for _ in range(6):
+        marked = rng.choice(mesh.num_triangles, size=max(1, mesh.num_triangles // 4),
+                            replace=False)
+        fine = bisect_refine(mesh, set(marked))
+        counts = np.bincount(fine.parent_ids, minlength=mesh.num_triangles)
+        # every parent has 1 to 4 children, a marked one at least 2
+        assert ((1 <= counts) & (counts <= 4)).all() and (counts[marked] >= 2).all()
+        kept = np.flatnonzero(counts[fine.parent_ids] == 1)
+        parents = fine.parent_ids[kept]
+        assert 0 < len(kept) < fine.num_triangles
+        for name in ("triangles", "regions", "refinement_edges", "tri_edge_signs", "areas",
+                     "barycentric_gradients"):
+            a, b = getattr(fine, name)[kept], getattr(mesh, name)[parents]
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        mesh = fine
+
+
 def _mesh_digest(mesh):
     h = hashlib.sha256()
     for arr in (mesh.vertices, mesh.triangles, mesh.refinement_edges,

@@ -10,7 +10,9 @@ import functools
 import numpy as np
 import pytest
 
+from curladapt import edge_fem
 from curladapt import mesh as mesh_module
+from curladapt.amr import adaptive_solve
 from curladapt.edge_fem import (_Reduced, _linear_norms_sq, _mesh_sample, _projection,
                                 _reduce_blocks, _reduced, energy_error, error_points, solve)
 from curladapt.estimators import element_residuals, indicator, oscillations
@@ -216,26 +218,109 @@ def test_a_reduced_sample_of_another_mesh_is_refused():
         energy_error(solution, problem.coefficients, values.u, sample.curl_u)
 
 
-@pytest.mark.parametrize("block", [None, 4], ids=["default", "4"])
+def bisected_red_level(mesh):
+    """``mesh`` bisected at every fifth triangle, and the ids of the
+    triangles it does not keep, scattered over the bisected mesh."""
+    fine = bisect_refine(mesh, set(range(0, mesh.num_triangles, 5)))
+    return fine, np.flatnonzero(np.bincount(fine.parent_ids)[fine.parent_ids] != 1)
+
+
+ROW_SETS = {"range": lambda mesh: (mesh, np.arange(2048, 6144)),
+            "unaligned-range": lambda mesh: (mesh, np.arange(2049, 6142)),
+            "scattered": bisected_red_level}
+
+
+@pytest.mark.parametrize("rows, block", [("range", None), ("range", 4),
+                                         ("unaligned-range", None), ("scattered", None)],
+                         ids=["default", "4", "unaligned-range", "scattered"])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_a_row_range_reduces_to_the_same_rows_of_the_whole_mesh(monkeypatch, name, block):
-    # the one reducer over rows 2048-6143 of the 32,768-triangle red level
-    # alone gives those rows of the drivers' whole-mesh sample, byte for
-    # byte: the range starts at a multiple of 4 rows, as the gemv of
-    # _element_norms_sq groups them (test_block_size_changes_no_bit)
+def test_a_row_range_reduces_to_the_same_rows_of_the_whole_mesh(monkeypatch, name, rows,
+                                                                 block):
+    # the one reducer over a set of rows of the 32,768-triangle red level,
+    # or of its bisection, alone gives those rows of the drivers'
+    # whole-mesh sample, byte for byte, wherever the set starts: every
+    # reduction is row-local
     problem = PROBLEMS[name]
     mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
     for _ in range(5):
         mesh = red_refine(mesh)
     assert mesh.num_triangles == 32_768
+    mesh, tris = ROW_SETS[rows](mesh)
     if block is not None:
         monkeypatch.setattr(mesh_module, "_BLOCK", block)
     whole = _mesh_sample(problem, mesh)
     # the fields _mesh_sample reduces: a trig problem's u is f / kappa
     fields = ("f", "div_f") if problem._trig_field() else _Reduced._fields
-    tris = np.arange(2048, 6144)
     part = _reduce_blocks(mesh.areas[tris],
                           lambda rows: problem.sample(error_points(mesh, tris[rows])), fields)
     for field in fields:
         for got, full in zip(getattr(part, field)[:2], getattr(whole, field)[:2]):
             assert got.dtype == full.dtype and got.tobytes() == full[tris].tobytes(), field
+
+
+def assert_same_bytes(actual, expected):
+    """Two reduced samples hold the same fields, arrays of the same dtype
+    and bytes, and scales."""
+    assert [part is None for part in actual] == [part is None for part in expected]
+    for got, want in zip(filter(None, actual), filter(None, expected)):
+        assert type(got) is type(want)
+        for a, b in zip(got, want):
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            else:
+                assert a == b
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_the_carried_sample_is_the_fresh_sample_byte_for_byte(name):
+    # the seeded bisection chain of the mesh tests, on the tagged 4x4
+    # square until it spans more than two blocks: each sample carried from
+    # the last one is the sample the mesh takes afresh
+    problem = PROBLEMS[name]
+    rng = np.random.default_rng(7)
+    mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+    sample = _mesh_sample(problem, mesh)
+    while mesh.num_triangles <= 2 * mesh_module._BLOCK:
+        marked = rng.choice(mesh.num_triangles, size=max(1, mesh.num_triangles // 4),
+                            replace=False)
+        mesh = bisect_refine(mesh, set(marked))
+        sample = _mesh_sample(problem, mesh, sample)
+        assert_same_bytes(sample, _mesh_sample(problem, mesh))
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_the_adaptive_driver_carries_the_fresh_sample(monkeypatch, name):
+    problem = PROBLEMS[name]
+    carried = []
+    sample_of = _mesh_sample
+
+    def spy(problem, mesh, previous=None):
+        carried.append((mesh, previous is not None, sample_of(problem, mesh, previous)))
+        return carried[-1][2]
+
+    monkeypatch.setattr(edge_fem, "_mesh_sample", spy)
+    adaptive_solve(problem, max_dofs=3000)
+    assert [was_carried for _, was_carried, _ in carried] == [False] + [True] * (len(carried) - 1)
+    assert len(carried) >= 5
+    for mesh, _, sample in carried:
+        assert_same_bytes(sample, sample_of(problem, mesh))
+
+
+def test_a_previous_sample_of_another_mesh_is_refused():
+    problem = PROBLEMS["plain-callables"]
+    mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
+    sample = _mesh_sample(problem, mesh)
+    fine = bisect_refine(mesh, {0, 7})
+    for wrong in (_mesh_sample(problem, fine), sample._replace(div_f=None)):
+        with pytest.raises(ValueError, match="the previous sample must hold u, curl_u, f, div_f"):
+            _mesh_sample(problem, fine, wrong)
+    # a mesh that refines no other has no parent to carry a row from
+    with pytest.raises(ValueError, match="the previous sample must hold"):
+        _mesh_sample(problem, mesh, sample)
+    # a trig problem reduces f and div f, and carries those two
+    trig = PROBLEMS["trig"]
+    trig_sample = _mesh_sample(trig, mesh)
+    assert_same_bytes(_mesh_sample(trig, fine, trig_sample._replace(u=None, curl_u=None)),
+                      _mesh_sample(trig, fine))
+    with pytest.raises(ValueError, match="the previous sample must hold f, div_f"):
+        _mesh_sample(trig, fine, trig_sample._replace(f=None))
