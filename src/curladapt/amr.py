@@ -80,10 +80,8 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     mesh = build_structured_unit_square(4)
-    if problem.classifier is not None:
-        if problem.interface_abscissa is not None:
-            check_interface_alignment(mesh, problem.interface_abscissa)
-        mesh = tag_regions(mesh, problem.classifier)
+    check_interface_alignment(mesh, problem.classifier)
+    mesh = tag_regions(mesh, problem.classifier)
     if not mesh.num_interior_edges < max_dofs < np.inf:
         raise ValueError("max_dofs must be finite and exceed the initial dof count")
 

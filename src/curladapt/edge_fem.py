@@ -419,7 +419,7 @@ def _fine_edges(coarse, mesh):
     in, the offset of its midpoint from p's first vertex, and its tangent
     ``head - tail``."""
     parents = mesh.parent_ids
-    if ((parents < 0) | (parents >= coarse.num_triangles)).any():
+    if parents.min() < 0 or parents.max() + 1 != coarse.num_triangles:
         raise ValueError("mesh.parent_ids do not index the triangles of the coarse mesh")
     free = ~mesh.is_boundary_edge
     p = parents[mesh.edge_tris[free, 0]]

@@ -2,8 +2,9 @@
 
 Analytic fields are plain callables vectorised over numpy arrays: vector
 fields (u, f) map points of shape (..., 2) to values of shape (..., 2),
-scalar fields (curl u, div f and the region classifier) to shape (...,).
-They must be pure, so problems can be shared freely across threads.
+scalar fields (curl u, div f and the region classifier, a problem's one
+description of its regions) to shape (...,).  They must be pure, so
+problems can be shared freely across threads.
 
 Where the fields are read: the drivers take one
 :meth:`ManufacturedProblem.sample` per mesh, at ``edge_fem.error_points``
@@ -53,10 +54,7 @@ class CoefficientField:
                 raise ValueError("two-phase fields require eps(region 1) >= eps(region 2)")
 
     def eps_of(self, region):
-        try:
-            return self.eps[int(_integers(region, "region tag"))]
-        except KeyError:
-            raise ValueError(f"no eps value for region tag {region}") from None
+        return float(self.eps_by_region(np.atleast_1d(_integers(region, "region tag")))[0])
 
     def eps_by_region(self, regions):
         """Vectorised lookup: eps value per element for a region-tag array."""
@@ -84,20 +82,26 @@ class _Sample(NamedTuple):
     div_f: np.ndarray
 
 
+def _one_region(x):
+    return np.full(np.shape(x)[:-1], OMEGA1)
+
+
 @dataclass(frozen=True)
 class ManufacturedProblem:
     """Analytic solution bundle: u, its scalar curl, the source f = eps
-    curl*(curl u) + kappa u and div f, all as vectorised callables."""
+    curl*(curl u) + kappa u, div f and the classifier from points to keys of
+    ``coefficients.eps``, all vectorised; it is ``OMEGA1`` if left out or None."""
     coefficients: CoefficientField
     u: object
     curl_u: object
     f: object
     div_f: object
     tag: str
-    classifier: object = None          # points (..., 2) -> region tags (...), None = one region
-    interface_abscissa: float = None   # x-coordinate of the phase interface, if any
+    classifier: object = None
 
     def __post_init__(self):
+        if self.classifier is None:
+            object.__setattr__(self, "classifier", _one_region)
         if self.f is None:
             raise ValueError(f"problem {self.tag} must provide its source f")
         if (self.u is None) != (self.curl_u is None):
@@ -185,14 +189,13 @@ def paper_problem(eps, kappa):
 
 
 def interface_problem(eps1, eps2, kappa, split=0.5):
-    """Two-phase problem: eps jumps across the vertical line x1 = split.
+    """Two-phase problem: eps1 on ``OMEGA1``, left of the vertical line x1 =
+    split, and eps2 on ``OMEGA2``, right of it, as its classifier tags them.
 
     Reuses the curl-free reference solution, whose source ``f = kappa u``
     stays consistent for any piecewise eps because the curl term vanishes
     identically; the discrete solution still produces eps-weighted curl
-    jumps across the interface, which is what exercises estimator
-    robustness.
-    """
+    jumps across the interface, which exercises estimator robustness."""
     split = float(split)
     if not 0 < split < 1:
         raise ValueError(f"split must lie in (0, 1), got {split}")
@@ -203,19 +206,21 @@ def interface_problem(eps1, eps2, kappa, split=0.5):
         u=trig.u, curl_u=trig.curl_u, f=trig.f, div_f=trig.div_f,
         tag=f"interface(eps1={eps1:g},eps2={eps2:g},kappa={kappa:g})",
         classifier=lambda x: np.where(x[..., 0] < split, OMEGA1, OMEGA2),
-        interface_abscissa=split,
     )
 
 
-def check_interface_alignment(mesh, split):
-    """Raise if any triangle straddles the vertical line x1 = split; a
-    vertex within 1e-12 of the line counts as on it."""
-    x = mesh.vertices[mesh.triangles][:, :, 0]
-    straddles = (x.min(axis=1) < split - 1e-12) & (x.max(axis=1) > split + 1e-12)
-    if straddles.any():
-        bad = int(np.nonzero(straddles)[0][0])
-        raise ValueError(f"interface x1={split} is not aligned with the mesh "
-                         f"(triangle {bad} crosses it)")
+def check_interface_alignment(mesh, classifier):
+    """Raise if ``classifier`` tags a triangle of ``mesh`` two ways: at its
+    centroid, which ``mesh.tag_regions`` reads, and 1e-9 of the way from each
+    corner to it, so a vertex on a region boundary counts as on it.  A curve
+    that parts none of these points (one bulging through an edge) is missed."""
+    centroids, corners = mesh.centroids[:, None], mesh.vertices[mesh.triangles]
+    points = np.concatenate([centroids, corners + 1e-9 * (centroids - corners)], axis=1)
+    tags = np.broadcast_to(classifier(points), points.shape[:-1])
+    mixed = np.flatnonzero((tags != tags[:, :1]).any(axis=1))
+    if len(mixed):
+        raise ValueError(f"the regions are not aligned with the mesh: triangle {mixed[0]} "
+                         f"lies in regions {sorted(set(tags[mixed[0]].tolist()))}")
 
 
 def default_solver_tol(problem):
@@ -277,14 +282,13 @@ def verify_consistency(problem):
     n_samples, fd_step, tol, boundary_tol = 100, 1e-5, 1e-6, 1e-12
     rng = np.random.default_rng(20240901)
     coeffs = problem.coefficients
-    classify = problem.classifier or (lambda x: np.full(x.shape[:-1], OMEGA1))
 
     margin = 0.01
     candidates = margin + (1 - 2 * margin) * rng.random((100 * n_samples, 2))
     offsets = np.array([(0, 0), (fd_step, 0), (-fd_step, 0), (0, fd_step), (0, -fd_step),
                         (2 * fd_step, 0), (-2 * fd_step, 0), (0, 2 * fd_step),
                         (0, -2 * fd_step)])
-    tags = classify(candidates[:, None, :] + offsets)
+    tags = problem.classifier(candidates[:, None, :] + offsets)
     keep = np.nonzero((tags == tags[:, :1]).all(axis=1))[0][:n_samples]
     if len(keep) < n_samples:
         raise RuntimeError("could not sample enough interior points away from the interface")

@@ -196,10 +196,8 @@ def run_table(config):
     problem = config.make_problem()
     solver_tol = config.solver_tol or default_solver_tol(problem)
     mesh = build_structured_unit_square(config.initial_n)
-    if problem.classifier is not None:
-        if problem.interface_abscissa is not None:
-            check_interface_alignment(mesh, problem.interface_abscissa)
-        mesh = tag_regions(mesh, problem.classifier)
+    check_interface_alignment(mesh, problem.classifier)
+    mesh = tag_regions(mesh, problem.classifier)
 
     rows = []
     hierarchy = edge_fem.Hierarchy()

@@ -26,6 +26,8 @@ the problem on each element first and uses closed forms.
 :func:`bisected_two_region_mesh` and :func:`random_field` build a mesh of
 several blocks and a field on it for the tests of the blocks and of the
 reduction.
+:func:`horizontal_split` and :func:`checkerboard` are region layouts that
+no vertical split describes.
 """
 
 import dataclasses
@@ -114,6 +116,18 @@ def galerkin_residual(solution, problem):
     curl_diff = np.einsum("q,tq->t", rule.weights, dcurl)
     curl_part = (eps_t * mesh.areas * curl_diff)[:, None] * basis_curls
     return solution.dofmap.scatter(mass_part + curl_part)
+
+
+def horizontal_split(x):
+    """The classifier of the halves below and above x2 = 1/2."""
+    return np.where(x[..., 1] < 0.5, mesh_module.OMEGA1, mesh_module.OMEGA2)
+
+
+def checkerboard(x):
+    """The classifier of the four quadrants of the unit square: ``OMEGA1``
+    on the lower left and the upper right, ``OMEGA2`` on the other two."""
+    return np.where((x[..., 0] < 0.5) == (x[..., 1] < 0.5), mesh_module.OMEGA1,
+                    mesh_module.OMEGA2)
 
 
 def bisected_two_region_mesh(problem):

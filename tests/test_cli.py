@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from curladapt import edge_fem
 from curladapt.cli import main
 
 
@@ -47,6 +48,18 @@ def test_invalid_arguments_exit_nonzero(capsys):
     code = main(["run-table", "--problem", "interface", "--levels", "2"])
     assert code != 0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run-table", "run-adaptive"])
+def test_misaligned_regions_are_refused_before_any_solve(monkeypatch, capsys, command):
+    # the 4x4 start mesh has grid lines at x1 = 0.25 and 0.5, not at 0.3
+    calls = []
+    monkeypatch.setattr(edge_fem, "solve", lambda *args, **kwargs: calls.append(args))
+    code = main([command, "--problem", "interface", "--eps1", "10", "--eps2", "1",
+                 "--split", "0.3"])
+    assert code == 1
+    assert "not aligned" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_run_sweep(tmp_path, capsys):

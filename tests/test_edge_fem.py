@@ -748,7 +748,8 @@ def test_prolongation_refuses_a_mesh_not_refined_from_the_solution_mesh():
     coarse = gradient_test_mesh(True)
     solution = random_solution(coarse, 3)
     for mesh in (build_structured_unit_square(4),  # root mesh: -1
-                 red_refine(red_refine(coarse))):   # ids of the middle mesh
+                 red_refine(red_refine(coarse)),    # ids of the middle mesh
+                 bisect_refine(coarse, set())):     # coarse itself: ids of its parent
         with pytest.raises(ValueError, match="parent_ids"):
             prolongate(solution, mesh)
         with pytest.raises(ValueError, match="parent_ids"):
@@ -769,7 +770,7 @@ def test_prolongation_matrix_is_prolongate(case):
 def red_levels(problem, levels):
     """The first ``levels`` red-refined meshes of the drivers' 4x4 start."""
     mesh = build_structured_unit_square(4)
-    meshes = [tag_regions(mesh, problem.classifier) if problem.classifier else mesh]
+    meshes = [tag_regions(mesh, problem.classifier)]
     for _ in range(levels - 1):
         meshes.append(red_refine(meshes[-1]))
     return meshes
@@ -853,7 +854,7 @@ def uniform_3008_dof_mesh(problem):
     mesh = build_structured_unit_square(4)
     for _ in range(3):
         mesh = red_refine(mesh)
-    return tag_regions(mesh, problem.classifier) if problem.classifier else mesh
+    return tag_regions(mesh, problem.classifier)
 
 
 @pytest.mark.parametrize("problem, rel_tol, max_ratio", [

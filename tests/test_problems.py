@@ -5,10 +5,11 @@ import pytest
 
 from curladapt.edge_fem import assemble_system, energy_error, error_points, solve
 from curladapt.estimators import edge_jumps
-from curladapt.mesh import build_structured_unit_square, red_refine, tag_regions
+from curladapt.mesh import OMEGA1, OMEGA2, build_structured_unit_square, red_refine, tag_regions
 from curladapt.problems import (CoefficientField, ManufacturedProblem,
                                 check_interface_alignment, interface_problem,
                                 paper_problem, verify_consistency)
+from reference import checkerboard, horizontal_split
 
 
 def test_curl_is_zero_at_random_points():
@@ -189,6 +190,15 @@ def test_a_problem_without_f_or_with_half_the_solution_is_refused(missing, messa
     dataclasses.replace(base, u=None, curl_u=None)
 
 
+@pytest.mark.parametrize("shape", [(2,), (5, 2), (7, 16, 2)])
+def test_the_classifier_defaults_to_one_region(shape):
+    # left out or given as None, it tags every point OMEGA1
+    points = np.random.default_rng(4).random(shape)
+    for problem in (_curl_carrying_problem(1),
+                    dataclasses.replace(interface_problem(1.0, 1.0, 1.0), classifier=None)):
+        assert np.array_equal(problem.classifier(points), np.full(shape[:-1], OMEGA1))
+
+
 def test_sample_calls_plain_callables_once_each():
     base = _curl_carrying_problem(1)
     calls = []
@@ -246,11 +256,20 @@ def test_interface_source_consistent_for_any_jump():
         assert np.abs(problem.f(x) - 5.0 * problem.u(x)).max() == 0.0
 
 
+def disk(x):
+    return np.where(((x - 0.5) ** 2).sum(axis=-1) < 0.1, OMEGA1, OMEGA2)
+
+
 def test_interface_alignment_check():
+    # every layout goes through the one check, on the 4x4 mesh whose grid
+    # lines lie at multiples of 1/4
     mesh = build_structured_unit_square(4)
-    check_interface_alignment(mesh, 0.5)  # grid line: fine
-    with pytest.raises(ValueError):
-        check_interface_alignment(mesh, 0.3)
+    for classifier in (interface_problem(2.0, 1.0, 1.0, 0.5).classifier, horizontal_split,
+                       checkerboard, paper_problem(1.0, 1.0).classifier):
+        check_interface_alignment(mesh, classifier)
+    for classifier in (interface_problem(2.0, 1.0, 1.0, 0.3).classifier, disk):
+        with pytest.raises(ValueError, match="not aligned"):
+            check_interface_alignment(mesh, classifier)
 
 
 def test_interface_curl_jumps_present_on_interface():

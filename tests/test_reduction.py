@@ -64,8 +64,7 @@ def two_phase_curl_problem(eps1, eps2, kappa, split=0.5):
     return ManufacturedProblem(
         coefficients=CoefficientField(eps={OMEGA1: eps1, OMEGA2: eps2}, kappa=kappa),
         u=u, curl_u=curl_u, f=f, div_f=div_f, tag="two-phase-curl",
-        classifier=lambda p: np.where(p[..., 0] < split, OMEGA1, OMEGA2),
-        interface_abscissa=split)
+        classifier=lambda p: np.where(p[..., 0] < split, OMEGA1, OMEGA2))
 
 
 def linear_problem(kappa):

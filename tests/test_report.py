@@ -9,11 +9,13 @@ from curladapt.amr import AdaptiveRecord
 from curladapt.cli import main
 from curladapt.estimators import EstimatorKind, IndicatorBreakdown
 from curladapt.linalg import CgNonConvergence
+from curladapt.mesh import OMEGA1, OMEGA2, load_mesh
 from curladapt.problems import interface_problem, paper_problem
 from curladapt.report import (ConvergenceTable, RunConfig, SweepRow, TableRow,
                               dump_indicators, emit, parse_table_csv, records_to_csv,
                               run_robustness_sweep, run_table, sweep_table)
-from reference import counting_trig_problem
+from reference import (checkerboard, counting_trig_problem, horizontal_split,
+                       records_digest)
 
 
 def test_effectivity_is_arithmetic_mean():
@@ -366,13 +368,29 @@ def test_sweep_refuses_a_late_bad_value_before_any_solve(monkeypatch, ratios, ka
 
 
 def test_run_table_classifier_without_interface_abscissa(monkeypatch):
-    # a two-region problem whose interface is not a straight line x1 = split
-    # has nothing to align; run_table must treat it as adaptive_solve does
-    problem = replace(interface_problem(10.0, 1.0, 1.0), interface_abscissa=None)
+    # a two-region problem whose interface is not a vertical line, here the
+    # horizontal line x2 = 1/2 of the start mesh, is checked against its
+    # classifier like any other and accepted
+    problem = replace(interface_problem(10.0, 1.0, 1.0), classifier=horizontal_split)
     monkeypatch.setattr(RunConfig, "make_problem", lambda self: problem)
     table = run_table(RunConfig(problem="interface", eps1=10.0, eps2=1.0,
                                 kappa=1.0, levels=2))
     assert [r.elements for r in table.rows] == [32, 128]
+
+
+def test_run_table_of_a_checkerboard(monkeypatch, tmp_path):
+    # four quadrants meeting at the cross point (1/2, 1/2): each triangle of
+    # the start mesh lies in one of them, so the check accepts the layout
+    problem = replace(interface_problem(10.0, 1.0, 1.0), classifier=checkerboard)
+    monkeypatch.setattr(RunConfig, "make_problem", lambda self: problem)
+    out = tmp_path / "checkerboard.csv"
+    table = run_table(RunConfig(problem="interface", eps1=10.0, eps2=1.0, kappa=1.0,
+                                levels=2, out=str(out), dump_mesh=True))
+    assert [r.elements for r in table.rows] == [32, 128]
+    start = load_mesh(tmp_path / "checkerboard_mesh_L0.txt")
+    left, low = (start.centroids < 0.5).T
+    assert np.array_equal(start.regions, np.where(left == low, OMEGA1, OMEGA2))
+    assert np.bincount(start.regions).tolist() == [0, 16, 16]
 
 
 # Full-precision rows and effectivities recorded before the estimator and
@@ -403,3 +421,24 @@ def test_run_table_golden_values(eps, kappa):
         assert tuple(row[1:]) == pytest.approx(expected[1:], rel=1e-9)
     assert table.eff_eta == pytest.approx(eff_eta, rel=1e-9)
     assert table.eff_eta_tilde == pytest.approx(eff_eta_tilde, rel=1e-9)
+
+
+# records_digest of the rows of run_table at 3 levels (32, 128 and 512
+# triangles), frozen from a verified run: a change that moves any bit of
+# any row fails here, where the golden values above allow rel 1e-9.
+FROZEN_TABLE_DIGESTS = {
+    RunConfig(eps=0.1, kappa=10.0, levels=3):
+        "f39057aef3a5f41f5908e4b33dbe869a1fc2598e8442330daaabc25dfd61de81",
+    RunConfig(eps=1e-5, kappa=1e5, levels=3):
+        "40c2d55b0e0375f43f573e9e64dd9ec1b587bef8f6bb05aa3852f004d45c9d8a",
+    RunConfig(problem="interface", eps1=1e4, eps2=1.0, kappa=1.0, levels=3):
+        "0613d6688603734628de02b74c8d858779553f82b3bd49888569dac000ccefe5",
+}
+
+
+@pytest.mark.parametrize("config", list(FROZEN_TABLE_DIGESTS),
+                         ids=["paper-0.1-10", "paper-1e-5-1e5", "interface-1e4"])
+def test_run_table_records_are_frozen(config):
+    table = run_table(config)
+    assert [r.elements for r in table.rows] == [32, 128, 512]
+    assert records_digest(table.rows) == FROZEN_TABLE_DIGESTS[config]
