@@ -56,62 +56,52 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
     estimate (and the energy error when the problem carries an exact
     solution), then Doerfler-marks and bisects.  Returns the list of
     per-iteration records; marked counts are zero on the final record.
-
-    Every solve after the first starts CG from the previous iteration's
-    field, prolongated onto the bisected mesh (:func:`edge_fem.prolongate`),
-    so CG only has to recover what refinement changed.
+    Every mesh after the first starts CG from the previous mesh's field
+    prolongated onto it (:func:`edge_fem.prolongate`).
 
     CG stops on its algebraic error, which only has to stay well below
-    the discretisation error that eta estimates: the A-norm
-    error of every iterate should be at most ``ALGEBRAIC_FRACTION * eta``
-    of its own iteration.  Iteration i stops CG once the delayed energy
-    estimate (:func:`linalg.cg_solve`) reaches ``ALGEBRAIC_FRACTION *
-    eta_{i-1} / 4``; the first iteration knows no eta yet and stops at
-    ``linalg.ENERGY_RELATIVE_TOL`` relative to the energy of its iterate.
-    The delayed estimate undershoots the true error, more so from a warm
+    the discretisation error that eta estimates: the A-norm error of the
+    field a record reports should be at most ``ALGEBRAIC_FRACTION * eta``.
+    Each solve stops CG once the delayed energy estimate
+    (:func:`linalg.cg_solve`) reaches ``ALGEBRAIC_FRACTION * basis / 4``,
+    the basis being the last estimate before it; the first mesh has none
+    and stops at ``linalg.ENERGY_RELATIVE_TOL`` relative to the energy of
+    its iterate.  While eta is at least half its basis, the target is at
+    most ``ALGEBRAIC_FRACTION * eta / 2``; while it is not, eta becomes
+    the basis and CG resumes from the iterate, as often as that takes.  The
+    delayed estimate undershoots the true error, more so from a warm
     start: with ``/ 2`` the worst measured ratio of algebraic error to eta
     on interface(1e4, 1, 1) up to 2.2e4 dofs reached 9.7e-4, just under
-    the fraction 1e-3, and ``/ 4`` brings it to 5.1e-4.  While eta_i is at
-    least ``eta_{i-1} / 2`` the target stays at most ``ALGEBRAIC_FRACTION *
-    eta_i / 2``; when the new estimate has fallen below that, CG resumes
-    from the iterate with target ``ALGEBRAIC_FRACTION * eta_i / 4`` and eta
-    is estimated again.
+    the fraction 1e-3, and ``/ 4`` brings it to 5.1e-4.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     mesh = build_structured_unit_square(4)
-    check_interface_alignment(mesh, problem.classifier)
+    check_interface_alignment(mesh, problem)
     mesh = tag_regions(mesh, problem.classifier)
     if not mesh.num_interior_edges < max_dofs < np.inf:
         raise ValueError("max_dofs must be finite and exceed the initial dof count")
 
     records = []
-    iteration = 0
-    eta_prev = None
-    x0 = sample = None
+    basis = x0 = sample = None
     while True:
-        target = None if eta_prev is None else ALGEBRAIC_FRACTION * eta_prev / 4
         # the rows of the triangles bisection kept are carried from the last sample
         sample = edge_fem._mesh_sample(problem, mesh, sample)
-        solution = edge_fem.solve(mesh, problem.coefficients, sample,
-                                  rel_tol=None, energy_target=target, x0=x0)
-        x0 = None  # not needed past the solve; freed before the estimator's peak memory
-        breakdown = indicator(solution, problem, kind, sample)
-        if target is not None and breakdown.global_estimate < eta_prev / 2:
-            solution = edge_fem.solve(
-                mesh, problem.coefficients, sample, rel_tol=None,
-                energy_target=ALGEBRAIC_FRACTION * breakdown.global_estimate / 4,
-                x0=solution.coefficients)
+        while True:
+            target = None if basis is None else ALGEBRAIC_FRACTION * basis / 4
+            solution = edge_fem.solve(mesh, problem.coefficients, sample,
+                                      rel_tol=None, energy_target=target, x0=x0)
+            x0 = None  # not needed past the solve; freed before the estimator's peak memory
             breakdown = indicator(solution, problem, kind, sample)
-        eta = breakdown.global_estimate
-        if problem.u is not None:
-            error = edge_fem.energy_error(solution, problem.coefficients,
-                                          sample.u, sample.curl_u)
-        else:
-            error = float("nan")
+            eta = breakdown.global_estimate
+            if basis is None or not eta < basis / 2:  # a nan eta stops too
+                break
+            basis, x0 = eta, solution.coefficients
+        error = (edge_fem.energy_error(solution, problem.coefficients, sample.u, sample.curl_u)
+                 if problem.u is not None else float("nan"))
         n_dofs = solution.dofmap.n_free
         marked = doerfler_mark(breakdown.total, theta) if n_dofs < max_dofs else set()
-        records.append(AdaptiveRecord(iteration, mesh.num_triangles, n_dofs,
+        records.append(AdaptiveRecord(len(records), mesh.num_triangles, n_dofs,
                                       eta, error, len(marked)))
         if not marked:
             return records
@@ -119,6 +109,4 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
         mesh = bisect_refine(mesh, marked)
         x0 = edge_fem.prolongate(solution, mesh)
         solution = marked = None  # freed before the next mesh is sampled and assembled
-        eta_prev = eta
-        iteration += 1
-
+        basis = eta

@@ -287,15 +287,20 @@ class DiscreteSolution:
     iterations: int = None
     residual: float = None
 
+    def __post_init__(self):
+        if np.shape(self.coefficients) != (self.dofmap.n_free,):
+            raise ValueError(f"coefficients must have shape ({self.dofmap.n_free},), "
+                             f"one per free edge, got {np.shape(self.coefficients)}")
+
     def element_coefficients(self):
         """(T, 3) restriction of the global dof values to each element's
         edges, zero on boundary edges; these multiply the
         orientation-signed local basis."""
         # through a zero-filled edge vector: a mesh without free edges has
-        # no coefficient for the -1 of a boundary slot to index
+        # no coefficient for the -1 of a boundary slot to index; free dofs
+        # follow edge ids, so the free slots take the coefficients in order
         full = np.zeros(self.mesh.num_edges)
-        free = self.dofmap.edge_dof >= 0
-        full[free] = self.coefficients[self.dofmap.edge_dof[free]]
+        full[self.dofmap.edge_dof >= 0] = self.coefficients
         return full[self.mesh.tri_edges]
 
     @cached_property

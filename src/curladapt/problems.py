@@ -209,18 +209,24 @@ def interface_problem(eps1, eps2, kappa, split=0.5):
     )
 
 
-def check_interface_alignment(mesh, classifier):
-    """Raise if ``classifier`` tags a triangle of ``mesh`` two ways: at its
-    centroid, which ``mesh.tag_regions`` reads, and 1e-9 of the way from each
-    corner to it, so a vertex on a region boundary counts as on it.  A curve
-    that parts none of these points (one bulging through an edge) is missed."""
+def check_interface_alignment(mesh, problem):
+    """Raise unless ``problem.classifier`` tags each triangle of ``mesh`` one
+    way, with a region of its eps, and each region of its eps on some
+    triangle.  A triangle is read at its centroid, as ``mesh.tag_regions``
+    reads it, and 1e-9 of the way from each corner to it, so a vertex on a
+    region boundary counts as on it.  A curve that parts none of these
+    points (one bulging through an edge) is missed."""
     centroids, corners = mesh.centroids[:, None], mesh.vertices[mesh.triangles]
     points = np.concatenate([centroids, corners + 1e-9 * (centroids - corners)], axis=1)
-    tags = np.broadcast_to(classifier(points), points.shape[:-1])
+    tags = np.broadcast_to(problem.classifier(points), points.shape[:-1])
     mixed = np.flatnonzero((tags != tags[:, :1]).any(axis=1))
     if len(mixed):
         raise ValueError(f"the regions are not aligned with the mesh: triangle {mixed[0]} "
                          f"lies in regions {sorted(set(tags[mixed[0]].tolist()))}")
+    problem.coefficients.eps_by_region(tags[:, 0])  # refuses a tag without an eps value
+    empty = sorted(set(problem.coefficients.eps) - set(tags[:, 0].tolist()))
+    if empty:
+        raise ValueError(f"eps names region {empty[0]}, but no triangle of the mesh lies in it")
 
 
 def default_solver_tol(problem):

@@ -196,7 +196,7 @@ def run_table(config):
     problem = config.make_problem()
     solver_tol = config.solver_tol or default_solver_tol(problem)
     mesh = build_structured_unit_square(config.initial_n)
-    check_interface_alignment(mesh, problem.classifier)
+    check_interface_alignment(mesh, problem)
     mesh = tag_regions(mesh, problem.classifier)
 
     rows = []

@@ -330,6 +330,35 @@ def test_resume_branch_restarts_from_the_iterate_and_reports_the_new_eta(monkeyp
     assert records[1].eta == etas[2] != etas[1]
 
 
+def test_resume_repeats_until_eta_keeps_half_its_basis(monkeypatch):
+    solves, etas = [], []
+    solve, estimate = edge_fem.solve, amr.indicator
+
+    def solve_spy(mesh, coefficients, f, **kwargs):
+        solves.append((mesh, kwargs))
+        return solve(mesh, coefficients, f, **kwargs)
+
+    def indicator_spy(solution, problem, kind, sample):
+        breakdown = estimate(solution, problem, kind, sample)
+        if len(etas) in (1, 2):  # first two estimates on the second mesh: eta / 10, / 100
+            scale = 100.0 ** len(etas)
+            breakdown = dataclasses.replace(breakdown, r1=breakdown.r1 / scale,
+                                            r2=breakdown.r2 / scale, j1=breakdown.j1 / scale,
+                                            j2=breakdown.j2 / scale)
+        etas.append(breakdown.global_estimate)
+        return breakdown
+
+    monkeypatch.setattr(edge_fem, "solve", solve_spy)
+    monkeypatch.setattr(amr, "indicator", indicator_spy)
+    records = adaptive_solve(interface_problem(1e4, 1.0, 1.0), max_dofs=41)
+    assert len(records) == 2 and len(solves) == len(etas) == 4
+    assert etas[1] < etas[0] / 2 and etas[2] < etas[1] / 2 and etas[3] >= etas[2] / 2
+    assert solves[1][0] is solves[2][0] is solves[3][0]  # three solves on the second mesh
+    for (_, kwargs), basis in zip(solves[1:], etas):
+        assert kwargs["energy_target"] == amr.ALGEBRAIC_FRACTION * basis / 4
+    assert records[1].eta == etas[3]
+
+
 @pytest.mark.parametrize("problem", [interface_problem(1e4, 1.0, 1.0),
                                      paper_problem(1.0, 1e-4), paper_problem(0.1, 10.0)],
                          ids=["interface-1e4", "paper-1-1e-4", "paper-0.1-10"])

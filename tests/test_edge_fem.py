@@ -621,6 +621,16 @@ def test_vertex_vectors_and_curls_are_read_only():
         sol.curls[0] = 1.0
 
 
+@pytest.mark.parametrize("extra", [5, -7], ids=["too_long", "too_short"])
+def test_solution_refuses_coefficients_of_another_length(extra):
+    # a single value (too_short) would broadcast into all n_free = 8 slots
+    mesh = build_structured_unit_square(2)
+    dofmap = DofMap(mesh)
+    assert dofmap.n_free == 8
+    with pytest.raises(ValueError, match=r"coefficients must have shape \(8,\)"):
+        DiscreteSolution(mesh, dofmap, np.ones(dofmap.n_free + extra)).curls
+
+
 # -- discrete gradient and the preconditioned solve ------------------------
 
 

@@ -152,6 +152,22 @@ def test_cg_rejects_bad_diagonal():
         cg_solve(zero_diag, np.ones(2))
 
 
+@pytest.mark.parametrize("matrix, b", [
+    (from_triplets(2, 3, [(0, 0, 1.0), (1, 1, 1.0)]), np.ones(2)),
+    (from_triplets(2, 2, [(0, 0, 1.0), (1, 1, 1.0)]), np.ones(3)),
+], ids=["non_square", "long_rhs"])
+def test_cg_rejects_mismatched_shapes(matrix, b):
+    with pytest.raises(ValueError, match="square and match the right-hand side"):
+        cg_solve(matrix, b)
+
+
+def test_cg_rejects_an_indefinite_matrix():
+    # the diagonal is positive, but the first direction (1, -1) has p.Ap = -2
+    m = from_triplets(2, 2, [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 1.0)])
+    with pytest.raises(ValueError, match="not positive definite"):
+        cg_solve(m, np.array([1.0, -1.0]))
+
+
 def test_cg_rejects_bad_tol():
     m = poisson_5point(2)
     for rel_tol in (0.0, np.nan, np.inf):

@@ -67,6 +67,15 @@ def test_constructor_rejects_bad_input():
     # a cast would truncate 2.5 to vertex 2
     with pytest.raises(ValueError, match="triangle vertex ids must be integers"):
         Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2.5]])
+    with pytest.raises(ValueError, match=r"vertices must have shape \(V, 2\)"):
+        Mesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
+    with pytest.raises(ValueError, match=r"triangles must have shape \(T, 3\)"):
+        Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1]])
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        Mesh([[0, 0], [1, 0], [0, np.nan]], [[0, 1, 2]])
+    # the area 5e-201 is positive, but the squared edge length underflows to 0
+    with pytest.raises(ValueError, match="zero-length edge"):
+        Mesh([[0, 0], [1e-200, 0], [0, 1]], [[0, 1, 2]])
 
 
 def test_constructor_rejects_bad_refinement_edges():
@@ -76,6 +85,8 @@ def test_constructor_rejects_bad_refinement_edges():
     for bad in ([5, 0], [0, -1], [1.5, 0.2], [True, False]):
         with pytest.raises(ValueError, match="refinement_edges"):
             Mesh(v, t, refinement_edges=bad)
+    with pytest.raises(ValueError, match="refinement_edges must have one entry per triangle"):
+        Mesh(v, t, refinement_edges=[0])
 
 
 def test_constructor_rejects_bad_parent_ids():

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from curladapt import edge_fem
+from curladapt.amr import adaptive_solve
 from curladapt.edge_fem import assemble_system, energy_error, error_points, solve
 from curladapt.estimators import edge_jumps
 from curladapt.mesh import OMEGA1, OMEGA2, build_structured_unit_square, red_refine, tag_regions
@@ -260,16 +262,40 @@ def disk(x):
     return np.where(((x - 0.5) ** 2).sum(axis=-1) < 0.1, OMEGA1, OMEGA2)
 
 
+def small_disk(x):
+    # reaches no centroid and no corner of the 4x4 mesh
+    return np.where(((x - (0.125, 0.0)) ** 2).sum(axis=-1) < 0.05 ** 2, OMEGA2, OMEGA1)
+
+
 def test_interface_alignment_check():
     # every layout goes through the one check, on the 4x4 mesh whose grid
     # lines lie at multiples of 1/4
     mesh = build_structured_unit_square(4)
-    for classifier in (interface_problem(2.0, 1.0, 1.0, 0.5).classifier, horizontal_split,
-                       checkerboard, paper_problem(1.0, 1.0).classifier):
-        check_interface_alignment(mesh, classifier)
-    for classifier in (interface_problem(2.0, 1.0, 1.0, 0.3).classifier, disk):
-        with pytest.raises(ValueError, match="not aligned"):
-            check_interface_alignment(mesh, classifier)
+    two_phase = interface_problem(2.0, 1.0, 1.0, 0.5)
+    for problem in (two_phase, dataclasses.replace(two_phase, classifier=horizontal_split),
+                    dataclasses.replace(two_phase, classifier=checkerboard),
+                    paper_problem(1.0, 1.0), interface_problem(1e4, 1.0, 1.0, 0.25)):
+        check_interface_alignment(mesh, problem)
+    for problem, message in [
+            (interface_problem(2.0, 1.0, 1.0, 0.3), "not aligned"),
+            (dataclasses.replace(two_phase, classifier=disk), "not aligned"),
+            # an inclusion no triangle is tagged with would vanish in tag_regions
+            (dataclasses.replace(two_phase, classifier=small_disk),
+             "eps names region 2, but no triangle"),
+            # refused here, not by the first assembly
+            (dataclasses.replace(paper_problem(1.0, 1.0), classifier=horizontal_split),
+             "no eps value for region tag 2")]:
+        with pytest.raises(ValueError, match=message):
+            check_interface_alignment(mesh, problem)
+
+
+def test_adaptive_solve_refuses_an_empty_region_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(edge_fem, "solve", lambda *args, **kwargs: calls.append(args))
+    problem = dataclasses.replace(interface_problem(2.0, 1.0, 1.0), classifier=small_disk)
+    with pytest.raises(ValueError, match="region 2"):
+        adaptive_solve(problem)
+    assert calls == []
 
 
 def test_interface_curl_jumps_present_on_interface():

@@ -203,6 +203,22 @@ def test_cli_run_table_exits_1_on_failure(tmp_path, monkeypatch, capsys):
     assert len(lines) == 5 and lines[-1] == "# FAILED at level 2: CG gave up"
 
 
+def test_parse_table_csv_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("elements,e,eta\n32,0.8,3.6\n")
+    with pytest.raises(ValueError, match="unexpected header 'elements,e,eta'"):
+        parse_table_csv(path)
+
+
+@pytest.mark.parametrize("render", [
+    lambda fmt: emit(ConvergenceTable.from_rows([TableRow(32, 0.8, 3.6, 3.8)]), fmt),
+    lambda fmt: sweep_table([SweepRow(10.0, 1.0, 0.5, 0.4)], fmt),
+], ids=["emit", "sweep_table"])
+def test_tables_refuse_an_unknown_format(render):
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        render("xml")
+
+
 def test_dump_indicators_without_out_writes_to_the_working_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_table(RunConfig(eps=1.0, kappa=1.0, levels=1, dump_indicators=True))
@@ -222,6 +238,8 @@ def test_run_config_validation():
         RunConfig(eps=-1.0).validate()
     with pytest.raises(ValueError):
         RunConfig(fmt="xml").validate()
+    with pytest.raises(ValueError, match="solver_tol must be positive"):
+        RunConfig(solver_tol=0).validate()
     # refused up front, not by a TypeError in the middle of run_table
     with pytest.raises(ValueError, match="levels must be an integer"):
         RunConfig(levels=2.5).validate()
