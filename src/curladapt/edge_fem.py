@@ -196,16 +196,15 @@ class DofMap:
 
     Free (interior) edges get dense indices 0..N-1 in edge-id order;
     boundary edges are constrained to zero.  ``element_dofs`` holds the
-    global index (or -1) of each local edge.  Both are int32 when the dofs
-    fit, the index type scipy keeps, so :func:`_csr` copies neither.
+    global index (or -1) of each local edge.  Both are int32, as every
+    mesh id, the index type scipy keeps, so :func:`_csr` copies neither.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         free = ~mesh.is_boundary_edge
         self.n_free = int(free.sum())
-        edge_dof = np.full(mesh.num_edges, -1,
-                           dtype=np.int32 if self.n_free < 2 ** 31 else np.int64)
+        edge_dof = np.full(mesh.num_edges, -1, dtype=np.int32)
         edge_dof[free] = np.arange(self.n_free)
         self.edge_dof = edge_dof
         self.element_dofs = edge_dof[mesh.tri_edges]
@@ -264,12 +263,11 @@ def discrete_gradient(dofmap):
     interior = np.ones(mesh.num_vertices, dtype=bool)
     interior[mesh.edges[mesh.is_boundary_edge]] = False
     n_interior = int(interior.sum())
-    index = dofmap.edge_dof.dtype  # fits the columns too: n_interior <= n_free
-    vertex_dof = np.full(mesh.num_vertices, -1, dtype=index)
+    vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int32)
     vertex_dof[interior] = np.arange(n_interior)
     # free dofs follow edge ids, so row i is free edge i: [lo, hi]
     cols = vertex_dof[mesh.edges[dofmap.edge_dof >= 0]]
-    return _csr(np.arange(dofmap.n_free, dtype=index)[:, None], cols, np.array([-1.0, 1.0]),
+    return _csr(np.arange(dofmap.n_free, dtype=np.int32)[:, None], cols, np.array([-1.0, 1.0]),
                 (dofmap.n_free, n_interior))
 
 
@@ -466,7 +464,7 @@ def prolongation(coarse_dofmap, fine_dofmap):
     weights = (np.einsum("ike,ie->ik", w0[p], tangent)
                + half_curls[p] * _cross2(offset, tangent)[:, None])
     n = fine_dofmap.n_free
-    return _csr(np.arange(n, dtype=fine_dofmap.edge_dof.dtype)[:, None],
+    return _csr(np.arange(n, dtype=np.int32)[:, None],
                 coarse_dofmap.element_dofs[p], weights, (n, coarse_dofmap.n_free))
 
 

@@ -14,7 +14,17 @@ incident triangles are ordered by triangle id; the stored unit normal
 points from the first (smaller id) into the second.
 
 Meshes are immutable after construction: every refinement or re-tagging
-operation returns a new ``Mesh``.
+operation returns a new ``Mesh``, which shares the read-only arrays it
+takes over unchanged (:func:`_stored`).
+
+Each index array is stored in the narrowest fixed dtype that holds it:
+vertex, edge and triangle ids, region tags and parent ids are int32;
+orientation signs, local edge slots and refinement edges are int8.  So
+a mesh holds fewer than 2**31 vertices and fewer than 2**31 / 3
+triangles (its 3 T local edge slots are int32 too); the constructor
+refuses a larger one, and any tag outside the int32 range, rather than
+let a cast wrap it.  Only the edge sort keys of the constructor are
+int64.
 """
 
 from functools import cached_property
@@ -28,7 +38,10 @@ OMEGA2 = 2
 # vertex-id triples of the local edges: edge k runs from vertex k to k+1
 _LOCAL_EDGES = [(0, 1), (1, 2), (2, 0)]
 # rotation that brings local refinement edge r into local position 1
-_CANONICAL_ROT = np.array([(2, 0, 1), (0, 1, 2), (1, 2, 0)])
+_CANONICAL_ROT = np.array([(2, 0, 1), (0, 1, 2), (1, 2, 0)], dtype=np.int8)
+# the four red children of a triangle, as columns of its corners (0-2)
+# followed by the midpoints of its local edges (3-5)
+_RED_CHILDREN = np.array([(0, 3, 5), (1, 4, 3), (2, 5, 4), (3, 4, 5)])
 
 # rows per block of the per-point kernels (``_blocks``); any size reduces
 # to the same bytes, as every reduction is row-local (see ``edge_fem``)
@@ -42,15 +55,39 @@ def _blocks(n):
         yield slice(start, min(start + _BLOCK, n))
 
 
-def _integers(values, what):
-    """``values`` as int64, refused unless their dtype is an integer one
-    (bool is not): the cast would truncate 1.9 to 1 and read True as 1."""
+def _stored(values, dtype):
+    """``values`` as an array of ``dtype`` that no caller can write to: a
+    read-only array of ``dtype`` that owns its data is taken as it is (no
+    one writes to it without first making it writeable again, as to any
+    mesh array), anything else is copied."""
+    frozen = (isinstance(values, np.ndarray) and values.flags.owndata
+              and not values.flags.writeable)
+    return np.array(values, dtype=dtype, copy=None if frozen else True)
+
+
+def _freeze(*arrays):
+    """Make the arrays read-only: a ``Mesh`` keeps its own so, and takes
+    over a refinement's so without a copy (:func:`_stored`)."""
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _integers(values, what, dtype=np.int32):
+    """``values`` as ``dtype`` (:func:`_stored`), refused unless their
+    dtype is an integer one (bool is not), as the cast would truncate 1.9
+    to 1 and read True as 1, and unless every value lies in the range of
+    ``dtype``, where the cast would wrap it."""
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.integer):
         if values.ndim == 0:
             raise ValueError(f"{what} must be an integer, got {values.item()!r}")
         raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
-    return values.astype(np.int64)
+    bounds = np.iinfo(dtype)
+    low, high = (values.min(), values.max()) if values.size else (0, 0)
+    if low < bounds.min or high > bounds.max:
+        raise ValueError(f"{what} must lie in the {np.dtype(dtype)} range [{bounds.min}, "
+                         f"{bounds.max}], got {low if low < bounds.min else high}")
+    return _stored(values, dtype)
 
 
 def _cross2(a, b):
@@ -93,16 +130,24 @@ class Mesh:
     parent_ids : array_like, shape (T,), optional
         Triangle id in the mesh this one was refined from; refinement
         operations fill this in, -1 marks root elements.
+
+    Every array attribute is read-only.  ``vertices`` and the geometry
+    are float64; ``triangles``, ``regions``, ``parent_ids``, ``edges``,
+    ``tri_edges`` and ``edge_tris`` are int32; ``refinement_edges``,
+    ``tri_edge_signs`` and ``edge_tri_local`` are int8, so V < 2**31 and
+    3 T < 2**31 (module docstring).
     """
 
     def __init__(self, vertices, triangles, regions=None, refinement_edges=None,
                  parent_ids=None):
-        vertices = np.array(vertices, dtype=float)
-        triangles = _integers(triangles, "triangle vertex ids")
+        vertices = _stored(vertices, float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (V, 2)")
+        _integers(len(vertices), "vertex count")  # vertex ids are int32
+        triangles = _integers(triangles, "triangle vertex ids")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (T, 3)")
+        _integers(3 * len(triangles), "local edge slot count 3 T")
         if not np.isfinite(vertices).all():
             raise ValueError("vertex coordinates must be finite")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
@@ -116,13 +161,13 @@ class Mesh:
         nt = len(triangles)
 
         if regions is None:
-            regions = np.full(nt, OMEGA1, dtype=np.int64)
+            regions = np.full(nt, OMEGA1, dtype=np.int32)
         self.regions = _integers(regions, "region tags")
         if self.regions.shape != (nt,):
             raise ValueError("regions must have one tag per triangle")
 
         if parent_ids is None:
-            parent_ids = np.full(nt, -1, dtype=np.int64)
+            parent_ids = np.full(nt, -1, dtype=np.int32)
         self.parent_ids = _integers(parent_ids, "parent_ids")
         if self.parent_ids.shape != (nt,):
             raise ValueError("parent_ids must have one entry per triangle")
@@ -136,58 +181,72 @@ class Mesh:
 
         if refinement_edges is None:
             refinement_edges = self._longest_edge_init()
-        self.refinement_edges = _integers(refinement_edges, "refinement_edges")
+        self.refinement_edges = _integers(refinement_edges, "refinement_edges", np.int8)
         if self.refinement_edges.shape != (nt,):
             raise ValueError("refinement_edges must have one entry per triangle")
         if not np.isin(self.refinement_edges, (0, 1, 2)).all():
             raise ValueError("refinement_edges entries must be 0, 1 or 2")
 
-        for arr in (self.vertices, self.triangles, self.regions, self.parent_ids,
-                    self.refinement_edges, self.areas, self.edges, self.tri_edges,
-                    self.tri_edge_signs, self.edge_tris, self.edge_tri_local,
-                    self.is_boundary_edge, self.edge_lengths, self.edge_normals):
-            arr.flags.writeable = False
+        _freeze(self.vertices, self.triangles, self.regions, self.parent_ids,
+                self.refinement_edges, self.areas, self.edges, self.tri_edges,
+                self.tri_edge_signs, self.edge_tris, self.edge_tri_local,
+                self.is_boundary_edge, self.edge_lengths, self.edge_normals)
 
     def _build_edges(self):
+        # temporaries are deleted after their last use, so that none is
+        # alive when the edge geometry is formed
         tris = self.triangles
         nt, nv = len(tris), len(self.vertices)
         head = tris[:, [1, 2, 0]]  # local edge k runs from tris[:, k] to head[:, k]
-        # slot 3 t + k is local edge k of triangle t; its integer key
+        # +1 where the local traversal k -> k+1 runs from low to high vertex id
+        self.tri_edge_signs = np.where(tris < head, np.int8(1), np.int8(-1))
+        # slot 3 t + k is local edge k of triangle t; its int64 key
         # lo * V + hi sorts like the vertex pair (lo, hi), so one sort of
         # the slot keys numbers the edges and groups the slots of each
-        keys = (np.minimum(tris, head) * nv + np.maximum(tris, head)).ravel()
+        keys = np.minimum(tris, head).astype(np.int64).ravel()
+        keys *= nv
+        keys += np.maximum(tris, head).ravel()
+        del head
         order = np.argsort(keys)
         keys = keys[order]
         first = np.ones(len(keys), dtype=bool)  # the first slot of each edge
         first[1:] = keys[1:] != keys[:-1]
-        starts = np.nonzero(first)[0]
+        starts = np.flatnonzero(first)
         counts = np.diff(starts, append=len(keys))
         if counts.max(initial=0) > 2:
             raise ValueError("non-manifold mesh: edge shared by more than two triangles")
-        lo, hi = np.divmod(keys[starts], nv)
-        self.edges = np.stack([lo, hi], axis=1)
-        tri_edges = np.empty(3 * nt, dtype=np.int64)
-        tri_edges[order] = np.cumsum(first) - 1
+        self.edges = np.empty((len(starts), 2), dtype=np.int32)
+        self.edges[:, 0], self.edges[:, 1] = np.divmod(keys[starts], nv)
+        del keys
+        tri_edges = np.empty(3 * nt, dtype=np.int32)
+        tri_edges[order] = np.cumsum(first, dtype=np.int32) - 1
+        del first
         self.tri_edges = tri_edges.reshape(nt, 3)
-        # +1 where the local traversal k -> k+1 runs from low to high vertex id
-        self.tri_edge_signs = np.where(tris < head, 1, -1).astype(np.int64)
         self.is_boundary_edge = counts == 1
 
         # the smaller slot of an interior edge belongs to the triangle with
         # the smaller id; slot1 is -1 on the boundary
         interior = counts == 2
-        slot, next_slot = order[starts], order[np.minimum(starts + 1, len(keys) - 1)]
+        slot, next_slot = order[starts], order[np.minimum(starts + 1, len(order) - 1)]
+        del order, starts, counts
         slot0 = np.where(interior, np.minimum(slot, next_slot), slot)
         slot1 = np.where(interior, np.maximum(slot, next_slot), -1)
-        self.edge_tris = np.stack([slot0 // 3, slot1 // 3], axis=1)  # -1 // 3 is -1
-        self.edge_tri_local = np.stack([slot0 % 3, np.where(interior, slot1 % 3, -1)], axis=1)
+        del slot, next_slot
+        self.edge_tris = np.empty((len(slot0), 2), dtype=np.int32)
+        self.edge_tri_local = np.empty((len(slot0), 2), dtype=np.int8)
+        for side, s in enumerate((slot0, slot1)):
+            self.edge_tris[:, side], self.edge_tri_local[:, side] = np.divmod(s, 3)
+        self.edge_tri_local[~interior, 1] = -1  # -1 // 3 is -1, but -1 % 3 is 2
 
         # conformity: the two incident triangles traverse a shared edge in
         # opposite directions, i.e. their orientation signs cancel
         signs = self.tri_edge_signs.ravel()
-        if (interior & (signs[slot0] + signs[slot1] != 0)).any():
+        sign0 = signs[slot0]
+        if (interior & (sign0 + signs[slot1] != 0)).any():
             raise ValueError("non-conforming mesh: inconsistent edge traversal")
+        del slot0, slot1, interior
 
+        lo, hi = self.edges.T
         tang = self.vertices[hi] - self.vertices[lo]
         # the same bits as np.linalg.norm(tang, axis=1), without its
         # generic reduction: 8x faster on 200k edges
@@ -197,15 +256,16 @@ class Mesh:
         # traversal direction within the first incident triangle; its outward
         # normal (clockwise quarter turn) points into the second triangle or
         # out of the domain on the boundary
-        d = tang * signs[slot0][:, None]
-        self.edge_normals = -_rot90(d) / self.edge_lengths[:, None]
+        tang *= sign0[:, None]
+        self.edge_normals = -_rot90(tang) / self.edge_lengths[:, None]
 
     def _longest_edge_init(self):
         lengths = self.edge_lengths[self.tri_edges]  # (T,3)
         longest = lengths.max(axis=1, keepdims=True)
         opposite = self.triangles[:, [2, 0, 1]]  # vertex opposite local edge k
-        candidate = np.where(lengths == longest, opposite, np.iinfo(np.int64).max)
-        return candidate.argmin(axis=1).astype(np.int64)
+        # no vertex id reaches the fill V, and it fits the int32 of the ids
+        candidate = np.where(lengths == longest, opposite, self.num_vertices)
+        return candidate.argmin(axis=1).astype(np.int8)
 
     # -- basic queries -------------------------------------------------
 
@@ -275,22 +335,18 @@ def red_refine(mesh):
     in global edge order); children inherit the parent's region tag and
     are similar to the parent with half its diameter.
     """
-    nv = mesh.num_vertices
+    nv, nt = mesh.num_vertices, mesh.num_triangles
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
-
-    tris = mesh.triangles
-    m01 = nv + mesh.tri_edges[:, 0]
-    m12 = nv + mesh.tri_edges[:, 1]
-    m20 = nv + mesh.tri_edges[:, 2]
-    children = np.stack([
-        np.stack([tris[:, 0], m01, m20], axis=1),
-        np.stack([tris[:, 1], m12, m01], axis=1),
-        np.stack([tris[:, 2], m20, m12], axis=1),
-        np.stack([m01, m12, m20], axis=1),
-    ], axis=1).reshape(-1, 3)
+    del midpoints
+    corners = np.concatenate([mesh.triangles, nv + mesh.tri_edges], axis=1)
+    children = np.empty((4 * nt, 3), dtype=np.int32)
+    for k, child in enumerate(_RED_CHILDREN):
+        children[k::4] = corners[:, child]  # child k of every parent
+    del corners
     regions = np.repeat(mesh.regions, 4)
-    parents = np.repeat(np.arange(mesh.num_triangles, dtype=np.int64), 4)
+    parents = np.repeat(np.arange(nt, dtype=np.int32), 4)
+    _freeze(vertices, children, regions, parents)
     return Mesh(vertices, children, regions=regions, parent_ids=parents)
 
 
@@ -320,8 +376,19 @@ def bisect_refine(mesh, marked):
     marked = np.unique(_integers(marked, "marked triangle ids"))
     if marked[0] < 0 or marked[-1] >= mesh.num_triangles:
         raise ValueError("marked triangle id out of range")
+    vertices, children, child_ref, parents = _bisect(mesh, marked)
+    regions = mesh.regions[parents]
+    _freeze(vertices, children, child_ref, parents, regions)
+    return Mesh(vertices, children, regions=regions, refinement_edges=child_ref,
+                parent_ids=parents)
 
-    ref = mesh.refinement_edges
+
+def _bisect(mesh, marked):
+    """The vertices, children, child refinement edges and parent ids of
+    :func:`bisect_refine`.  Each child is written once, into arrays of
+    the stored dtypes sized by the children each parent keeps; every
+    temporary dies with this call, before the child mesh is built."""
+    tris, ref = mesh.triangles, mesh.refinement_edges
     rot = _CANONICAL_ROT[ref]
     # local edges (w0, w1), (w1, w2), (w2, w0) of the rotated triangles
     e_a, e_m, e_b = np.take_along_axis(mesh.tri_edges, rot, axis=1).T
@@ -337,25 +404,33 @@ def bisect_refine(mesh, marked):
     tail, head = mesh.vertices[mesh.edges[split].T]
     vertices = np.vstack([mesh.vertices, (tail + head) / 2])
     # vertex id of each split edge's midpoint
-    mid = mesh.num_vertices - 1 + np.cumsum(split)
+    mid = np.cumsum(split, dtype=np.int32)
+    mid += mesh.num_vertices - 1
 
-    w0, w1, w2 = np.take_along_axis(mesh.triangles, rot, axis=1).T
+    w0, w1, w2 = np.take_along_axis(tris, rot, axis=1).T
     m, a, b = mid[e_m], mid[e_a], mid[e_b]
     has_m, has_a, has_b = split[e_m], split[e_a], split[e_b]
-    children = np.stack([
-        np.where(has_a[:, None], np.column_stack([m, w0, a]), np.column_stack([w0, w1, m])),
-        np.column_stack([m, a, w1]),
-        np.where(has_b[:, None], np.column_stack([m, w2, b]), np.column_stack([w0, m, w2])),
-        np.column_stack([m, b, w0]),
-    ], axis=1)
-    child_ref = np.where(has_b[:, None], [0, 2, 0, 2], [0, 2, 2, 2])
-    children[~has_m, 0] = mesh.triangles[~has_m]
-    child_ref[~has_m, 0] = ref[~has_m]
-
-    keep = np.column_stack([np.ones_like(has_m), has_a, has_m, has_b])
-    parents = np.nonzero(keep)[0]
-    return Mesh(vertices, children[keep], regions=mesh.regions[parents],
-                refinement_edges=child_ref[keep], parent_ids=parents)
+    # slot 0 always, slots 1, 2 and 3 where a, m and b are split
+    count = 1 + has_a.astype(np.int8) + has_m + has_b
+    parents = np.repeat(np.arange(len(tris), dtype=np.int32), count)
+    children = np.empty((len(parents), 3), dtype=np.int32)
+    child_ref = np.empty(len(parents), dtype=np.int8)
+    at0 = np.cumsum(count) - count  # row of each parent's first child
+    at2 = at0 + 1 + has_a  # row of slot 2; slots 1 and 3 follow slots 0 and 2
+    whole = ~has_m
+    children[at0[whole]] = tris[whole]
+    child_ref[at0[whole]] = ref[whole]
+    for at, where, triple, r in ((at0, has_m & ~has_a, (w0, w1, m), 0),
+                                 (at0, has_a, (m, w0, a), 0),
+                                 (at0 + 1, has_a, (m, a, w1), 2),
+                                 (at2, has_m & ~has_b, (w0, m, w2), 2),
+                                 (at2, has_b, (m, w2, b), 0),
+                                 (at2 + 1, has_b, (m, b, w0), 2)):
+        rows = at[where]
+        for k, vertex in enumerate(triple):
+            children[rows, k] = vertex[where]
+        child_ref[rows] = r
+    return vertices, children, child_ref, parents
 
 
 def tag_regions(mesh, classifier):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,10 @@ def test_constructor_rejects_bad_input():
     # the area 5e-201 is positive, but the squared edge length underflows to 0
     with pytest.raises(ValueError, match="zero-length edge"):
         Mesh([[0, 0], [1e-200, 0], [0, 1]], [[0, 1, 2]])
+    # region tags are stored as int32, where 2**40 would wrap to 0
+    for tag in (2 ** 40, -2 ** 31 - 1):
+        with pytest.raises(ValueError, match="region tags must lie in the int32 range"):
+            Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], regions=[tag])
 
 
 def test_constructor_rejects_bad_refinement_edges():
@@ -208,11 +213,45 @@ def test_bisect_keeps_a_triangle_with_one_child_bit_for_bit(start):
         mesh = fine
 
 
+def _traced(call):
+    """The result of ``call()``, the peak of the memory traced during it
+    and the memory it leaves allocated, both above what was traced
+    before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, kept - before
+
+
+@pytest.mark.parametrize("refine", [
+    lambda mesh: bisect_refine(mesh, np.random.default_rng(7).choice(
+        mesh.num_triangles, mesh.num_triangles // 3, replace=False)),
+    red_refine], ids=["bisect", "red"])
+def test_refinement_memory_per_child_triangle(refine):
+    # int32 ids and int8 signs, slots and refinement edges keep 117 B per
+    # triangle (int64 ones kept 222 B); children written straight into
+    # their arrays, and temporaries freed before the edge geometry, hold
+    # a refinement's peak near 200 B per child (it was 690 and 519 B)
+    mesh = red_refine(red_refine(red_refine(build_structured_unit_square(16))))
+    assert mesh.num_triangles == 32768
+    fine, peak, kept = _traced(lambda: refine(mesh))
+    n = fine.num_triangles
+    assert peak <= 300 * n
+    assert kept <= 120 * n
+
+
 def _mesh_digest(mesh):
+    # integer arrays hash as int64, so a digest pins values, not the
+    # storage dtype
     h = hashlib.sha256()
-    for arr in (mesh.vertices, mesh.triangles, mesh.refinement_edges,
-                mesh.parent_ids, mesh.regions):
-        h.update(arr.tobytes())
+    h.update(mesh.vertices.tobytes())
+    for arr in (mesh.triangles, mesh.refinement_edges, mesh.parent_ids, mesh.regions):
+        h.update(arr.astype(np.int64).tobytes())
     return h.hexdigest()
 
 

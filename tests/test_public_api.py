@@ -8,7 +8,8 @@ import types
 from pathlib import Path
 
 import curladapt
-from curladapt.mesh import build_structured_unit_square
+from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square, red_refine,
+                            tag_regions)
 
 PUBLIC_NAMES = [
     "AdaptiveRecord", "CgNonConvergence", "CgResult", "CoefficientField",
@@ -44,6 +45,25 @@ MESH_ATTRIBUTES = [
 def test_mesh_attributes_are_frozen():
     mesh = build_structured_unit_square(1)
     assert sorted(name for name in dir(mesh) if not name.startswith("_")) == MESH_ATTRIBUTES
+
+
+# the stored dtype of each array attribute: ids and tags are int32, signs,
+# local slots and refinement edges int8 (``curladapt.mesh``)
+MESH_DTYPES = {
+    "areas": "float64", "edge_lengths": "float64", "edge_normals": "float64",
+    "edge_tri_local": "int8", "edge_tris": "int32", "edges": "int32",
+    "is_boundary_edge": "bool", "parent_ids": "int32", "refinement_edges": "int8",
+    "regions": "int32", "tri_edge_signs": "int8", "tri_edges": "int32",
+    "triangles": "int32", "vertices": "float64",
+}
+
+
+def test_mesh_array_dtypes_are_frozen():
+    square = build_structured_unit_square(2)
+    for mesh in (square, red_refine(square), bisect_refine(square, [0, 3]),
+                 tag_regions(square, lambda x: (x[:, 0] > 0.5) + 1),
+                 Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], regions=[2], parent_ids=[0])):
+        assert {name: str(getattr(mesh, name).dtype) for name in MESH_DTYPES} == MESH_DTYPES
 
 
 def _referenced_names(node):
