@@ -14,8 +14,7 @@ incident triangles are ordered by triangle id; the stored unit normal
 points from the first (smaller id) into the second.
 
 Meshes are immutable after construction: every refinement or re-tagging
-operation returns a new ``Mesh``, which shares the read-only arrays it
-takes over unchanged (:func:`_stored`).
+operation returns a new ``Mesh``.
 
 Each index array is stored in the narrowest fixed dtype that holds it:
 vertex, edge and triangle ids, region tags and parent ids are int32;
@@ -55,27 +54,10 @@ def _blocks(n):
         yield slice(start, min(start + _BLOCK, n))
 
 
-def _stored(values, dtype):
-    """``values`` as an array of ``dtype`` that no caller can write to: a
-    read-only array of ``dtype`` that owns its data is taken as it is (no
-    one writes to it without first making it writeable again, as to any
-    mesh array), anything else is copied."""
-    frozen = (isinstance(values, np.ndarray) and values.flags.owndata
-              and not values.flags.writeable)
-    return np.array(values, dtype=dtype, copy=None if frozen else True)
-
-
-def _freeze(*arrays):
-    """Make the arrays read-only: a ``Mesh`` keeps its own so, and takes
-    over a refinement's so without a copy (:func:`_stored`)."""
-    for arr in arrays:
-        arr.flags.writeable = False
-
-
 def _integers(values, what, dtype=np.int32):
-    """``values`` as ``dtype`` (:func:`_stored`), refused unless their
-    dtype is an integer one (bool is not), as the cast would truncate 1.9
-    to 1 and read True as 1, and unless every value lies in the range of
+    """``values`` as a new array of ``dtype``, refused unless their dtype
+    is an integer one (bool is not), as the cast would truncate 1.9 to 1
+    and read True as 1, and unless every value lies in the range of
     ``dtype``, where the cast would wrap it."""
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.integer):
@@ -87,7 +69,7 @@ def _integers(values, what, dtype=np.int32):
     if low < bounds.min or high > bounds.max:
         raise ValueError(f"{what} must lie in the {np.dtype(dtype)} range [{bounds.min}, "
                          f"{bounds.max}], got {low if low < bounds.min else high}")
-    return _stored(values, dtype)
+    return values.astype(dtype)
 
 
 def _cross2(a, b):
@@ -140,14 +122,17 @@ class Mesh:
 
     def __init__(self, vertices, triangles, regions=None, refinement_edges=None,
                  parent_ids=None):
-        vertices = _stored(vertices, float)
+        vertices = np.array(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError("vertices must have shape (V, 2)")
-        _integers(len(vertices), "vertex count")  # vertex ids are int32
-        triangles = _integers(triangles, "triangle vertex ids")
+        triangles = np.asarray(triangles)
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (T, 3)")
-        _integers(3 * len(triangles), "local edge slot count 3 T")
+        # vertex ids and the 3 T local edge slots are int32
+        if len(vertices) >= 2 ** 31 or 3 * len(triangles) >= 2 ** 31:
+            raise ValueError(f"a mesh holds fewer than 2**31 vertices and 2**31 / 3 "
+                             f"triangles, got {len(vertices)} and {len(triangles)}")
+        triangles = _integers(triangles, "triangle vertex ids")
         if not np.isfinite(vertices).all():
             raise ValueError("vertex coordinates must be finite")
         if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
@@ -187,10 +172,11 @@ class Mesh:
         if not np.isin(self.refinement_edges, (0, 1, 2)).all():
             raise ValueError("refinement_edges entries must be 0, 1 or 2")
 
-        _freeze(self.vertices, self.triangles, self.regions, self.parent_ids,
-                self.refinement_edges, self.areas, self.edges, self.tri_edges,
-                self.tri_edge_signs, self.edge_tris, self.edge_tri_local,
-                self.is_boundary_edge, self.edge_lengths, self.edge_normals)
+        for arr in (self.vertices, self.triangles, self.regions, self.parent_ids,
+                    self.refinement_edges, self.areas, self.edges, self.tri_edges,
+                    self.tri_edge_signs, self.edge_tris, self.edge_tri_local,
+                    self.is_boundary_edge, self.edge_lengths, self.edge_normals):
+            arr.flags.writeable = False
 
     def _build_edges(self):
         # temporaries are deleted after their last use, so that none is
@@ -346,7 +332,6 @@ def red_refine(mesh):
     del corners
     regions = np.repeat(mesh.regions, 4)
     parents = np.repeat(np.arange(nt, dtype=np.int32), 4)
-    _freeze(vertices, children, regions, parents)
     return Mesh(vertices, children, regions=regions, parent_ids=parents)
 
 
@@ -378,7 +363,6 @@ def bisect_refine(mesh, marked):
         raise ValueError("marked triangle id out of range")
     vertices, children, child_ref, parents = _bisect(mesh, marked)
     regions = mesh.regions[parents]
-    _freeze(vertices, children, child_ref, parents, regions)
     return Mesh(vertices, children, regions=regions, refinement_edges=child_ref,
                 parent_ids=parents)
 

@@ -28,10 +28,12 @@ several blocks and a field on it for the tests of the blocks and of the
 reduction.
 :func:`horizontal_split` and :func:`checkerboard` are region layouts that
 no vertical split describes.
+:func:`traced_memory` measures what a call allocates under tracemalloc.
 """
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import scipy.sparse
@@ -247,3 +249,16 @@ def counting_trig_problem(problem):
     trig = _CountingTrigField(problem.coefficients.kappa)
     return dataclasses.replace(problem, u=trig.u, curl_u=trig.curl_u, f=trig.f,
                                div_f=trig.div_f), trig.shapes
+
+
+def traced_memory(call):
+    """The result of ``call()``, the peak of the memory traced while it
+    ran and the memory still allocated when it returned (its result
+    included), both in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept

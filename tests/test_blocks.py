@@ -3,8 +3,6 @@ run over blocks of ``mesh._BLOCK`` triangles: the block size changes no
 bit of any result, no kernel holds more than a block's worth of per-point
 temporaries, and the reduced sample keeps a few floats per triangle."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from curladapt.edge_fem import (_mesh_sample, _reduced, _Reduced, assemble_syste
 from curladapt.estimators import indicator, oscillations
 from curladapt.mesh import build_structured_unit_square, red_refine
 from curladapt.problems import interface_problem, paper_problem
-from reference import bisected_two_region_mesh, random_field
+from reference import bisected_two_region_mesh, random_field, traced_memory
 
 
 def arrays_of(reduced):
@@ -78,19 +76,6 @@ def test_block_size_changes_no_bit(monkeypatch, block):
                    for x, y in zip(actual[name], expected[whole])), name
 
 
-def transient_peak(call):
-    """The traced peak of ``call()`` above the memory that is still
-    allocated when it returns, its result included."""
-    tracemalloc.start()
-    try:
-        result = call()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del result
-    return peak - current
-
-
 def test_kernels_add_less_than_one_full_mesh_vector_field():
     # on 32,768 triangles: a (T, 16, 2) float64 array is 8 MiB, and each
     # kernel adds less than that to what it keeps
@@ -110,7 +95,10 @@ def test_kernels_add_less_than_one_full_mesh_vector_field():
     }
     for call in kernels.values():
         call()  # fills the per-mesh and per-field caches the kernels read
-    peaks = {name: transient_peak(call) for name, call in kernels.items()}
+    peaks = {}
+    for name, call in kernels.items():
+        _, peak, kept = traced_memory(call)
+        peaks[name] = peak - kept
     assert all(peak < points.nbytes for peak in peaks.values()), (peaks, points.nbytes)
 
 
@@ -128,8 +116,8 @@ def test_driver_sampling_adds_less_than_one_full_mesh_vector_field():
     problem = paper_problem(1e-3, 1e3)
     mesh = red_refined_32768()
     _mesh_sample(problem, mesh)  # fills the per-mesh caches
-    peak = transient_peak(lambda: _mesh_sample(problem, mesh))
-    assert peak < error_points(mesh).nbytes, peak
+    _, peak, kept = traced_memory(lambda: _mesh_sample(problem, mesh))
+    assert peak - kept < error_points(mesh).nbytes, peak - kept
 
 
 def test_driver_sample_holds_at_most_80_bytes_per_triangle():
@@ -138,12 +126,7 @@ def test_driver_sample_holds_at_most_80_bytes_per_triangle():
     problem = paper_problem(1e-3, 1e3)
     mesh = red_refined_32768()
     _mesh_sample(problem, mesh)  # fills the per-mesh caches
-    tracemalloc.start()
-    try:
-        sample = _mesh_sample(problem, mesh)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    sample, _, held = traced_memory(lambda: _mesh_sample(problem, mesh))
     assert sample is not None
     assert held <= 80 * mesh.num_triangles, held / mesh.num_triangles
 
@@ -156,8 +139,8 @@ def test_load_from_the_sample_adds_less_than_10_mib():
     mesh = red_refined_32768()
     sample = _mesh_sample(problem, mesh)
     assemble_system(mesh, problem.coefficients, sample)  # fills the per-mesh caches
-    peak = transient_peak(lambda: assemble_system(mesh, problem.coefficients, sample))
-    assert peak < 10 * 2 ** 20, peak
+    _, peak, kept = traced_memory(lambda: assemble_system(mesh, problem.coefficients, sample))
+    assert peak - kept < 10 * 2 ** 20, peak - kept
 
 
 def test_adaptive_run_stays_under_its_traced_peak():
@@ -166,5 +149,6 @@ def test_adaptive_run_stays_under_its_traced_peak():
     # element, 4.93 MiB with the per-block sample of u and div f at the
     # points, 5.57 MiB with the points and f of the whole mesh; the bound
     # leaves 0.29 MiB (7.3%) above the first
-    peak = transient_peak(lambda: adaptive_solve(paper_problem(1e-5, 1e5), max_dofs=5000))
-    assert peak < 4.2 * 2 ** 20, peak / 2 ** 20
+    _, peak, kept = traced_memory(lambda: adaptive_solve(paper_problem(1e-5, 1e5),
+                                                         max_dofs=5000))
+    assert peak - kept < 4.2 * 2 ** 20, (peak - kept) / 2 ** 20

@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
                             edge_geometry, load_mesh, red_refine, save_mesh,
                             tag_regions)
-from reference import edge_table
+from reference import edge_table, traced_memory
 
 
 def check_invariants(mesh):
@@ -81,6 +80,11 @@ def test_constructor_rejects_bad_input():
     for tag in (2 ** 40, -2 ** 31 - 1):
         with pytest.raises(ValueError, match="region tags must lie in the int32 range"):
             Mesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], regions=[tag])
+    # its 3 T local edge slots are int32 too; the broadcast view is refused
+    # before it is read or copied
+    many = np.broadcast_to(np.array([0, 1, 2]), (2 ** 31 // 3 + 1, 3))
+    with pytest.raises(ValueError, match="fewer than 2"):
+        Mesh([[0, 0], [1, 0], [0, 1]], many)
 
 
 def test_constructor_rejects_bad_refinement_edges():
@@ -213,21 +217,6 @@ def test_bisect_keeps_a_triangle_with_one_child_bit_for_bit(start):
         mesh = fine
 
 
-def _traced(call):
-    """The result of ``call()``, the peak of the memory traced during it
-    and the memory it leaves allocated, both above what was traced
-    before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = call()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak - before, kept - before
-
-
 @pytest.mark.parametrize("refine", [
     lambda mesh: bisect_refine(mesh, np.random.default_rng(7).choice(
         mesh.num_triangles, mesh.num_triangles // 3, replace=False)),
@@ -239,7 +228,7 @@ def test_refinement_memory_per_child_triangle(refine):
     # a refinement's peak near 200 B per child (it was 690 and 519 B)
     mesh = red_refine(red_refine(red_refine(build_structured_unit_square(16))))
     assert mesh.num_triangles == 32768
-    fine, peak, kept = _traced(lambda: refine(mesh))
+    fine, peak, kept = traced_memory(lambda: refine(mesh))
     n = fine.num_triangles
     assert peak <= 300 * n
     assert kept <= 120 * n
