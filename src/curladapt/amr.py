@@ -97,7 +97,7 @@ def adaptive_solve(problem, kind=EstimatorKind.ROBUST, theta=0.5, max_dofs=2000)
             if basis is None or not eta < basis / 2:  # a nan eta stops too
                 break
             basis, x0 = eta, solution.coefficients
-        error = (edge_fem.energy_error(solution, problem.coefficients, sample.u, sample.curl_u)
+        error = (edge_fem.energy_error(solution, problem.coefficients, sample)
                  if problem.u is not None else float("nan"))
         n_dofs = solution.dofmap.n_free
         marked = doerfler_mark(breakdown.total, theta) if n_dofs < max_dofs else set()

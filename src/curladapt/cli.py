@@ -93,8 +93,7 @@ def _run_sweep(args):
 def _run_adaptive(args):
     config = RunConfig(problem=args.problem, eps=args.eps, kappa=args.kappa,
                        eps1=args.eps1, eps2=args.eps2, split=args.split)
-    config.validate()
-    problem = config.make_problem()
+    problem = config.validate()
     kind = EstimatorKind(args.estimator)
     records = adaptive_solve(problem, kind=kind, theta=args.theta,
                              max_dofs=args.max_dofs)

@@ -37,23 +37,26 @@ mean and the squared norm of its distance from it
 (:func:`_reduce_scalar`); a sample reduces to one :class:`_Reduced`.
 Plain callables keep 18 floats per element; a trig problem keeps the 9
 of f and div f, and its u = f / kappa reads f's arrays at scale 1/kappa.
-The load moments are the adjoint of the vertex vectors applied to y of f
-(:func:`_moments`), so the load is the one the points give; its rounding
-differs from a basis-tensor einsum in the last bits.  Every other reader
-needs an L2 distance to a linear or a constant field, and has it in closed
-form through the discrete Pythagoras split ``||v - w||^2 = ||v - Pi v||^2
-+ ||Pi v - w||^2``: the rule is exact for degree 2, so ``v - Pi v`` is
-orthogonal to every linear field, and ``int_T |sum_i lam_i d_i|^2 = |T|/12
-(sum_i |d_i|^2 + |sum_i d_i|^2)`` (:func:`_linear_norms_sq`).
-:func:`energy_error` and the estimators' R1, R2 and oscillations are such
-sums of nonnegative parts, equal to the quadrature of the points up to
-rounding.  Values at the points handed to them are reduced the same way
-first, and refused in any other shape (:func:`_reduced`).  Every
-reduction is row-local: a row's numbers are the same bytes whatever the
-rows reduced with it, so neither the block size nor a carried row moves a
-bit.  The quadrature sums are ``einsum`` loops for that reason; the gemv
-of OpenBLAS (``values @ weights``) rounds the last ``n mod 4`` rows of a
-call differently.
+Every reader of the problem (:func:`assemble_system`, :func:`solve`,
+:func:`energy_error`, the estimators) takes one sample of the mesh:
+``ManufacturedProblem.sample`` at :func:`error_points`, reduced first, or
+the drivers' reduced one; one gate, :func:`_reduced`, checks it against
+the mesh and refuses anything else.  The load moments are the adjoint of
+the vertex vectors applied to y of f (:func:`_moments`), so the load is
+the one the points give; its rounding differs from a basis-tensor einsum
+in the last bits.  Every other reader needs an L2 distance to a linear or a
+constant field, and has it in closed form through the discrete Pythagoras
+split ``||v - w||^2 = ||v - Pi v||^2 + ||Pi v - w||^2``: the rule is exact
+for degree 2, so ``v - Pi v`` is orthogonal to every linear field, and
+``int_T |sum_i lam_i d_i|^2 = |T|/12 (sum_i |d_i|^2 + |sum_i d_i|^2)``
+(:func:`_linear_norms_sq`).  :func:`energy_error` and the estimators' R1,
+R2 and oscillations are such sums of nonnegative parts, equal to the
+quadrature of the points up to rounding.  Every reduction is row-local: a
+row's numbers are the same bytes whatever the rows reduced with it, so
+neither the block size nor a carried row moves a bit.  The quadrature
+sums are ``einsum`` loops for that reason; the gemv of OpenBLAS
+(``values @ weights``) rounds the last ``n mod 4`` rows of a call
+differently.
 
 A field carries over to a refined mesh through ``Mesh.parent_ids`` alone
 (:func:`prolongate`).  On each coarse element P it is linear with a
@@ -319,21 +322,18 @@ class DiscreteSolution:
         return c
 
 
-def assemble_system(mesh, coefficients, f):
+def assemble_system(mesh, coefficients, sample):
     """Assemble the free-dof Galerkin matrix and load vector.
 
     The bilinear form is ``eps * (curl u, curl v) + kappa * (u, v)`` with
     elementwise-constant eps taken from the coefficient field by region
-    tag.  ``f`` holds the source's values (T, Q, 2) at :func:`error_points`
-    of ``mesh``, or is the problem's sample there
-    (``ManufacturedProblem.sample``), or the drivers' reduced sample
-    (:func:`_mesh_sample`).  The load ``int f . phi`` is integrated at those
-    points, as the adjoint of the vertex vectors applied to the moments of
-    f (:func:`_moments`).
+    tag.  ``sample`` is the problem's sample at :func:`error_points` of
+    ``mesh`` (``ManufacturedProblem.sample``) or the drivers' reduced one
+    (:func:`_mesh_sample`); of it only f is read.  The load ``int f . phi``
+    is integrated at those points, as the adjoint of the vertex vectors
+    applied to the moments of f (:func:`_moments`).
     """
-    if not isinstance(f, (_Sample, _Reduced)):
-        f = _Sample(None, None, f, None)
-    load = _moments(mesh, _reduced(mesh, f, ("f",)).f.y)
+    load = _moments(mesh, _reduced(mesh, sample, ("f",)).f.y)
     eps_t = coefficients.eps_by_region(mesh.regions)
     g, areas, signs = mesh.barycentric_gradients, mesh.areas, mesh.tri_edge_signs
     local = np.empty((mesh.num_triangles, 3, 3))
@@ -380,11 +380,11 @@ class Hierarchy:
         return tuple(self._levels)
 
 
-def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None,
+def solve(mesh, coefficients, sample, rel_tol=1e-12, energy_target=None, x0=None,
           hierarchy=None):
-    """Solve the discrete problem for the source ``f`` of
-    :func:`assemble_system` (values, the problem's sample or the drivers'
-    reduced one) and return a :class:`DiscreteSolution`.
+    """Solve the discrete problem for the source f of ``sample``, read as
+    :func:`assemble_system` reads it, and return a
+    :class:`DiscreteSolution`.
 
     CG is preconditioned with Hiptmair's hybrid smoother: Jacobi plus a
     diagonal solve on the gradients of interior nodal functions
@@ -407,7 +407,7 @@ def solve(mesh, coefficients, f, rel_tol=1e-12, energy_target=None, x0=None,
     energy estimate against ``energy_target`` (see
     :func:`linalg.cg_solve`).
     """
-    matrix, b, dofmap = assemble_system(mesh, coefficients, f)
+    matrix, b, dofmap = assemble_system(mesh, coefficients, sample)
     smoother = linalg.hybrid_smoother(matrix, discrete_gradient(dofmap))
     coarse = () if hierarchy is None else hierarchy._descend(
         dofmap, smoother, _mass_dominated(mesh, coefficients))
@@ -634,18 +634,22 @@ def _mesh_sample(problem, mesh, previous=None):
 
 
 def _reduced(mesh, sample, fields):
-    """``sample`` reduced on each element of ``mesh``.  A reduced sample,
-    such as the drivers' (:func:`_mesh_sample`), is returned as it is, and
-    refused unless each of its parts holds the triangles of ``mesh``.  Of a
-    problem's sample at :func:`error_points` (``ManufacturedProblem.sample``)
-    the ``fields`` are refused, in that order, unless shaped (T, Q), or (T,
-    Q, 2) for u and f, and reduced by :func:`_reduce_blocks`."""
+    """``sample`` reduced on each element of ``mesh``: the one gate of every
+    reader's sample.  A reduced sample, such as the drivers'
+    (:func:`_mesh_sample`), is returned as it is, and refused unless each of
+    its parts holds the triangles of ``mesh``.  Of a problem's sample at
+    :func:`error_points` (``ManufacturedProblem.sample``) the ``fields`` are
+    refused, in that order, unless shaped (T, Q), or (T, Q, 2) for u and f,
+    and reduced by :func:`_reduce_blocks`.  Anything else is refused."""
     if isinstance(sample, _Reduced):
         for part in filter(None, sample):
             if np.shape(part.rem) != (mesh.num_triangles,):
                 raise ValueError(f"the sample must be of this mesh: it holds {len(part.rem)} "
                                  f"triangles, the mesh {mesh.num_triangles}")
         return sample
+    if not isinstance(sample, _Sample):
+        raise TypeError(f"the sample must be a problem's sample at error_points(mesh) or the "
+                        f"drivers' reduced one, got {type(sample).__name__}")
     present = []
     for name in fields:
         values = getattr(sample, name)
@@ -662,22 +666,18 @@ def _reduced(mesh, sample, fields):
         **{name: getattr(sample, name)[rows] for name in present}), present)
 
 
-def energy_error(solution, coefficients, u_exact, curl_u_exact):
-    """Energy-norm distance between an analytic field and the discrete one:
-    ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u - u_h|^2)``,
-    integrated at :func:`error_points` of the solution's mesh, where
-    ``u_exact`` (T, Q, 2) and ``curl_u_exact`` (T, Q) hold the values, or
-    ``sample.u`` and ``sample.curl_u`` of the drivers' sample there; values
-    of another mesh, a sample of another mesh or one field of each kind are
-    refused.  Both parts are the remainders of the projections of u and curl u plus their
-    closed-form distances to u_h and curl u_h (module docstring)."""
+def energy_error(solution, coefficients, sample):
+    """Energy-norm distance between the exact field u of ``sample`` and the
+    discrete one: ``sqrt(sum_T int_T eps (curl u - curl u_h)^2 + kappa |u -
+    u_h|^2)``, integrated at :func:`error_points` of the solution's mesh.
+    ``sample`` is read as :func:`assemble_system` reads it, here for u and
+    curl u; a sample without them is refused.  Both parts are the remainders
+    of the projections of u and curl u plus their closed-form distances to
+    u_h and curl u_h (module docstring)."""
     mesh = solution.mesh
-    if isinstance(u_exact, _Linear) != isinstance(curl_u_exact, _Mean):
-        raise ValueError("u and curl u must both hold the values at error_points(mesh), "
-                         "or both be of the drivers' sample")
-    kind = _Reduced if isinstance(u_exact, _Linear) else _Sample
-    u_exact, curl_u_exact, _, _ = _reduced(mesh, kind(u_exact, curl_u_exact, None, None),
-                                           ("u", "curl_u"))
+    u_exact, curl_u_exact = _reduced(mesh, sample, ("u", "curl_u"))[:2]
+    if u_exact is None or curl_u_exact is None:
+        raise ValueError("the sample must hold the exact solution u and its curl")
     areas = mesh.areas
     d = _projection(u_exact.y, areas, u_exact.scale)
     d -= solution.vertex_vectors

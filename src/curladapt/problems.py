@@ -6,14 +6,14 @@ scalar fields (curl u, div f and the region classifier, a problem's one
 description of its regions) to shape (...,).  They must be pure, so
 problems can be shared freely across threads.
 
-Where the fields are read: the drivers take one
-:meth:`ManufacturedProblem.sample` per mesh, at ``edge_fem.error_points``
-and before the solve, one block of ``mesh._BLOCK`` triangles at a time,
-and reduce each block at once to a few numbers per element
-(``edge_fem._mesh_sample``), so no point value outlives its block; the
-adaptive driver samples only the triangles that bisection made.  The
-load, ``edge_fem.energy_error`` and the estimators read only that reduced
-sample.  Every sample is a :class:`_Sample`.  The trig fields of
+Where the fields are read: every reader of the problem in ``edge_fem``
+and ``estimators`` takes one sample of the mesh, either a
+:meth:`ManufacturedProblem.sample` at ``edge_fem.error_points`` (a
+:class:`_Sample`) or the drivers' reduced one (``edge_fem._mesh_sample``).
+The drivers take the latter once per mesh, before the solve, one block of
+``mesh._BLOCK`` triangles at a time, reduced at once to a few numbers per
+element, so no point value outlives its block; the adaptive driver
+samples only the triangles that bisection made.  The trig fields of
 :func:`paper_problem` and :func:`interface_problem` share one set of
 sines and cosines per sample, also when u and curl u are left out
 (:meth:`ManufacturedProblem._trig_field`); their f = kappa u lets the

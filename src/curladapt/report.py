@@ -68,7 +68,7 @@ class RunConfig:
 
     def validate(self):
         """Refuse bad settings before any work; the coefficients are
-        checked by building the problem."""
+        checked by building the problem, which is returned."""
         for name in ("levels", "initial_n"):
             value = getattr(self, name)
             if _integers(value, name).ndim or value < 1:
@@ -82,7 +82,7 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.solver_tol is not None and not 0 < self.solver_tol < np.inf:
             raise ValueError("solver_tol must be positive and finite")
-        self.make_problem()
+        return self.make_problem()
 
     def make_problem(self):
         if self.problem == "paper":
@@ -192,8 +192,7 @@ def run_table(config):
     failure marker is written to the configured output before the error
     propagates.
     """
-    config.validate()
-    problem = config.make_problem()
+    problem = config.validate()
     solver_tol = config.solver_tol or default_solver_tol(problem)
     mesh = build_structured_unit_square(config.initial_n)
     check_interface_alignment(mesh, problem)
@@ -208,8 +207,7 @@ def run_table(config):
                                       rel_tol=solver_tol, hierarchy=hierarchy)
             if level + 1 == config.levels:
                 hierarchy = None  # freed before the last estimation's peak memory
-            error = edge_fem.energy_error(solution, problem.coefficients,
-                                          sample.u, sample.curl_u)
+            error = edge_fem.energy_error(solution, problem.coefficients, sample)
             robust = indicator(solution, problem, EstimatorKind.ROBUST, sample)
             sample = None  # freed before refinement
             classical = robust.as_kind(EstimatorKind.CLASSICAL)

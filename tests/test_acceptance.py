@@ -204,9 +204,9 @@ def test_property_galerkin_orthogonality():
     for eps, kappa in REFERENCE_STUDY:
         problem = paper_problem(eps, kappa)
         mesh = red_refine(build_structured_unit_square(4))
-        f = problem.f(error_points(mesh))
-        matrix, b, _ = assemble_system(mesh, problem.coefficients, f)
-        solution = solve(mesh, problem.coefficients, f)
+        sample = problem.sample(error_points(mesh))
+        matrix, b, _ = assemble_system(mesh, problem.coefficients, sample)
+        solution = solve(mesh, problem.coefficients, sample)
         residual = np.abs(b - matrix @ solution.coefficients).max()
         worst = max(worst, residual / np.linalg.norm(b))
     ok = worst <= 1e-10
@@ -312,7 +312,7 @@ def test_weight_identity_regime():
     mesh = build_structured_unit_square(4)
     worst = 0.0
     for _ in range(2):
-        solution = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+        solution = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
         robust = indicator(solution, problem, EstimatorKind.ROBUST)
         classical = indicator(solution, problem, EstimatorKind.CLASSICAL)
         rel = np.abs(robust.total - classical.total) / robust.total

@@ -105,7 +105,7 @@ def test_adaptive_smooth_problem_stays_quasi_uniform():
     problem = paper_problem(0.1, 10.0)
     mesh = build_structured_unit_square(4)
     while True:
-        solution = edge_fem.solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+        solution = edge_fem.solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
         if solution.dofmap.n_free >= 1200:
             break
         breakdown = indicator(solution, problem, EstimatorKind.ROBUST)
@@ -120,7 +120,7 @@ def test_adaptive_interface_concentrates_near_interface():
     problem = interface_problem(1e4, 1.0, 1.0)
     mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
     for iteration in range(3):
-        solution = edge_fem.solve(mesh, problem.coefficients, problem.f(error_points(mesh)),
+        solution = edge_fem.solve(mesh, problem.coefficients, problem.sample(error_points(mesh)),
                                   rel_tol=1e-6)
         breakdown = indicator(solution, problem, EstimatorKind.ROBUST)
         marked = doerfler_mark(breakdown.total, 0.5)
@@ -377,6 +377,6 @@ def test_energy_stop_keeps_algebraic_error_below_eta(monkeypatch, problem):
     assert len(final) == len(records)
     for solution, eta in final.values():
         matrix, b, _ = edge_fem.assemble_system(solution.mesh, problem.coefficients,
-                                                problem.f(error_points(solution.mesh)))
+                                                problem.sample(error_points(solution.mesh)))
         error = spsolve(matrix.tocsc(), b) - solution.coefficients
         assert np.sqrt(error @ (matrix @ error)) <= amr.ALGEBRAIC_FRACTION * eta

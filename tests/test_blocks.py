@@ -27,7 +27,7 @@ def arrays_of(reduced):
 
 def kernel_outputs(mesh, problem, solution):
     sample = problem.sample(error_points(mesh))
-    matrix, b, _ = assemble_system(mesh, problem.coefficients, sample.f)
+    matrix, b, _ = assemble_system(mesh, problem.coefficients, sample)
     breakdown = indicator(solution, problem, sample=sample)
     osc = oscillations(solution, problem)
     driver_sample = _mesh_sample(problem, mesh)
@@ -38,8 +38,7 @@ def kernel_outputs(mesh, problem, solution):
     reduced = _reduced(mesh, sample, _Reduced._fields)
     return {
         "matrix": (matrix.indptr, matrix.indices, matrix.data), "b": (b,),
-        "energy_error": (energy_error(solution, problem.coefficients, sample.u,
-                                      sample.curl_u),),
+        "energy_error": (energy_error(solution, problem.coefficients, sample),),
         "indicator": (breakdown.r1, breakdown.r2, breakdown.j1, breakdown.j2),
         "oscillations": (osc.osc1, osc.osc2, osc.element_part1, osc.edge_part1,
                          osc.element_part2, osc.edge_part2),
@@ -88,8 +87,7 @@ def test_kernels_add_less_than_one_full_mesh_vector_field():
     sample = problem.sample(points)
     solution = random_field(mesh, 7)
     kernels = {
-        "energy_error": lambda: energy_error(solution, problem.coefficients, sample.u,
-                                             sample.curl_u),
+        "energy_error": lambda: energy_error(solution, problem.coefficients, sample),
         "indicator": lambda: indicator(solution, problem, sample=sample),
         "sample": lambda: problem.sample(points),
     }

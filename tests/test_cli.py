@@ -4,6 +4,7 @@ import pytest
 
 from curladapt import edge_fem
 from curladapt.cli import main
+from curladapt.report import RunConfig
 
 
 def test_run_table_writes_csv(tmp_path, capsys):
@@ -60,6 +61,20 @@ def test_misaligned_regions_are_refused_before_any_solve(monkeypatch, capsys, co
     assert code == 1
     assert "not aligned" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command, builds", [
+    (["run-table", "--levels", "1"], 1),
+    (["run-adaptive", "--max-dofs", "100"], 1),
+    # validated before the first run, then built by that run
+    (["run-sweep", "--ratios", "1,100", "--kappas", "1", "--levels", "1"], 4),
+], ids=["run-table", "run-adaptive", "run-sweep"])
+def test_validation_builds_the_problem_each_run_uses(monkeypatch, command, builds):
+    made = []
+    make = RunConfig.make_problem
+    monkeypatch.setattr(RunConfig, "make_problem", lambda self: made.append(self) or make(self))
+    assert main(command) == 0
+    assert len(made) == builds
 
 
 def test_run_sweep(tmp_path, capsys):

@@ -15,7 +15,7 @@ from curladapt.estimators import indicator
 from curladapt.linalg import CgNonConvergence, Level, cg_solve, hybrid_smoother
 from curladapt.mesh import (Mesh, bisect_refine, build_structured_unit_square,
                             red_refine, tag_regions)
-from curladapt.problems import (CoefficientField, interface_problem,
+from curladapt.problems import (CoefficientField, _Sample, interface_problem,
                                 paper_problem)
 from curladapt.quadrature import triangle_rule
 from reference import edge_rule, from_triplet_arrays, galerkin_residual
@@ -205,7 +205,7 @@ def constant_coeffs(eps=1.0, kappa=1.0):
 
 def test_assemble_zero_rhs():
     mesh = build_structured_unit_square(4)
-    zero = np.zeros_like(error_points(mesh))
+    zero = _Sample(None, None, np.zeros_like(error_points(mesh)), None)
     matrix, b, dofmap = assemble_system(mesh, constant_coeffs(), zero)
     assert np.array_equal(b, np.zeros(dofmap.n_free))
     sol = solve(mesh, constant_coeffs(), zero)
@@ -217,7 +217,7 @@ def test_assemble_without_free_edges():
     mesh = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
     problem = paper_problem(1.0, 1.0)
     matrix, b, dofmap = assemble_system(mesh, problem.coefficients,
-                                        problem.f(error_points(mesh)))
+                                        problem.sample(error_points(mesh)))
     assert dofmap.n_free == 0 and matrix.shape == (0, 0)
     assert matrix.indptr.tolist() == [0]
     assert matrix.data.dtype == b.dtype == np.float64 and b.shape == (0,)
@@ -230,7 +230,7 @@ def test_assemble_dimensions_and_symmetry():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
     matrix, b, dofmap = assemble_system(mesh, problem.coefficients,
-                                        problem.f(error_points(mesh)))
+                                        problem.sample(error_points(mesh)))
     assert matrix.shape == (40, 40)  # interior edges of the 4x4 mesh
     assert isinstance(matrix, scipy.sparse.csr_matrix) and matrix.has_canonical_format
     transpose = matrix.T.tocsr()
@@ -292,7 +292,7 @@ def test_assembly_is_frozen(case):
         problem = interface_problem(1e4, 1.0, 1.0)
         mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
     matrix, b, dofmap = assemble_system(mesh, problem.coefficients,
-                                        problem.f(error_points(mesh)))
+                                        problem.sample(error_points(mesh)))
     field = DiscreteSolution(mesh, dofmap, np.sin(np.arange(dofmap.n_free) + 0.5))
     residual = galerkin_residual(field, problem)
     assert (_sha256(matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64),
@@ -326,8 +326,7 @@ def test_load_refuses_a_sample_of_another_mesh(problem, other):
     # and a (4T, Q) one be cut to T rows
     mesh = build_structured_unit_square(4)
     sample = problem.sample(error_points(mesh))
-    _, b, _ = assemble_system(mesh, problem.coefficients, sample)
-    assert np.array_equal(b, assemble_system(mesh, problem.coefficients, sample.f)[1])
+    assemble_system(mesh, problem.coefficients, sample)
     wrong = problem.sample(other(mesh))
     with pytest.raises(ValueError, match="f must hold the values at error_points"):
         assemble_system(mesh, problem.coefficients, wrong)
@@ -340,7 +339,7 @@ def test_assemble_rejects_missing_region():
     coeffs = CoefficientField(eps={2: 1.0}, kappa=1.0)  # mesh is tagged 1
     problem = paper_problem(1.0, 1.0)
     with pytest.raises(ValueError):
-        assemble_system(mesh, coeffs, problem.f(error_points(mesh)))
+        assemble_system(mesh, coeffs, problem.sample(error_points(mesh)))
 
 
 def test_values_at_other_points_are_refused():
@@ -350,21 +349,51 @@ def test_values_at_other_points_are_refused():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
     exact = problem.sample(error_points(mesh))
-    sol = solve(mesh, problem.coefficients, exact.f)
+    sol = solve(mesh, problem.coefficients, exact)
     for points in (error_points(mesh)[:1], error_points(red_refine(mesh)),
                    np.matmul(triangle_rule(4).points, mesh.vertices[mesh.triangles])):
         wrong = problem.sample(points)
         with pytest.raises(ValueError, match="f must hold the values at error_points"):
-            assemble_system(mesh, problem.coefficients, wrong.f)
+            assemble_system(mesh, problem.coefficients, wrong)
         with pytest.raises(ValueError, match="u must hold the values at error_points"):
-            energy_error(sol, problem.coefficients, wrong.u, exact.curl_u)
+            energy_error(sol, problem.coefficients, exact._replace(u=wrong.u))
         with pytest.raises(ValueError, match="curl u must hold the values at error_points"):
-            energy_error(sol, problem.coefficients, exact.u, wrong.curl_u)
+            energy_error(sol, problem.coefficients, exact._replace(curl_u=wrong.curl_u))
     # a vector field is no curl, a scalar one no load
     with pytest.raises(ValueError, match="curl u"):
-        energy_error(sol, problem.coefficients, exact.u, exact.u)
+        energy_error(sol, problem.coefficients, exact._replace(curl_u=exact.u))
     with pytest.raises(ValueError, match="f must"):
-        assemble_system(mesh, problem.coefficients, exact.div_f)
+        assemble_system(mesh, problem.coefficients, exact._replace(f=exact.div_f))
+
+
+@pytest.mark.parametrize("take", [lambda problem, mesh: problem.sample(error_points(mesh)),
+                                  edge_fem._mesh_sample], ids=["points", "drivers"])
+def test_energy_error_refuses_a_sample_without_u(take):
+    # a problem may leave out its exact solution: the load and the
+    # estimators read its sample, the energy error has nothing to measure
+    problem = dataclasses.replace(paper_problem(1, 1), u=None, curl_u=None)
+    mesh = build_structured_unit_square(4)
+    sample = take(problem, mesh)
+    sol = solve(mesh, problem.coefficients, sample)
+    indicator(sol, problem, sample=sample)
+    with pytest.raises(ValueError, match="exact solution u"):
+        energy_error(sol, problem.coefficients, sample)
+
+
+@pytest.mark.parametrize("read", [
+    lambda mesh, sol, problem, values: assemble_system(mesh, problem.coefficients, values),
+    lambda mesh, sol, problem, values: solve(mesh, problem.coefficients, values),
+    lambda mesh, sol, problem, values: energy_error(sol, problem.coefficients, values),
+    lambda mesh, sol, problem, values: indicator(sol, problem, sample=values),
+], ids=["assemble_system", "solve", "energy_error", "indicator"])
+def test_readers_refuse_bare_values(read):
+    # the sample is the one form of problem data: values of f alone, even
+    # of the right shape, are no sample
+    mesh = build_structured_unit_square(2)
+    problem = paper_problem(1.0, 1.0)
+    values = problem.sample(error_points(mesh)).f
+    with pytest.raises(TypeError, match="got ndarray"):
+        read(mesh, zero_solution(mesh), problem, values)
 
 
 def test_dofmap_layout():
@@ -379,9 +408,9 @@ def test_dofmap_layout():
 def test_galerkin_orthogonality_algebraic_and_quadrature():
     mesh = build_structured_unit_square(8)
     problem = paper_problem(0.1, 10.0)
-    f = problem.f(error_points(mesh))
-    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, f)
-    sol = solve(mesh, problem.coefficients, f)
+    sample = problem.sample(error_points(mesh))
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, sample)
+    sol = solve(mesh, problem.coefficients, sample)
     algebraic = b - matrix @ sol.coefficients
     assert np.abs(algebraic).max() <= 1e-10 * np.linalg.norm(b)
     # same identity via quadrature against the analytic solution
@@ -577,15 +606,15 @@ def test_energy_error_exact_for_field_in_discrete_space():
     sol = solution_from_edge_values(mesh, moments)
     coeffs = constant_coeffs(eps=2.0, kappa=3.0)
     points = error_points(mesh)
-    assert energy_error(sol, coeffs, u(points), curl_u(points)) <= 1e-12
+    assert energy_error(sol, coeffs, _Sample(u(points), curl_u(points), None, None)) <= 1e-12
 
 
 def test_energy_error_reference_values():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
     exact = problem.sample(error_points(mesh))
-    sol = solve(mesh, problem.coefficients, exact.f)
-    e = energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
+    sol = solve(mesh, problem.coefficients, exact)
+    e = energy_error(sol, problem.coefficients, exact)
     assert e == pytest.approx(8.42e-1, rel=0.10)
     assert e == pytest.approx(0.83709, rel=1e-3)  # regression pin
 
@@ -594,18 +623,18 @@ def test_energy_error_quadrature_degree_stable(monkeypatch):
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1.0, 1.0)
     exact = problem.sample(error_points(mesh))
-    sol = solve(mesh, problem.coefficients, exact.f)
-    e6 = energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
+    sol = solve(mesh, problem.coefficients, exact)
+    e6 = energy_error(sol, problem.coefficients, exact)
     monkeypatch.setattr(edge_fem, "_ERROR_RULE", triangle_rule(8))
     exact = problem.sample(error_points(mesh))
-    e8 = energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
+    e8 = energy_error(sol, problem.coefficients, exact)
     assert e6 == pytest.approx(e8, rel=1e-8)
 
 
 def test_element_curls_matches_scalar_api():
     mesh = build_structured_unit_square(3)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     curls = sol.curls
     for t in (0, 5, 11):
         assert curls[t] == pytest.approx(curl_uh(sol, t), abs=1e-14)
@@ -614,7 +643,7 @@ def test_element_curls_matches_scalar_api():
 def test_vertex_vectors_and_curls_are_read_only():
     mesh = build_structured_unit_square(2)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     with pytest.raises(ValueError):
         sol.vertex_vectors[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -690,7 +719,7 @@ def test_discrete_gradient_without_interior_vertices():
     mesh = build_structured_unit_square(1)  # one free edge, the diagonal
     assert discrete_gradient(DofMap(mesh)).shape == (1, 0)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     assert sol.residual <= 1e-12
 
 
@@ -787,7 +816,7 @@ def red_levels(problem, levels):
 
 
 def matrix_of(mesh, problem):
-    return assemble_system(mesh, problem.coefficients, problem.f(error_points(mesh)))[0]
+    return assemble_system(mesh, problem.coefficients, problem.sample(error_points(mesh)))[0]
 
 
 @pytest.mark.parametrize("problem", [paper_problem(0.1, 10.0), interface_problem(1e4, 1.0, 1.0)],
@@ -832,7 +861,8 @@ def test_cg_without_coarse_levels_is_frozen(case):
     name, rel_tol = case
     problem = paper_problem(0.1, 10.0) if name == "paper" else interface_problem(1e4, 1.0, 1.0)
     mesh = red_levels(problem, 3)[-1]
-    matrix, b, dofmap = assemble_system(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    matrix, b, dofmap = assemble_system(mesh, problem.coefficients,
+                                        problem.sample(error_points(mesh)))
     result = cg_solve(matrix, b, rel_tol=rel_tol,
                       smoother=hybrid_smoother(matrix, discrete_gradient(dofmap)))
     assert (result.iterations, _sha256(result.x)) == FROZEN_SINGLE_LEVEL[case]
@@ -855,7 +885,7 @@ def test_hierarchy_restarts_at_the_finest_mass_dominated_mesh(monkeypatch, probl
     monkeypatch.setattr(linalg, "cg_solve", counting)
     hierarchy = Hierarchy()
     for mesh in red_levels(problem, 4):
-        solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6,
+        solve(mesh, problem.coefficients, problem.sample(error_points(mesh)), rel_tol=1e-6,
               hierarchy=hierarchy)
     assert seen == coarse_levels
 
@@ -873,10 +903,10 @@ def uniform_3008_dof_mesh(problem):
 ], ids=["contrast-1e4", "mass-dominated"])
 def test_gradient_correction_iterations_against_jacobi(problem, rel_tol, max_ratio):
     mesh = uniform_3008_dof_mesh(problem)
-    f = problem.f(error_points(mesh))
-    sol = solve(mesh, problem.coefficients, f, rel_tol=rel_tol)
+    sample = problem.sample(error_points(mesh))
+    sol = solve(mesh, problem.coefficients, sample, rel_tol=rel_tol)
     assert sol.dofmap.n_free == 3008
-    matrix, b, _ = assemble_system(mesh, problem.coefficients, f)
+    matrix, b, _ = assemble_system(mesh, problem.coefficients, sample)
     jacobi = cg_solve(matrix, b, rel_tol=rel_tol)
     assert sol.iterations <= max_ratio * jacobi.iterations
     assert sol.residual <= rel_tol
@@ -888,4 +918,4 @@ def test_residual_contract_unchanged_at_contrast_1e6():
     problem = interface_problem(1e6, 1.0, 1e-2)
     mesh = uniform_3008_dof_mesh(problem)
     with pytest.raises(CgNonConvergence):
-        solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6)
+        solve(mesh, problem.coefficients, problem.sample(error_points(mesh)), rel_tol=1e-6)

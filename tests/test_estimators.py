@@ -195,7 +195,7 @@ def test_j2_constant_jump_integral():
 def test_j1_against_two_sided_evaluation_oracle():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     pts, wts = edge_rule(4)
     kappa = problem.coefficients.kappa
     for e in np.nonzero(~mesh.is_boundary_edge)[0][::7]:
@@ -221,7 +221,7 @@ def test_j1_against_two_sided_evaluation_oracle():
     mesh = tag_regions(build_structured_unit_square(4), problem.classifier)
     mesh = bisect_refine(mesh, {0, 5, 17, 30})
     mesh = bisect_refine(mesh, set(range(0, mesh.num_triangles, 3)))
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6)
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)), rel_tol=1e-6)
     interior = np.nonzero(~mesh.is_boundary_edge)[0]
     for e in interior:
         samples = _j1_oracle_samples(sol, problem, int(e))
@@ -266,7 +266,7 @@ def test_indicator_evaluates_f_once():
     # f enters the estimators at element points only: J1 reads no f
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     calls = []
 
     def counted_f(x):
@@ -286,7 +286,7 @@ def test_indicator_refuses_a_sample_of_another_mesh(points):
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
     sample = problem.sample(error_points(mesh))
-    sol = solve(mesh, problem.coefficients, sample.f)
+    sol = solve(mesh, problem.coefficients, sample)
     eta = indicator(sol, problem, sample=sample).global_estimate
     assert eta == pytest.approx(3.6234, rel=1e-4)
     with pytest.raises(ValueError, match=r"div f must hold the values at error_points"):
@@ -296,7 +296,7 @@ def test_indicator_refuses_a_sample_of_another_mesh(points):
 def test_every_reader_shares_one_build_of_the_vertex_vectors(monkeypatch):
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     calls = []
     build = edge_fem._vertex_vectors
 
@@ -308,7 +308,7 @@ def test_every_reader_shares_one_build_of_the_vertex_vectors(monkeypatch):
     indicator(sol, problem).as_kind(EstimatorKind.CLASSICAL)
     oscillations(sol, problem)
     exact = problem.sample(error_points(mesh))
-    energy_error(sol, problem.coefficients, exact.u, exact.curl_u)
+    energy_error(sol, problem.coefficients, exact)
     eval_uh(sol, 3, mesh.centroids[3])
     curl_uh(sol, 3)
     assert len(calls) == 1
@@ -318,7 +318,7 @@ def test_edge_jumps_do_not_need_div_f():
     # the jumps never read div f, so a problem without it still has them
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     no_div_f = ManufacturedProblem(coefficients=problem.coefficients, u=problem.u,
                                    curl_u=problem.curl_u, f=problem.f, div_f=None,
                                    tag="no-divf")
@@ -332,7 +332,7 @@ def test_edge_jumps_do_not_need_div_f():
 def test_indicator_zero_for_zero_source():
     mesh = build_structured_unit_square(2)
     problem = zero_field_problem()
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     for kind in EstimatorKind:
         breakdown = indicator(sol, problem, kind)
         assert breakdown.global_estimate == 0.0
@@ -341,7 +341,7 @@ def test_indicator_zero_for_zero_source():
 def test_indicator_positive_iff_source_nonzero():
     mesh = build_structured_unit_square(2)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     breakdown = indicator(sol, problem, EstimatorKind.ROBUST)
     assert breakdown.global_estimate > 0.1
 
@@ -349,7 +349,7 @@ def test_indicator_positive_iff_source_nonzero():
 def test_indicator_parts_nonnegative_and_sum_exact():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     for kind in EstimatorKind:
         b = indicator(sol, problem, kind)
         for part in (b.r1, b.r2, b.j1, b.j2):
@@ -360,7 +360,7 @@ def test_indicator_parts_nonnegative_and_sum_exact():
 def test_indicator_reference_values_32_elements():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(0.1, 10.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     eta = indicator(sol, problem, EstimatorKind.ROBUST).global_estimate
     eta_tilde = indicator(sol, problem, EstimatorKind.CLASSICAL).global_estimate
     assert eta == pytest.approx(3.72, rel=0.10)
@@ -370,7 +370,7 @@ def test_indicator_reference_values_32_elements():
 def test_indicator_extreme_column_32_elements():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1e-5, 1e5)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     eta = indicator(sol, problem, EstimatorKind.ROBUST).global_estimate
     eta_tilde = indicator(sol, problem, EstimatorKind.CLASSICAL).global_estimate
     assert eta == pytest.approx(3.72e2, rel=0.10)
@@ -380,7 +380,7 @@ def test_indicator_extreme_column_32_elements():
 def test_edge_terms_credited_to_both_neighbours():
     mesh = build_structured_unit_square(1)
     problem = paper_problem(1.0, 1.0)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     breakdown = indicator(sol, problem, EstimatorKind.ROBUST)
     diagonal = int(np.nonzero(~mesh.is_boundary_edge)[0][0])
     j1, j2 = edge_jumps(sol, problem, diagonal)
@@ -395,7 +395,7 @@ def test_estimators_coincide_in_constant_eps_small_mesh_regime():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1.0, 1.0)
     for _ in range(2):
-        sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+        sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
         robust = indicator(sol, problem, EstimatorKind.ROBUST)
         classical = indicator(sol, problem, EstimatorKind.CLASSICAL)
         scale = np.maximum(robust.total, 1e-300)
@@ -407,7 +407,7 @@ def test_estimators_coincide_in_constant_eps_small_mesh_regime():
 def test_estimators_differ_when_kappa_branch_active():
     mesh = build_structured_unit_square(4)
     problem = paper_problem(1.0, 1e4)  # 1/sqrt(kappa) = 0.01 < element sizes
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     robust = indicator(sol, problem, EstimatorKind.ROBUST).global_estimate
     classical = indicator(sol, problem, EstimatorKind.CLASSICAL).global_estimate
     assert classical > 2.0 * robust
@@ -417,7 +417,7 @@ def test_as_kind_matches_a_fresh_call():
     mesh = tag_regions(build_structured_unit_square(4),
                        lambda x: np.where(x[..., 0] < 0.5, 1, 2))
     problem = interface_problem(1e4, 1.0, 1e4)
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-6)
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)), rel_tol=1e-6)
     fresh = {kind: indicator(sol, problem, kind) for kind in EstimatorKind}
     assert not np.array_equal(fresh[EstimatorKind.ROBUST].total,
                               fresh[EstimatorKind.CLASSICAL].total)
@@ -435,7 +435,7 @@ def test_as_kind_matches_a_fresh_call():
 def test_oscillations_zero_for_zero_source():
     mesh = build_structured_unit_square(2)
     problem = zero_field_problem()
-    sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+    sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
     osc = oscillations(sol, problem)
     assert osc.osc1 == 0.0 and osc.osc2 == 0.0
 
@@ -460,7 +460,7 @@ def test_oscillations_superconverge():
     mesh = build_structured_unit_square(4)
     values = []
     for _ in range(3):
-        sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)))
+        sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)))
         osc = oscillations(sol, problem)
         values.append(osc.osc1 + osc.osc2)
         mesh = red_refine(mesh)

@@ -143,6 +143,17 @@ def test_cg_nonconvergence_reports_residual():
     assert info.value.x.shape == (256,)
 
 
+def test_cg_ends_its_steps_when_r_dot_z_underflows():
+    # at this scale z = r / diag underflows once r is at rounding level, so
+    # r . z reads zero on a nonzero residual: the steps end there, and CG
+    # raises with the residual it reached instead of iterating on
+    m = scipy.sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]) * 1e300)
+    with pytest.raises(CgNonConvergence) as info:
+        cg_solve(m, np.array([1.0, 0.3]), rel_tol=1e-20)
+    assert info.value.iterations == 2
+    assert 0 < info.value.residual < 1e-15
+
+
 def test_cg_rejects_bad_diagonal():
     m = from_triplets(2, 2, [(0, 0, 1.0), (1, 1, -1.0)])
     with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ def test_structured_counts_n4():
     assert mesh.num_vertices == 25
     assert mesh.num_edges == 56
     assert mesh.num_interior_edges == 40
+    assert repr(mesh) == "Mesh(25 vertices, 56 edges, 32 triangles)"
     check_invariants(mesh)
 
 

@@ -109,6 +109,7 @@ def test_verify_consistency_passes_for_shipped_problems():
                     interface_problem(1e4, 1.0, 1.0)):
         report = verify_consistency(problem)
         assert report.passed, str(report)
+        assert str(report).startswith("consistency ok: interior residual ")
         assert report.max_boundary_trace <= 1e-14
 
 
@@ -124,6 +125,19 @@ def test_verify_consistency_detects_perturbed_source():
     assert report.max_interior_residual == pytest.approx(1e-3, rel=1e-6)
     # any change to the sampling of the check points moves the worst point
     assert report.worst_point == (0.5488583059261819, 0.5983387433850835)
+    assert str(report).startswith("consistency FAILED: interior residual 1.000e-03 at "
+                                  "(0.5488583059261819, 0.5983387433850835), boundary trace ")
+
+
+def test_verify_consistency_refuses_a_classifier_with_no_one_region_stencil():
+    # tags alternate every 1e-5 in x1, the finite-difference step: every
+    # stencil of the check straddles two regions, so no point can be kept
+    def stripes(x):
+        return np.where((x[..., 0] // 1e-5) % 2 == 0, OMEGA1, OMEGA2)
+
+    problem = dataclasses.replace(interface_problem(10.0, 1.0, 1.0), classifier=stripes)
+    with pytest.raises(RuntimeError, match="could not sample enough interior points"):
+        verify_consistency(problem)
 
 
 def _curl_carrying_problem(sign):
@@ -229,8 +243,8 @@ def test_verify_consistency_uses_the_adjoint_curl():
         mesh, errors = build_structured_unit_square(4), []
         for _ in range(4):
             exact = problem.sample(error_points(mesh))
-            sol = solve(mesh, problem.coefficients, exact.f)
-            errors.append(energy_error(sol, problem.coefficients, exact.u, exact.curl_u))
+            sol = solve(mesh, problem.coefficients, exact)
+            errors.append(energy_error(sol, problem.coefficients, exact))
             mesh = red_refine(mesh)
         ratios = np.array(errors[:-1]) / errors[1:]
         assert ((low < ratios) & (ratios < high)).all(), (problem.tag, errors)
@@ -241,8 +255,8 @@ def test_interface_reduces_to_constant_coefficients():
     const = paper_problem(1.0, 2.0)
     iface = interface_problem(1.0, 1.0, 2.0)
     tagged = tag_regions(mesh, iface.classifier)
-    a1, b1, _ = assemble_system(mesh, const.coefficients, const.f(error_points(mesh)))
-    a2, b2, _ = assemble_system(tagged, iface.coefficients, iface.f(error_points(tagged)))
+    a1, b1, _ = assemble_system(mesh, const.coefficients, const.sample(error_points(mesh)))
+    a2, b2, _ = assemble_system(tagged, iface.coefficients, iface.sample(error_points(tagged)))
     assert np.array_equal(a1.indptr, a2.indptr)
     assert np.array_equal(a1.indices, a2.indices)
     assert np.array_equal(a1.data, a2.data)
@@ -312,7 +326,7 @@ def test_interface_curl_jumps_present_on_interface():
     totals = []
     for ratio in (1.0, 1e2, 1e4):
         problem = interface_problem(ratio, 1.0, 1.0)
-        sol = solve(mesh, problem.coefficients, problem.f(error_points(mesh)), rel_tol=1e-9)
+        sol = solve(mesh, problem.coefficients, problem.sample(error_points(mesh)), rel_tol=1e-9)
         total = sum(edge_jumps(sol, problem, e)[1] ** 2 for e in gamma_edges)
         totals.append(total)
     assert totals[0] == pytest.approx(2.4558e-05, rel=1e-3)

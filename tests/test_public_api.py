@@ -1,9 +1,11 @@
-"""The public names of ``curladapt`` (submodules excluded) and the public
-attributes of a ``Mesh``, frozen: any addition or removal shows up as a
-diff of these lists.  Package code outside the public names must have a
-caller in the package."""
+"""The public names of ``curladapt`` (submodules excluded), the
+signatures of the readers of the problem data and the public attributes
+of a ``Mesh``, frozen: any addition, removal or change of input form shows
+up as a diff of these lists.  Package code outside the public names must
+have a caller in the package."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -31,6 +33,24 @@ def test_public_names_are_frozen():
     names = sorted(name for name in curladapt.__all__
                    if not isinstance(getattr(curladapt, name), types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+# the readers of the problem data: each takes it as one sample of the mesh
+READER_SIGNATURES = {
+    "assemble_system": "(mesh, coefficients, sample)",
+    "solve": "(mesh, coefficients, sample, rel_tol=1e-12, energy_target=None, x0=None, "
+             "hierarchy=None)",
+    "energy_error": "(solution, coefficients, sample)",
+    "indicator": "(solution, problem, kind=<EstimatorKind.ROBUST: 'robust'>, sample=None)",
+    "oscillations": "(solution, problem)",
+    "element_residuals": "(solution, problem, tri_id)",
+    "edge_jumps": "(solution, problem, edge_id)",
+}
+
+
+def test_reader_signatures_are_frozen():
+    assert {name: str(inspect.signature(getattr(curladapt, name)))
+            for name in READER_SIGNATURES} == READER_SIGNATURES
 
 
 MESH_ATTRIBUTES = [

@@ -120,7 +120,7 @@ def test_reduced_path_matches_the_point_quadrature(case, field):
         solution = random_field(mesh, 3)
     expected = point_energy_error(solution, coeffs, points_sample.u, points_sample.curl_u)
     for sample in (points_sample, driver_sample):
-        assert energy_error(solution, coeffs, sample.u, sample.curl_u) == pytest.approx(
+        assert energy_error(solution, coeffs, sample) == pytest.approx(
             expected, rel=1e-12)
 
     r1, r2 = point_residual_norms(solution, coeffs.kappa, points_sample)
@@ -206,15 +206,9 @@ def test_a_reduced_sample_of_another_mesh_is_refused():
         with pytest.raises(ValueError, match="the sample must be of this mesh"):
             indicator(solution, problem, sample=wrong)
         with pytest.raises(ValueError, match="the sample must be of this mesh"):
-            energy_error(solution, problem.coefficients, wrong.u, wrong.curl_u)
+            energy_error(solution, problem.coefficients, wrong)
         with pytest.raises(ValueError, match="the sample must be of this mesh"):
-            energy_error(solution, problem.coefficients, sample.u, wrong.curl_u)
-    # the values of one field and the reduction of the other are refused
-    values = problem.sample(error_points(mesh))
-    with pytest.raises(ValueError, match="u and curl u must both"):
-        energy_error(solution, problem.coefficients, sample.u, values.curl_u)
-    with pytest.raises(ValueError, match="u and curl u must both"):
-        energy_error(solution, problem.coefficients, values.u, sample.curl_u)
+            energy_error(solution, problem.coefficients, sample._replace(curl_u=wrong.curl_u))
 
 
 def bisected_red_level(mesh):
