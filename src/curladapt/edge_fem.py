@@ -19,8 +19,17 @@ reader of u_h reads it from there, without a per-point basis tensor.
 
 Homogeneous tangential boundary conditions are imposed by eliminating the
 boundary-edge unknowns.  Every sparse matrix, the Galerkin matrix
-(``DofMap.scatter``), the discrete gradient and the prolongations, comes
-from one builder, :func:`_csr`: scipy's conversion of int32 triplets.
+(:func:`assemble_system`), the discrete gradient and the prolongations,
+comes from one builder, :func:`_csr`: scipy's conversion of int32
+triplets.  Each is formed one block at a time, of ``mesh._BLOCK``
+triangles for the Galerkin matrix and as many edges for the others.  A
+block writes only the triplets it keeps, those without a boundary row or
+column, straight into arrays of their final length, and is dropped before
+the next one is formed.  So no builder holds a whole-mesh array of local
+matrices, weights, broadcasts or masks; its peak is its kept triplets and
+scipy's CSR of them.  The triplets follow their rows in any block size,
+so the block size changes no bit.  ``linalg.hybrid_smoother`` reads
+diag(G^T A G) from blocks of rows of A in the same way.
 
 The problem is read at one point set per mesh, :func:`error_points`, and
 reduced there to a few numbers per element at once by one reducer,
@@ -200,7 +209,8 @@ class DofMap:
     Free (interior) edges get dense indices 0..N-1 in edge-id order;
     boundary edges are constrained to zero.  ``element_dofs`` holds the
     global index (or -1) of each local edge.  Both are int32, as every
-    mesh id, the index type scipy keeps, so :func:`_csr` copies neither.
+    mesh id: the index type of the triplets of :func:`_csr`, which scipy
+    keeps without a copy.
     """
 
     def __init__(self, mesh):
@@ -213,19 +223,17 @@ class DofMap:
         self.element_dofs = edge_dof[mesh.tri_edges]
 
     def scatter(self, local):
-        """Sum local vectors (T, 3) into a free-dof vector, or local
-        matrices (T, 3, 3) into a free-dof ``scipy.sparse.csr_matrix``
-        through :func:`_csr`, whose triplets of a boundary slot drop.
+        """Sum local vectors (T, 3) into a free-dof vector; the entries of
+        boundary slots drop.  It holds the free entries and their dofs
+        while one bincount sums them.
 
         No entry sums more than two element terms (an edge has at most two
-        triangles, two edges share at most one), and two-term float
-        addition commutes: the order cannot change a bit.
+        triangles), and two-term float addition commutes: the order cannot
+        change a bit.  Local matrices go to :func:`_csr` block by block
+        instead (:func:`assemble_system`).
         """
-        ed, n = self.element_dofs, self.n_free
-        if local.ndim == 2:
-            free = ed >= 0
-            return _weighted_count(ed[free], local[free], n)
-        return _csr(ed[:, :, None], ed[:, None, :], local, (n, n))
+        free = self.element_dofs >= 0
+        return linalg._weighted_count(self.element_dofs[free], local[free], self.n_free)
 
 
 def _element_norms_sq(values, areas):
@@ -235,20 +243,32 @@ def _element_norms_sq(values, areas):
     return np.einsum("tq,q->t", squares, _ERROR_RULE.weights) * areas
 
 
-def _weighted_count(index, weights, n):
-    # np.bincount returns integers for an empty index (a mesh without free edges)
-    return np.bincount(index, weights=weights, minlength=n).astype(float, copy=False)
-
-
-def _csr(rows, cols, vals, shape):
+def _csr(blocks, nnz, shape):
     """The one sparse builder of the package: the ``scipy.sparse.csr_matrix``
-    of ``shape`` with the triplets (rows, cols, vals), broadcast together,
-    where a triplet with a -1 row or column drops.  scipy's COO conversion
-    sorts each row and sums the duplicate triplets, which makes true the
-    sorted, unique column indices per row that ``linalg`` relies on."""
-    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-    keep = (rows >= 0) & (cols >= 0)
-    return scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    of ``shape`` with the triplets that ``blocks`` yields one block at a
+    time, each block as (rows, cols, vals) broadcast together, where a
+    triplet with a -1 row or column drops.
+
+    ``nnz`` is the number of triplets kept.  Each block writes its kept
+    triplets straight into three arrays of that final length, int32 rows
+    and columns and float values, and is dropped before the next one is
+    formed; so no full-size mask, broadcast or masked copy is ever held,
+    and the builder's peak is those arrays plus scipy's CSR of them.
+    scipy's COO conversion sorts each row and sums the duplicate triplets,
+    which makes true the sorted, unique column indices per row that
+    ``linalg`` relies on.  The kept triplets follow the blocks' order,
+    which is the order of the rows of their items, so the block size
+    changes no bit."""
+    rows, cols, vals = np.empty(nnz, dtype=np.int32), np.empty(nnz, dtype=np.int32), np.empty(nnz)
+    end = 0
+    for block in blocks:
+        r, c, v = np.broadcast_arrays(*block)
+        keep = (r >= 0) & (c >= 0)
+        start, end = end, end + np.count_nonzero(keep)
+        rows[start:end], cols[start:end], vals[start:end] = r[keep], c[keep], v[keep]
+        block = r = c = v = keep = None  # freed before the next block is formed
+    assert end == nnz, (end, nnz)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def discrete_gradient(dofmap):
@@ -260,7 +280,8 @@ def discrete_gradient(dofmap):
     of lo, so ``G @ v`` holds the edge moments of the gradient of the
     continuous piecewise-linear function with interior nodal values v and
     zero boundary values.  Boundary vertices have no column.  Built by
-    :func:`_csr`, where the boundary vertex's triplet drops.
+    :func:`_csr` one block of edges at a time, where the triplets of a
+    boundary edge or a boundary vertex drop.
     """
     mesh = dofmap.mesh
     interior = np.ones(mesh.num_vertices, dtype=bool)
@@ -268,10 +289,11 @@ def discrete_gradient(dofmap):
     n_interior = int(interior.sum())
     vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int32)
     vertex_dof[interior] = np.arange(n_interior)
-    # free dofs follow edge ids, so row i is free edge i: [lo, hi]
-    cols = vertex_dof[mesh.edges[dofmap.edge_dof >= 0]]
-    return _csr(np.arange(dofmap.n_free, dtype=np.int32)[:, None], cols, np.array([-1.0, 1.0]),
-                (dofmap.n_free, n_interior))
+    # an edge's row is its dof, its triplets [lo, hi]; both ends of a
+    # boundary edge lie on the boundary, so each interior end is kept
+    blocks = ((dofmap.edge_dof[rows, None], vertex_dof[mesh.edges[rows]], np.array([-1.0, 1.0]))
+              for rows in _blocks(mesh.num_edges))
+    return _csr(blocks, np.count_nonzero(interior[mesh.edges]), (dofmap.n_free, n_interior))
 
 
 @dataclass(frozen=True)
@@ -332,17 +354,30 @@ def assemble_system(mesh, coefficients, sample):
     (:func:`_mesh_sample`); of it only f is read.  The load ``int f . phi``
     is integrated at those points, as the adjoint of the vertex vectors
     applied to the moments of f (:func:`_moments`).
+
+    The local matrices of one block of ``mesh._BLOCK`` triangles at a time
+    go to :func:`_csr` with their element dofs and are dropped there, so
+    the matrix's peak is its kept triplets and scipy's CSR of them; the
+    element moments of the load are formed and scattered after those are
+    freed.
     """
-    load = _moments(mesh, _reduced(mesh, sample, ("f",)).f.y)
+    f = _reduced(mesh, sample, ("f",)).f
     eps_t = coefficients.eps_by_region(mesh.regions)
     g, areas, signs = mesh.barycentric_gradients, mesh.areas, mesh.tri_edge_signs
-    local = np.empty((mesh.num_triangles, 3, 3))
-    for rows in _blocks(mesh.num_triangles):
+    dofmap = DofMap(mesh)
+    ed = dofmap.element_dofs
+
+    def local(rows):
         stiffness, mass = _local_matrices(g[rows], areas[rows], signs[rows], eps_t[rows],
                                           coefficients.kappa)
-        np.add(stiffness, mass, out=local[rows])
-    dofmap = DofMap(mesh)
-    return dofmap.scatter(local), dofmap.scatter(load), dofmap
+        stiffness += mass
+        return stiffness
+
+    # a triangle keeps the pairs of its free slots
+    nnz = np.square(_vertex_sum((ed >= 0).astype(np.int64))).sum()
+    matrix = _csr(((ed[rows, :, None], ed[rows, None, :], local(rows))
+                   for rows in _blocks(mesh.num_triangles)), nnz, (dofmap.n_free,) * 2)
+    return matrix, dofmap.scatter(_moments(mesh, f.y)), dofmap
 
 
 def _mass_dominated(mesh, coefficients):
@@ -417,18 +452,22 @@ def solve(mesh, coefficients, sample, rel_tol=1e-12, energy_target=None, x0=None
 
 
 def _fine_edges(coarse, mesh):
-    """Per free edge of ``mesh``, a refinement of ``coarse`` whose
-    ``parent_ids`` index its triangles: the coarse triangle p the edge lies
-    in, the offset of its midpoint from p's first vertex, and its tangent
-    ``head - tail``."""
+    """The edges of ``mesh``, a refinement of ``coarse`` whose
+    ``parent_ids`` index its triangles, one block of ``mesh._BLOCK`` edges
+    at a time: per block its rows (a slice of edge ids) and per edge the
+    coarse triangle p the edge lies in, the offset of its midpoint from
+    p's first vertex, and its tangent ``head - tail``.  The parents are
+    checked before the first block."""
     parents = mesh.parent_ids
     if parents.min() < 0 or parents.max() + 1 != coarse.num_triangles:
         raise ValueError("mesh.parent_ids do not index the triangles of the coarse mesh")
-    free = ~mesh.is_boundary_edge
-    p = parents[mesh.edge_tris[free, 0]]
-    tail, head = mesh.vertices[mesh.edges[free].T]
-    offset = 0.5 * (tail + head) - coarse.vertices[coarse.triangles[p, 0]]
-    return p, offset, head - tail
+
+    def block(rows):
+        p = parents[mesh.edge_tris[rows, 0]]
+        tail, head = mesh.vertices[mesh.edges[rows].T]
+        return rows, p, 0.5 * (tail + head) - coarse.vertices[coarse.triangles[p, 0]], head - tail
+
+    return map(block, _blocks(mesh.num_edges))
 
 
 def prolongate(solution, mesh):
@@ -439,33 +478,48 @@ def prolongate(solution, mesh):
     agrees with ``prolongation(solution.dofmap, DofMap(mesh)) @
     solution.coefficients`` up to rounding, without building the matrix.
     """
-    p, offset, tangent = _fine_edges(solution.mesh, mesh)
-    # u at the midpoint, from its value w_0 at the parent's first vertex
-    u = solution.vertex_vectors[p, 0] + 0.5 * solution.curls[p, None] * _rot90(offset)
-    return np.einsum("ie,ie->i", u, tangent)
+    moments = np.empty(mesh.num_edges)
+    for rows, p, offset, tangent in _fine_edges(solution.mesh, mesh):
+        # u at the midpoint, from its value w_0 at the parent's first vertex
+        u = solution.vertex_vectors[p, 0] + 0.5 * solution.curls[p, None] * _rot90(offset)
+        moments[rows] = np.einsum("ie,ie->i", u, tangent)
+    return moments[~mesh.is_boundary_edge]
 
 
 def prolongation(coarse_dofmap, fine_dofmap):
     """The matrix of :func:`prolongate`: a ``scipy.sparse.csr_matrix``
-    (fine free dofs, coarse free dofs), built by :func:`_csr`, with the
-    weights of the three edges of each fine free edge's parent in its row;
-    the parent's boundary edges drop.
+    (fine free dofs, coarse free dofs) with the weights of the three edges
+    of each fine free edge's parent in its row; the parent's boundary
+    edges drop.
 
     The fine moment ``(w_0 + (curl / 2) offset^perp) . t`` is linear in the
     parent's coefficients: the weight of its edge k takes w_0 and the curl
-    of its basis function k.
+    of its basis function k.  w_0 and the half curls are formed once per
+    coarse triangle; the weights are gathered from them one block of
+    ``mesh._BLOCK`` fine edges at a time (:func:`_fine_edges`) and go to
+    :func:`_csr` with their rows and columns, so the matrix's peak is its
+    kept triplets and scipy's CSR of them.
     """
-    coarse = coarse_dofmap.mesh
-    p, offset, tangent = _fine_edges(coarse, fine_dofmap.mesh)
+    coarse, mesh = coarse_dofmap.mesh, fine_dofmap.mesh
+    edges = _fine_edges(coarse, mesh)
     g, signs = coarse.barycentric_gradients, coarse.tri_edge_signs
-    w0 = np.stack([_vertex_vectors(g, signs, np.eye(3)[k])[:, 0] for k in range(3)], axis=1)
+    # w_0 (Tc, 3, 2) of each basis function k: the first row of
+    # _vertex_vectors(g, signs, e_k), a_0 grad(lam_1) - a_2 grad(lam_2) with
+    # a = e_k * signs, in its operations and so in its bits
+    a = np.eye(3) * signs[:, None, :]
+    w0 = a[:, :, 0, None] * g[:, None, 1] - a[:, :, 2, None] * g[:, None, 2]
+    a = None
     half_curls = 0.5 * _basis_curls(g, signs)
+    coarse_dofs = coarse_dofmap.element_dofs
+    # a fine free edge keeps the free edges of its parent
+    nnz = _vertex_sum((coarse_dofs >= 0).astype(np.int64))[
+        mesh.parent_ids[mesh.edge_tris[~mesh.is_boundary_edge, 0]]].sum()
     # offset^perp . t is the cross product offset x t
-    weights = (np.einsum("ike,ie->ik", w0[p], tangent)
+    blocks = ((fine_dofmap.edge_dof[rows, None], coarse_dofs[p],
+               np.einsum("ike,ie->ik", w0[p], tangent)
                + half_curls[p] * _cross2(offset, tangent)[:, None])
-    n = fine_dofmap.n_free
-    return _csr(np.arange(n, dtype=np.int32)[:, None],
-                coarse_dofmap.element_dofs[p], weights, (n, coarse_dofmap.n_free))
+              for rows, p, offset, tangent in edges)
+    return _csr(blocks, nnz, (fine_dofmap.n_free, coarse_dofmap.n_free))
 
 
 def eval_uh(solution, tri_id, point):
@@ -525,8 +579,9 @@ class _Reduced(NamedTuple):
 
 
 def _vertex_sum(v):
-    """``sum_i v_i`` (N, 2) of vertex vectors v (N, 3, 2); four times
-    faster than ``v.sum(axis=1)``, which reduces the middle axis."""
+    """``sum_i v_i`` (N, 2) of vertex vectors v (N, 3, 2), or (N,) of
+    v (N, 3); four times faster than ``v.sum(axis=1)``, which reduces the
+    middle axis."""
     return v[:, 0] + v[:, 1] + v[:, 2]
 
 

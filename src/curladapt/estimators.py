@@ -57,7 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .edge_fem import (_linear_norms_sq, _mesh_sample, _projection, _reduce_blocks, _reduced,
-                       _vertex_sum, _weighted_count, error_points)
+                       _vertex_sum, error_points)
+from .linalg import _weighted_count
 from .mesh import _check_id
 
 

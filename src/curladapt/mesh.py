@@ -42,8 +42,10 @@ _CANONICAL_ROT = np.array([(2, 0, 1), (0, 1, 2), (1, 2, 0)], dtype=np.int8)
 # followed by the midpoints of its local edges (3-5)
 _RED_CHILDREN = np.array([(0, 3, 5), (1, 4, 3), (2, 5, 4), (3, 4, 5)])
 
-# rows per block of the per-point kernels (``_blocks``); any size reduces
-# to the same bytes, as every reduction is row-local (see ``edge_fem``)
+# rows per block of the per-point kernels and of the triangles and edges of
+# the sparse builders (``_blocks``); any size gives the same bytes, as
+# every reduction is row-local and every builder keeps its triplets in row
+# order (see ``edge_fem``)
 _BLOCK = 2048
 
 

@@ -192,7 +192,12 @@ def run_table(config):
     failure marker is written to the configured output before the error
     propagates.
     """
-    problem = config.validate()
+    return _run_table(config, config.validate())
+
+
+def _run_table(config, problem):
+    """:func:`run_table` of ``config`` on ``problem``, the one its
+    ``validate()`` returned."""
     solver_tol = config.solver_tol or default_solver_tol(problem)
     mesh = build_structured_unit_square(config.initial_n)
     check_interface_alignment(mesh, problem)
@@ -242,7 +247,7 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, solver_tol=1e-6,
     (interface at x1 = 0.5, 4x4 start mesh) is solved on ``levels``
     uniformly refined meshes and the effectivity indices of both
     estimators are recorded.  Every combination is validated before the
-    first one is solved.
+    first one is solved, and runs on the problem its validation built.
     """
     runs = []
     for ratio in ratios:
@@ -251,11 +256,10 @@ def run_robustness_sweep(ratios, kappas, levels=4, eps2=1.0, solver_tol=1e-6,
         for kappa in kappas:
             config = RunConfig(problem="interface", eps1=ratio * eps2, eps2=eps2,
                                kappa=kappa, levels=levels, solver_tol=solver_tol)
-            config.validate()
-            runs.append((ratio, kappa, config))
+            runs.append((ratio, kappa, config, config.validate()))
     rows = []
-    for ratio, kappa, config in runs:
-        table = run_table(config)
+    for ratio, kappa, config, problem in runs:
+        table = _run_table(config, problem)
         rows.append(SweepRow(float(ratio), float(kappa), table.eff_eta, table.eff_eta_tilde))
     _write(out, sweep_table(rows))
     return rows

@@ -66,8 +66,8 @@ def test_misaligned_regions_are_refused_before_any_solve(monkeypatch, capsys, co
 @pytest.mark.parametrize("command, builds", [
     (["run-table", "--levels", "1"], 1),
     (["run-adaptive", "--max-dofs", "100"], 1),
-    # validated before the first run, then built by that run
-    (["run-sweep", "--ratios", "1,100", "--kappas", "1", "--levels", "1"], 4),
+    # each built once, by its validation before the first run
+    (["run-sweep", "--ratios", "1,100", "--kappas", "1", "--levels", "1"], 2),
 ], ids=["run-table", "run-adaptive", "run-sweep"])
 def test_validation_builds_the_problem_each_run_uses(monkeypatch, command, builds):
     made = []
